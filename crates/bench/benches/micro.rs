@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn bench_lpm(c: &mut Criterion) {
-    use iputil::trie::{Lpm4, Lpm6};
+    use iputil::{Lpm4, Lpm6};
     let mut rng = SmallRng::seed_from_u64(1);
     let mut table: Lpm4<u32> = Lpm4::new();
     for i in 0..50_000u32 {
@@ -22,23 +22,11 @@ fn bench_lpm(c: &mut Criterion) {
     let addrs: Vec<std::net::Ipv4Addr> = (0..1_000)
         .map(|_| std::net::Ipv4Addr::from(rng.gen::<u32>()))
         .collect();
-    c.bench_function("lpm4_longest_match_50k_prefixes", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for &a in &addrs {
-                if table.longest_match(black_box(a)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    let frozen4 = table.freeze();
     c.bench_function("lpm4_frozen_longest_match_50k_prefixes", |b| {
         b.iter(|| {
             let mut hits = 0;
             for &a in &addrs {
-                if frozen4.longest_match(black_box(a)).is_some() {
+                if table.longest_match(black_box(a)).is_some() {
                     hits += 1;
                 }
             }
@@ -74,23 +62,11 @@ fn bench_lpm(c: &mut Criterion) {
             }
         })
         .collect();
-    c.bench_function("lpm6_longest_match_50k_prefixes", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for &a in &addrs6 {
-                if table6.longest_match(black_box(a)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    let frozen6 = table6.freeze();
     c.bench_function("lpm6_frozen_longest_match_50k_prefixes", |b| {
         b.iter(|| {
             let mut hits = 0;
             for &a in &addrs6 {
-                if frozen6.longest_match(black_box(a)).is_some() {
+                if table6.longest_match(black_box(a)).is_some() {
                     hits += 1;
                 }
             }
@@ -102,48 +78,18 @@ fn bench_lpm(c: &mut Criterion) {
     // address is resolved by many FQDNs), answered through the memoized
     // batch entry point.
     let batch: Vec<std::net::Ipv6Addr> = (0..4_000).map(|_| addrs6[rng.gen_range(0..64)]).collect();
-    c.bench_function("lpm6_longest_match_many_4k_dup_addrs", |b| {
-        b.iter(|| {
-            table6
-                .longest_match_many(black_box(&batch))
-                .iter()
-                .filter(|r| r.is_some())
-                .count()
-        })
-    });
-    c.bench_function("lpm6_longest_match_loop_4k_dup_addrs", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for &a in &batch {
-                if table6.longest_match(black_box(a)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
     // The regression risk the memo carries: a duplicate-*poor* batch
-    // (long-tail attribution) where every probe misses. The bypass must keep
-    // `_many` at loop speed for the trie and let the frozen engine's
-    // interleaved prefetch walks win outright.
+    // (long-tail attribution) where every probe misses. The bypass hands
+    // it to the interleaved prefetch walks.
     let unique: Vec<std::net::Ipv6Addr> = (0..4_000)
         .map(|i| {
             let base = covered[(i * 13) % covered.len()];
             std::net::Ipv6Addr::from(base | rng.gen::<u64>() as u128)
         })
         .collect();
-    c.bench_function("lpm6_longest_match_many_4k_unique_addrs", |b| {
-        b.iter(|| {
-            table6
-                .longest_match_many(black_box(&unique))
-                .iter()
-                .filter(|r| r.is_some())
-                .count()
-        })
-    });
     c.bench_function("lpm6_frozen_longest_match_many_4k_unique_addrs", |b| {
         b.iter(|| {
-            frozen6
+            table6
                 .longest_match_many(black_box(&unique))
                 .iter()
                 .filter(|r| r.is_some())
@@ -152,7 +98,7 @@ fn bench_lpm(c: &mut Criterion) {
     });
     c.bench_function("lpm6_frozen_longest_match_many_4k_dup_addrs", |b| {
         b.iter(|| {
-            frozen6
+            table6
                 .longest_match_many(black_box(&batch))
                 .iter()
                 .filter(|r| r.is_some())

@@ -154,23 +154,17 @@ fn bench_provider(c: &mut Criterion) {
 
 /// Per-AS aggregation at routing-table scale: 200k prebuilt records over a
 /// 100k-AS long-tail RIB, attributed via LPM into (a) the historical
-/// `HashMap<AsId, ScopeCell>` and (b) the interned dense `SymVec` path of
-/// [`AsAgg`]. The LPM cost is identical in both, so the delta is the map.
-/// A third row attributes through the compiled (frozen multibit) engine —
-/// same `AsAgg`, so its delta against `_interned_symvec` is the LPM engine.
+/// `HashMap<AsId, ScopeCell>`, one scalar lookup per record, and (b) the
+/// interned dense `SymVec` path of [`AsAgg`], fed in batches through the
+/// engine's batched lookups.
 fn bench_per_as_agg(c: &mut Criterion) {
-    let mut world = World::generate(
+    let world = World::generate(
         &WorldConfig {
             num_sites: 200,
             ..WorldConfig::small()
         }
         .with_long_tail(100_000),
     );
-    // The two historical rows predate the compiled engine: thaw the RIB so
-    // their numbers keep measuring the radix trie, and keep a compiled
-    // clone for the `_frozen_multibit` row.
-    let compiled_rib = world.rib.clone();
-    world.rib.thaw();
     let mut sink = CollectSink::new();
     synthesize_long_tail_into(
         &world,
@@ -199,20 +193,11 @@ fn bench_per_as_agg(c: &mut Criterion) {
             black_box((per_as.len(), total))
         })
     });
-    c.bench_function("per_as_agg_200k_flows_100k_ases_interned_symvec", |b| {
-        b.iter(|| {
-            let mut agg = AsAgg::new(&world.rib, &world.registry);
-            for r in &records {
-                agg.accept(black_box(r));
-            }
-            black_box((agg.observed_as_count(), agg.total_bytes()))
-        })
-    });
     c.bench_function("per_as_agg_200k_flows_100k_ases_frozen_multibit", |b| {
         b.iter(|| {
-            let mut agg = AsAgg::new(&compiled_rib, &world.registry);
+            let mut agg = AsAgg::new(&world.rib, &world.registry);
             // Hour-run-sized batches, like the streaming pipeline delivers:
-            // attribution goes through `origins_of` and the frozen engine's
+            // attribution goes through `origins_of` and the engine's
             // interleaved-prefetch walks instead of per-record walks.
             for chunk in records.chunks(8_192) {
                 agg.accept_batch(black_box(chunk));

@@ -371,13 +371,12 @@ impl FlowSink for AsAgg<'_> {
 
     /// Batched attribution: one family-presplit pass resolves every
     /// external destination through [`Rib::origins_of_v4`]/[`origins_of_v6`]
-    /// (value-only lookups — no per-hit `Prefix` materialisation), so a
-    /// compiled RIB answers through the frozen engine's memoized,
-    /// interleaved-prefetch batch path instead of one dependent-load chain
-    /// per record. Processing all v4 records then all v6 reorders within
-    /// the batch, but aggregation is commutative (per-AS counter adds), so
-    /// the result is byte-identical to the per-record path whichever engine
-    /// answers.
+    /// (value-only lookups — no per-hit `Prefix` materialisation), so the
+    /// RIB answers through the LPM engine's memoized, interleaved-prefetch
+    /// batch path instead of one dependent-load chain per record.
+    /// Processing all v4 records then all v6 reorders within the batch, but
+    /// aggregation is commutative (per-AS counter adds), so the result is
+    /// byte-identical to the per-record path.
     ///
     /// [`origins_of_v6`]: bgpsim::Rib::origins_of_v6
     fn accept_batch(&mut self, records: &[FlowRecord]) {

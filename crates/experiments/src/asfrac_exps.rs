@@ -37,10 +37,6 @@ pub struct AsFractionsParams {
     pub flows_per_day: usize,
     /// Day-level worker threads (output is invariant to this).
     pub threads: usize,
-    /// Attribute through the compiled (frozen multibit) LPM engine. Output
-    /// is byte-identical either way; the registry's engine-on/off guard
-    /// flips this through [`RunConfig`](crate::RunConfig)`::compiled_lpm`.
-    pub compiled_lpm: bool,
     /// When set, tee the stream into sealed [`flowstore`] day-parts under
     /// `<dir>/as-fractions` and digest-verify the replay. The report is
     /// byte-identical either way.
@@ -69,7 +65,7 @@ pub struct AsFractionsReport {
 pub fn as_fractions_report(params: &AsFractionsParams) -> AsFractionsReport {
     // A routing-table-scale world: the web side stays tiny (the crawl is
     // irrelevant here), the RIB carries the tail.
-    let mut world = World::generate(
+    let world = World::generate(
         &WorldConfig {
             seed: params.seed,
             num_sites: 200,
@@ -77,9 +73,6 @@ pub fn as_fractions_report(params: &AsFractionsParams) -> AsFractionsReport {
         }
         .with_long_tail(params.ases),
     );
-    if !params.compiled_lpm {
-        world.rib.thaw();
-    }
     let cfg = LongTailTrafficConfig {
         seed: params.seed ^ 0x6173_6672_6163, // "asfrac"
         num_days: params.days,
@@ -222,7 +215,6 @@ pub fn as_fractions(s: &mut Session) -> Report {
         days: s.config.days.min(30),
         flows_per_day: (ases * 10).clamp(20_000, 600_000),
         threads: s.config.threads.unwrap_or(1),
-        compiled_lpm: s.config.compiled_lpm,
         spill: s.config.spill.clone(),
     };
     as_fractions_report_for(&params)
@@ -237,7 +229,6 @@ pub fn as_fractions_export_report(s: &mut Session) -> Report {
         days: s.config.days.min(3),
         flows_per_day: 10_000,
         threads: s.config.threads.unwrap_or(1),
-        compiled_lpm: s.config.compiled_lpm,
         spill: s.config.spill.clone(),
     };
     as_fractions_report_for(&params)
@@ -254,7 +245,6 @@ mod tests {
             days: 3,
             flows_per_day: 5_000,
             threads,
-            compiled_lpm: true,
             spill: None,
         }
     }
@@ -264,11 +254,6 @@ mod tests {
         let a = as_fractions_json(&as_fractions_report(&params(1)));
         let b = as_fractions_json(&as_fractions_report(&params(4)));
         assert_eq!(a, b, "thread count must not change the exported table");
-        let thawed = as_fractions_json(&as_fractions_report(&AsFractionsParams {
-            compiled_lpm: false,
-            ..params(1)
-        }));
-        assert_eq!(a, thawed, "LPM engine choice must not change the table");
         assert!(a.contains("\"min_share\""));
         // A different seed produces a different dataset.
         let c = as_fractions_json(&as_fractions_report(&AsFractionsParams {

@@ -4,9 +4,9 @@
 //! path must work in a plain `cargo build` binary) and **appends** one
 //! timestamped snapshot to each standing benchmark ledger:
 //!
-//! * `BENCH_lpm.json` — the IPv6 LPM attribution hot path: 1000 lookups
-//!   against a 50k-prefix table, and the memoized 4k-query duplicate-heavy
-//!   batch, mirroring `benches/micro.rs`.
+//! * `BENCH_lpm.json` — the LPM attribution hot path: 1000 lookups
+//!   against a 50k-prefix table per family, and the batched entry point
+//!   over a duplicate-poor 4k batch, mirroring `benches/micro.rs`.
 //! * `BENCH_traffic.json` — pipeline throughput: whole-residence streaming
 //!   synthesis into aggregate sinks, per-AS attribution of 200k flows
 //!   over a 100k-AS long-tail RIB (mirroring `benches/traffic.rs`), and
@@ -69,12 +69,8 @@ const METHODOLOGY: &str = "warmup then calibrated iters/sample (criterion-shaped
      median per-iteration ns over samples";
 
 struct LpmProbe {
-    lpm4_1k_ns: u64,
     lpm4_frozen_1k_ns: u64,
-    lpm6_1k_ns: u64,
     lpm6_frozen_1k_ns: u64,
-    batch_4k_dup_ns: u64,
-    batch_4k_unique_ns: u64,
     frozen_batch_4k_unique_ns: u64,
     samples: usize,
 }
@@ -85,20 +81,12 @@ impl LpmProbe {
             "{{\n      \"date\": \"{date}\",\n      \"source\": \"repro bench-snapshot\",\n      \
              \"methodology\": \"{METHODOLOGY}\",\n      \
              \"samples\": {},\n      \
-             \"lpm4_longest_match_50k_prefixes_ns\": {},\n      \
              \"lpm4_frozen_longest_match_50k_prefixes_ns\": {},\n      \
-             \"lpm6_longest_match_50k_prefixes_ns\": {},\n      \
              \"lpm6_frozen_longest_match_50k_prefixes_ns\": {},\n      \
-             \"lpm6_longest_match_many_4k_dup_addrs_ns\": {},\n      \
-             \"lpm6_longest_match_many_4k_unique_addrs_ns\": {},\n      \
              \"lpm6_frozen_longest_match_many_4k_unique_addrs_ns\": {}\n    }}",
             self.samples,
-            self.lpm4_1k_ns,
             self.lpm4_frozen_1k_ns,
-            self.lpm6_1k_ns,
             self.lpm6_frozen_1k_ns,
-            self.batch_4k_dup_ns,
-            self.batch_4k_unique_ns,
             self.frozen_batch_4k_unique_ns
         )
     }
@@ -106,7 +94,6 @@ impl LpmProbe {
 
 struct TrafficProbe {
     synth_residence_5d_ns: u64,
-    per_as_agg_200k_ns: u64,
     per_as_agg_200k_frozen_ns: u64,
     spill_write_200k_ns: u64,
     spill_replay_200k_ns: u64,
@@ -120,14 +107,12 @@ impl TrafficProbe {
              \"methodology\": \"{METHODOLOGY}\",\n      \
              \"samples\": {},\n      \"results\": [\n        \
              {{ \"name\": \"synthesize_residence_5d_aggregate_sinks\", \"median_ns\": {} }},\n        \
-             {{ \"name\": \"per_as_agg_200k_flows_100k_ases_interned_symvec\", \"median_ns\": {} }},\n        \
              {{ \"name\": \"per_as_agg_200k_flows_100k_ases_frozen_multibit\", \"median_ns\": {} }},\n        \
              {{ \"name\": \"flowstore_spill_200k_flows_columnar_day_parts\", \"median_ns\": {} }},\n        \
              {{ \"name\": \"flowstore_replay_200k_flows_digest_sink\", \"median_ns\": {} }}\n      \
              ]\n    }}",
             self.samples,
             self.synth_residence_5d_ns,
-            self.per_as_agg_200k_ns,
             self.per_as_agg_200k_frozen_ns,
             self.spill_write_200k_ns,
             self.spill_replay_200k_ns
@@ -175,12 +160,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// The attribution hot path, mirroring `benches/micro.rs`: 50k routed-table-
-/// shaped prefixes for each family, 1000 half-covered lookup addresses
-/// (scalar, trie and frozen), and the memoized batch entry point over a
-/// duplicate-heavy and a duplicate-poor (unique) 4k batch.
+/// shaped prefixes for each family, 1000 half-covered scalar lookups, and
+/// the batched entry point over a duplicate-poor (unique) 4k batch.
 fn lpm_probe() -> LpmProbe {
     use iputil::prefix::{Prefix4, Prefix6};
-    use iputil::trie::{Lpm4, Lpm6};
+    use iputil::{Lpm4, Lpm6};
     use std::net::Ipv4Addr;
     let samples = 15;
     // IPv4: uniform-random prefixes /8..=/24 (the micro.rs shape).
@@ -194,20 +178,10 @@ fn lpm_probe() -> LpmProbe {
     let addrs4: Vec<Ipv4Addr> = (0..1_000)
         .map(|_| Ipv4Addr::from(splitmix64(&mut rng) as u32))
         .collect();
-    let frozen4 = table4.freeze();
-    let lpm4_1k_ns = median_ns(samples, 300, 20, || {
-        let mut hits = 0usize;
-        for &a in &addrs4 {
-            if table4.longest_match(a).is_some() {
-                hits += 1;
-            }
-        }
-        std::hint::black_box(hits);
-    });
     let lpm4_frozen_1k_ns = median_ns(samples, 300, 20, || {
         let mut hits = 0usize;
         for &a in &addrs4 {
-            if frozen4.longest_match(a).is_some() {
+            if table4.longest_match(a).is_some() {
                 hits += 1;
             }
         }
@@ -237,17 +211,13 @@ fn lpm_probe() -> LpmProbe {
             }
         })
         .collect();
-    let batch: Vec<Ipv6Addr> = (0..4_000)
-        .map(|_| addrs[(splitmix64(&mut rng) as usize) % 64])
-        .collect();
     let unique: Vec<Ipv6Addr> = (0..4_000usize)
         .map(|i| {
             let base = covered[(i * 13) % covered.len()];
             Ipv6Addr::from(base | (splitmix64(&mut rng) as u128 & 0xffff_ffff_ffff_ffff))
         })
         .collect();
-    let frozen6 = table.freeze();
-    let lpm6_1k_ns = median_ns(samples, 300, 20, || {
+    let lpm6_frozen_1k_ns = median_ns(samples, 300, 20, || {
         let mut hits = 0usize;
         for &a in &addrs {
             if table.longest_match(a).is_some() {
@@ -256,31 +226,12 @@ fn lpm_probe() -> LpmProbe {
         }
         std::hint::black_box(hits);
     });
-    let lpm6_frozen_1k_ns = median_ns(samples, 300, 20, || {
-        let mut hits = 0usize;
-        for &a in &addrs {
-            if frozen6.longest_match(a).is_some() {
-                hits += 1;
-            }
-        }
-        std::hint::black_box(hits);
-    });
-    let batch_4k_dup_ns = median_ns(samples, 300, 20, || {
-        std::hint::black_box(table.longest_match_many(&batch).len());
-    });
-    let batch_4k_unique_ns = median_ns(samples, 300, 20, || {
+    let frozen_batch_4k_unique_ns = median_ns(samples, 300, 20, || {
         std::hint::black_box(table.longest_match_many(&unique).len());
     });
-    let frozen_batch_4k_unique_ns = median_ns(samples, 300, 20, || {
-        std::hint::black_box(frozen6.longest_match_many(&unique).len());
-    });
     LpmProbe {
-        lpm4_1k_ns,
         lpm4_frozen_1k_ns,
-        lpm6_1k_ns,
         lpm6_frozen_1k_ns,
-        batch_4k_dup_ns,
-        batch_4k_unique_ns,
         frozen_batch_4k_unique_ns,
         samples,
     }
@@ -288,7 +239,7 @@ fn lpm_probe() -> LpmProbe {
 
 /// Pipeline throughput, mirroring `benches/traffic.rs`: 5 days of residence
 /// A at 1/200 sampling into aggregate sinks, and 200k long-tail flows
-/// attributed over a 100k-AS RIB via the interned [`AsAgg`].
+/// attributed in batches over a 100k-AS RIB via the interned [`AsAgg`].
 fn traffic_probe() -> TrafficProbe {
     let world = World::generate(&WorldConfig {
         num_sites: 1_000,
@@ -308,15 +259,13 @@ fn traffic_probe() -> TrafficProbe {
         synthesize_residence_into(&world, profile.clone(), &cfg, 0, &mut sink);
         std::hint::black_box(sink.0.overall(Scope::External).total_flows());
     });
-    let mut tail_world = World::generate(
+    let tail_world = World::generate(
         &WorldConfig {
             num_sites: 200,
             ..WorldConfig::small()
         }
         .with_long_tail(100_000),
     );
-    let compiled_rib = tail_world.rib.clone();
-    tail_world.rib.thaw();
     let mut sink = CollectSink::new();
     synthesize_long_tail_into(
         &tail_world,
@@ -329,15 +278,8 @@ fn traffic_probe() -> TrafficProbe {
         &mut sink,
     );
     let records = sink.into_records();
-    let per_as_agg_200k_ns = median_ns(5, 200, 60, || {
-        let mut agg = AsAgg::new(&tail_world.rib, &tail_world.registry);
-        for r in &records {
-            agg.accept(r);
-        }
-        std::hint::black_box((agg.observed_as_count(), agg.total_bytes()));
-    });
     let per_as_agg_200k_frozen_ns = median_ns(5, 200, 60, || {
-        let mut agg = AsAgg::new(&compiled_rib, &tail_world.registry);
+        let mut agg = AsAgg::new(&tail_world.rib, &tail_world.registry);
         for chunk in records.chunks(8_192) {
             agg.accept_batch(chunk);
         }
@@ -373,7 +315,6 @@ fn traffic_probe() -> TrafficProbe {
     let _ = std::fs::remove_dir_all(&spill_dir);
     TrafficProbe {
         synth_residence_5d_ns,
-        per_as_agg_200k_ns,
         per_as_agg_200k_frozen_ns,
         spill_write_200k_ns,
         spill_replay_200k_ns,
@@ -623,18 +564,13 @@ mod tests {
     #[test]
     fn real_ledgers_accept_the_rendered_snapshots() {
         let lpm = LpmProbe {
-            lpm4_1k_ns: 7_000,
             lpm4_frozen_1k_ns: 6_000,
-            lpm6_1k_ns: 16_000,
             lpm6_frozen_1k_ns: 11_000,
-            batch_4k_dup_ns: 24_000,
-            batch_4k_unique_ns: 107_000,
             frozen_batch_4k_unique_ns: 76_000,
             samples: 15,
         };
         let traffic = TrafficProbe {
             synth_residence_5d_ns: 800_000,
-            per_as_agg_200k_ns: 59_000_000,
             per_as_agg_200k_frozen_ns: 12_000_000,
             spill_write_200k_ns: 30_000_000,
             spill_replay_200k_ns: 20_000_000,

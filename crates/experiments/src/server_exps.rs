@@ -420,12 +420,16 @@ pub fn ablation_he(s: &mut Session) -> Report {
         "IPv6-full %",
     ]);
     for rate in [0.0, 0.05, 0.116, 0.25] {
-        let cfg = CrawlConfig {
-            v6_degraded_rate: rate,
-            ..CrawlConfig::default()
+        let c = if rate == CrawlConfig::default().v6_degraded_rate {
+            // The default rate is the session's cached latest-epoch crawl.
+            ClassCounts::from_report(s.latest_crawl())
+        } else {
+            let cfg = CrawlConfig {
+                v6_degraded_rate: rate,
+                ..CrawlConfig::default()
+            };
+            ClassCounts::from_report(&crawl_epoch(&s.world, epoch, &cfg))
         };
-        let report = crawl_epoch(&s.world, epoch, &cfg);
-        let c = ClassCounts::from_report(&report);
         let used_v4 = 100.0 * c.browser_used_v4 as f64 / c.full.max(1) as f64;
         t.row(vec![
             format!("{rate:.3}"),

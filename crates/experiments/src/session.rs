@@ -57,12 +57,6 @@ pub struct RunConfig {
     /// default; when on, [`Session::new`] resets and enables the global
     /// plane so [`Session::metrics`] returns this session's activity.
     pub metrics: bool,
-    /// Use the compiled (frozen multibit) LPM engine for RIB lookups. On by
-    /// default; turning it off thaws every world back to the radix trie.
-    /// Output is byte-identical either way — the registry tests assert it —
-    /// so this exists for differential testing and perf comparison, not
-    /// correctness.
-    pub compiled_lpm: bool,
     /// Spill directory for flow streams (`--spill DIR`). When set, the
     /// flow-producing passes write sorted columnar day-parts
     /// ([`flowstore`]) instead of holding records, and every replay is
@@ -84,7 +78,6 @@ impl Default for RunConfig {
             day_threads: None,
             faults: FaultPlan::default(),
             metrics: false,
-            compiled_lpm: true,
             spill: None,
         }
     }
@@ -132,14 +125,6 @@ impl RunConfig {
     /// perturbs. Read the snapshot with [`Session::metrics`].
     pub fn metrics(mut self, on: bool) -> RunConfig {
         self.metrics = on;
-        self
-    }
-
-    /// Toggle the compiled (frozen multibit) LPM engine for this session's
-    /// worlds. Scenario output stays byte-identical — only lookup speed
-    /// changes.
-    pub fn compiled_lpm(mut self, on: bool) -> RunConfig {
-        self.compiled_lpm = on;
         self
     }
 
@@ -208,15 +193,10 @@ impl Session {
             subscribers: 0,
             calibration: worldgen::Calibration::default(),
         };
-        let mut world = {
+        let world = {
             let _span = obs::span!("world-gen");
             World::generate(&world_config)
         };
-        if !config.compiled_lpm {
-            // Differential mode: drop the frozen engines worldgen compiled,
-            // forcing every lookup back through the radix authority.
-            world.rib.thaw();
-        }
         obs::info!(
             "[repro] world ready in {:.1}s ({} third-party domains, {} zone names in Jul 2025)",
             t0.elapsed().as_secs_f64(),

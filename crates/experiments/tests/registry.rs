@@ -72,24 +72,6 @@ fn every_scenario_is_spill_invariant() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The compiled (frozen multibit) LPM engine is a pure performance
-/// substitution: every scenario's Report JSON must be byte-identical with
-/// it enabled and disabled — the same contract the faults and obs planes
-/// honor. A drifting answer here means the flattened table diverged from
-/// the radix authority it was compiled from.
-#[test]
-fn every_scenario_is_engine_invariant() {
-    let compiled = run_registry(tiny());
-    let thawed = run_registry(tiny().compiled_lpm(false));
-    for ((name_a, json_a), (name_b, json_b)) in compiled.iter().zip(&thawed) {
-        assert_eq!(name_a, name_b);
-        assert_eq!(
-            json_a, json_b,
-            "{name_a}: report JSON must be byte-identical with the compiled LPM engine on vs off"
-        );
-    }
-}
-
 #[test]
 fn reports_serialize_to_valid_structured_json() {
     let mut session = Session::new(tiny());

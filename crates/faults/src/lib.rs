@@ -193,7 +193,7 @@ pub enum FaultKind {
     },
     /// RIB churn: each covered day contributes a batch of synthetic
     /// announcements plus withdrawals of the previous day's batch,
-    /// exercising trie insert/remove/merge at scale.
+    /// exercising RIB insert/remove at scale.
     RibChurn {
         /// Prefixes announced per covered day.
         announcements_per_day: u32,

@@ -53,7 +53,7 @@ pub trait FlowSink {
     /// Consume a contiguous run of records, in order. Behaviorally
     /// identical to calling [`FlowSink::accept`] per record (the default
     /// does exactly that); sinks whose per-record work has a cheaper
-    /// batched form — LPM attribution through the frozen engine's
+    /// batched form — LPM attribution through the engine's
     /// interleaved-prefetch walks — override it. Producers that buffer
     /// (e.g. `trafficgen`'s day synthesis) deliver through this entry
     /// point so the batch shape survives sink composition.

@@ -5,11 +5,10 @@
 //!
 //! * [`prefix`] — CIDR prefixes for IPv4 and IPv6 with canonicalization,
 //!   parsing, containment tests and supernet/subnet arithmetic.
-//! * [`trie`] — path-compressed radix tries with longest-prefix-match
-//!   lookup, the *mutable authority* behind the BGP RIB (`bgpsim`).
-//! * [`multibit`] — the *frozen* LPM engine: a flattened Poptrie/DXR-style
-//!   multibit table compiled from a trie, for read-mostly lookup at
-//!   attribution scale.
+//! * [`lpm`] — longest-prefix-match tables ([`Lpm4`]/[`Lpm6`]) behind the
+//!   BGP RIB (`bgpsim`), path profiles and translation maps.
+//! * [`multibit`] — the flattened Poptrie/DXR-style multibit engine every
+//!   lookup runs on.
 //! * [`hash`] — a self-contained SipHash-2-4 implementation (keyed PRF) used
 //!   by the anonymizer; validated against the reference vectors from the
 //!   SipHash paper.
@@ -26,39 +25,33 @@
 //!
 //! Everything here is deterministic: no ambient randomness, no system time.
 //!
-//! # LPM architecture: radix authority, frozen multibit engine
+//! # LPM architecture: an ordered map and one compiled engine
 //!
 //! The suite performs longest-prefix-match at two very different rhythms —
 //! RIB churn (announce/withdraw from the faults plane) and attribution
 //! (hundreds of thousands of lookups against a table that is *not*
-//! changing). Two engines split the work:
+//! changing). [`Lpm4`]/[`Lpm6`] serve both with two pieces:
 //!
-//! * The **radix trie** ([`Lpm4`]/[`Lpm6`]/[`LpmTrie`]) is the mutable
-//!   authority: every insert/remove happens here, merge-on-remove keeps its
-//!   shape canonical, and it always answers lookups correctly on its own.
-//! * The **frozen multibit engine** ([`Frozen4`]/[`Frozen6`]/[`FrozenLpm`])
-//!   is compiled from the trie by [`Lpm4::freeze`]/[`Lpm6::freeze`]: a
-//!   DIR-24-8-style direct root table over the first 16 bits plus stride-6
-//!   popcount-compressed node arrays with leaf-pushed results (see
-//!   [`multibit`] for the layout). It answers byte-identically to the trie
-//!   at freeze time — the differential property tests assert it — but with
-//!   cache-dense arrays instead of pointer chasing.
+//! * an **ordered map** `BTreeMap<(bits, len), V>` — the only state that
+//!   `insert`, `remove`, `get` and `len` touch;
+//! * a **compiled table** ([`FrozenLpm`]), built from the map's in-order
+//!   iteration: a DIR-24-8-style direct root table over the first 16 bits
+//!   plus stride-6 popcount-compressed node arrays with leaf-pushed results
+//!   (see [`multibit`] for the layout). Every lookup — scalar,
+//!   `longest_match_many` and `values_many` — runs on it.
 //!
-//! *When compile happens:* `bgpsim::Rib::compile` freezes both families
-//! after the world generator finishes announcing (worldgen does this
-//! automatically); holders of long-lived static tables (e.g. the residence
-//! router's LAN sets) freeze once at construction.
+//! *When compile happens:* lazily, on the first lookup after a change.
+//! `insert` and a successful `remove` drop the compiled table; the next
+//! lookup recompiles it once and every later lookup shares it, from any
+//! thread. A burst of churn therefore costs one recompile, not one per
+//! mutation. `worldgen` issues one lookup per family after announcing the
+//! RIB so that compile lands in world generation rather than in the first
+//! attribution pass.
 //!
-//! *Churn and fallback:* mutating a compiled `Rib` drops the stale frozen
-//! engines and falls back to the trie — correctness never depends on a
-//! recompile. Callers that churn then query in bulk (the faults plane's RIB
-//! churn scenarios) may recompile once the table settles.
-//!
-//! *Memo interaction:* both engines' `longest_match_many` keep a
+//! *Memo interaction:* `longest_match_many` and `values_many` keep a
 //! direct-mapped duplicate memo in front; a deterministic probe-window
-//! check makes it bypass itself on duplicate-poor batches, where the frozen
-//! engine's interleaved prefetching walker takes over
-//! ([`multibit::MEMO_BYPASS`]).
+//! check makes it bypass itself on duplicate-poor batches, where the
+//! interleaved prefetching walker takes over ([`multibit::MEMO_BYPASS`]).
 
 // `deny` rather than `forbid` solely for the one `#[allow(unsafe_code)]`
 // software-prefetch intrinsic in `multibit` (a cache hint, no memory
@@ -69,18 +62,18 @@
 pub mod alloc;
 pub mod anon;
 pub mod hash;
+pub mod lpm;
 pub mod multibit;
 pub mod prefix;
 pub mod sym;
-pub mod trie;
 
 pub use alloc::{HostAllocator4, HostAllocator6, SubnetAllocator4, SubnetAllocator6};
 pub use anon::{Anonymizer, AnonymizerConfig};
 pub use hash::SipHasher24;
-pub use multibit::{Frozen4, Frozen6, FrozenLpm};
+pub use lpm::{Lpm, Lpm4, Lpm6, LpmAddr};
+pub use multibit::{Bits, FrozenLpm};
 pub use prefix::{ParsePrefixError, Prefix, Prefix4, Prefix6};
 pub use sym::{Sym, SymVec, SymbolTable};
-pub use trie::{Bits, Lpm4, Lpm6, LpmTrie};
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 

@@ -1,20 +1,19 @@
-//! Frozen flattened multibit LPM engine (Poptrie/DXR-style), compiled from
-//! an [`LpmTrie`].
+//! The flattened multibit LPM engine (Poptrie/DXR-style): the one lookup
+//! structure behind [`Lpm4`](crate::Lpm4) and [`Lpm6`](crate::Lpm6).
 //!
 //! # Layout
 //!
-//! The radix trie stays the *mutable authority*; [`FrozenLpm::from_trie`]
-//! (or [`Lpm4::freeze`](crate::Lpm4::freeze)/[`Lpm6::freeze`](crate::Lpm6::freeze)) compiles an
-//! immutable lookup structure optimised for exactly one thing: resolving
-//! addresses against a table that is not changing.
+//! [`FrozenLpm::from_map`] compiles an ordered `(key, plen) → value` map
+//! into an immutable lookup structure optimised for exactly one thing:
+//! resolving addresses against a table that is not changing. The `Lpm`
+//! tables compile lazily, on the first lookup after a change.
 //!
 //! * **Direct root table** — the first [`Bits::ROOT_BITS`] (16) address bits
 //!   index a `2^16`-entry array whose slots hold either a final result id or
 //!   a tagged multibit-node index. Prefixes shorter than the root stride are
 //!   *leaf-pushed*: painted over every slot they cover, deepest-wins, so a
-//!   root hit already carries the correct fallback (the DIR-24-8 trick the
-//!   trie's `short_best` table performs at lookup time, done once at
-//!   compile time instead).
+//!   root hit already carries the correct fallback (the DIR-24-8 trick, done
+//!   once at compile time).
 //! * **Stride-6 popcount nodes** — below the root, each node consumes the
 //!   next 6 address bits. A node is two `u64` bitmaps plus two base indices:
 //!   `vector` marks which of the 64 chunks continue into a child node, and
@@ -35,48 +34,141 @@
 //! lookup is a short loop of `bitmap → popcount-rank → array index` steps
 //! over three dense arrays, never backtracking and never chasing per-prefix
 //! heap nodes. A lone IPv6 /48 resolves in 1 root load + 1 uniform node +
-//! 1 result row — the same dependent-load count as the radix trie — while
-//! dense subtrees (a routing table's sequential allocations) resolve in
-//! stride-6 hops over arrays small enough to stay cache-hot; a 100k-prefix
-//! RIB flattens to a few MB of contiguous memory.
+//! 1 result row, while dense subtrees (a routing table's sequential
+//! allocations) resolve in stride-6 hops over arrays small enough to stay
+//! cache-hot; a 100k-prefix RIB flattens to a few MB of contiguous memory.
 //!
-//! Tables small enough for the trie's linear-scan mode (≤ a dozen entries —
-//! a residence router's LAN set) freeze to a sorted linear scan and never
-//! allocate the root table.
+//! Tables of at most a dozen entries (a residence router's LAN set) compile
+//! to a sorted linear scan and never allocate the root table.
 //!
 //! # Batched lookups, prefetch, and the memo
 //!
-//! [`FrozenLpm::longest_match_many`] keeps the direct-mapped duplicate memo
+//! [`FrozenLpm::longest_match_many`] keeps a direct-mapped duplicate memo
 //! in front (hot CDN addresses resolved by thousands of FQDNs cost one
-//! walk), but the memo now *bypasses itself* when a probe window over the
-//! head of the batch observes a hit rate below [`MEMO_BYPASS`]'s threshold —
+//! walk), and the memo *bypasses itself* when a probe window over the head
+//! of the batch observes a hit rate below [`MEMO_BYPASS`]'s threshold —
 //! decided deterministically from batch contents alone, so attribution
 //! output stays byte-identical. Bypassed (and memo-missing) tails resolve
-//! through an interleaved walker: `LANES` (16) addresses advance one node level
-//! per round, issuing a software prefetch for each lane's next node, so the
-//! DRAM latency of up to 8 independent walks overlaps instead of
+//! through an interleaved walker: `LANES` (16) addresses advance one node
+//! level per round, issuing a software prefetch for each lane's next node,
+//! so the DRAM latency of up to 16 independent walks overlaps instead of
 //! serialising. This is where the batch path wins on *unique*-address
-//! batches (long-tail attribution), which the memo alone used to tax.
+//! batches (long-tail attribution), which the memo alone would tax.
 //!
 //! ```
-//! use iputil::{Lpm4, Prefix4};
-//! let mut rib: Lpm4<&str> = Lpm4::new();
-//! rib.insert("10.0.0.0/8".parse().unwrap(), "ten");
-//! rib.insert("10.9.0.0/16".parse().unwrap(), "ten-nine");
-//! let frozen = rib.freeze();
-//! let (p, v) = frozen.longest_match("10.9.4.4".parse().unwrap()).unwrap();
-//! assert_eq!((p.to_string().as_str(), *v), ("10.9.0.0/16", "ten-nine"));
-//! // The authority and the frozen engine answer identically, batched too.
-//! let addrs: Vec<std::net::Ipv4Addr> = vec!["10.1.2.3".parse().unwrap()];
-//! assert_eq!(
-//!     frozen.longest_match_many(&addrs)[0].map(|(p, &v)| (p, v)),
-//!     rib.longest_match_many(&addrs)[0].map(|(p, &v)| (p, v)),
-//! );
+//! use iputil::FrozenLpm;
+//! use std::collections::BTreeMap;
+//! let mut map: BTreeMap<(u32, u8), &str> = BTreeMap::new();
+//! map.insert((0x0a00_0000, 8), "10/8");
+//! map.insert((0x0a09_0000, 16), "10.9/16");
+//! let frozen = FrozenLpm::from_map(&map);
+//! assert_eq!(frozen.longest_match(0x0a09_0404), Some((16, &"10.9/16")));
+//! assert_eq!(frozen.longest_match(0x0a01_0203), Some((8, &"10/8")));
+//! assert_eq!(frozen.longest_match(0x0b00_0000), None);
+//! // Batched lookups answer exactly what scalar lookups do.
+//! let addrs = [0x0a09_0404, 0x0b00_0000, 0x0a09_0404];
+//! let batched: Vec<_> = addrs.iter().map(|&a| frozen.longest_match(a)).collect();
+//! assert_eq!(frozen.longest_match_many(&addrs), batched);
 //! ```
 
-use crate::prefix::{Prefix4, Prefix6};
-use crate::trie::{Bits, LpmTrie};
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::collections::BTreeMap;
+
+/// Key types of a [`FrozenLpm`]: fixed-width big-endian bit strings.
+pub trait Bits: Copy + Eq + Ord + std::fmt::Debug {
+    /// Width of the key in bits (32 for IPv4, 128 for IPv6).
+    const WIDTH: u8;
+
+    /// Stride of the direct root table (root slots = `2^ROOT_BITS`).
+    const ROOT_BITS: u8 = 16;
+
+    /// Zero out everything past the first `len` bits.
+    fn truncate(self, len: u8) -> Self;
+
+    /// The top [`Bits::ROOT_BITS`] bits, as a root-table index.
+    fn root_slot(self) -> usize;
+
+    /// Number of leading bits shared with `other` (capped at `WIDTH`).
+    fn common_prefix_len(self, other: Self) -> u8;
+
+    /// XOR-fold the key to 64 bits (batched-lookup memo hashing).
+    fn fold_u64(self) -> u64;
+
+    /// The `stride` bits starting `depth` bits from the most-significant
+    /// end, as an index (`depth + stride` must not exceed `WIDTH`). Lookups
+    /// walk the address in these chunks.
+    fn chunk(self, depth: u8, stride: u8) -> usize;
+
+    /// The `count` (1..=64) bits starting `depth` bits from the
+    /// most-significant end, right-aligned in a `u64` (`depth + count` must
+    /// not exceed `WIDTH`). Path-compressed nodes verify a skipped bit run
+    /// with it in one compare.
+    fn bits_at(self, depth: u8, count: u8) -> u64;
+}
+
+impl Bits for u32 {
+    const WIDTH: u8 = 32;
+
+    fn truncate(self, len: u8) -> u32 {
+        self & crate::prefix::mask32(len)
+    }
+
+    fn root_slot(self) -> usize {
+        (self >> (32 - Self::ROOT_BITS)) as usize
+    }
+
+    fn common_prefix_len(self, other: u32) -> u8 {
+        (self ^ other).leading_zeros().min(32) as u8
+    }
+
+    fn fold_u64(self) -> u64 {
+        self as u64
+    }
+
+    fn chunk(self, depth: u8, stride: u8) -> usize {
+        debug_assert!(depth + stride <= 32);
+        (self >> (32 - depth - stride)) as usize & ((1 << stride) - 1)
+    }
+
+    fn bits_at(self, depth: u8, count: u8) -> u64 {
+        debug_assert!(count >= 1 && depth + count <= 32);
+        (self >> (32 - depth - count)) as u64 & (u64::MAX >> (64 - count))
+    }
+}
+
+impl Bits for u128 {
+    const WIDTH: u8 = 128;
+
+    fn truncate(self, len: u8) -> u128 {
+        self & crate::prefix::mask128(len)
+    }
+
+    fn root_slot(self) -> usize {
+        (self >> (128 - Self::ROOT_BITS)) as usize
+    }
+
+    fn common_prefix_len(self, other: u128) -> u8 {
+        (self ^ other).leading_zeros().min(128) as u8
+    }
+
+    fn fold_u64(self) -> u64 {
+        (self >> 64) as u64 ^ self as u64
+    }
+
+    fn chunk(self, depth: u8, stride: u8) -> usize {
+        debug_assert!(depth + stride <= 128);
+        (self >> (128 - depth - stride)) as usize & ((1 << stride) - 1)
+    }
+
+    fn bits_at(self, depth: u8, count: u8) -> u64 {
+        debug_assert!((1..=64).contains(&count) && depth + count <= 128);
+        (self >> (128 - depth - count)) as u64 & (u64::MAX >> (64 - count))
+    }
+}
+
+/// Entry count up to which a table compiles to a linear scan: a handful of
+/// compares beats a root-table load at these sizes, and the `2^ROOT_BITS`
+/// root array (256 KiB) is never allocated.
+const SMALL_MAX: usize = 12;
 
 /// Bits consumed per multibit node below the root table.
 const STRIDE: u8 = 6;
@@ -122,8 +214,8 @@ struct MbNode {
     leafvec: u64,
     /// The `skip` address bits at this node's depth, right-aligned — every
     /// prefix below this node agrees on them, so one compare replaces a
-    /// chain of single-child stride levels (classic path compression,
-    /// carried over from the radix trie so sparse subtrees stay O(1) loads).
+    /// chain of single-child stride levels (classic path compression, so
+    /// sparse subtrees stay O(1) loads).
     skip_key: u64,
     /// First child node index (children of one node are contiguous).
     base_children: u32,
@@ -139,8 +231,8 @@ struct MbNode {
 
 #[derive(Debug, Clone)]
 enum Repr<K> {
-    /// Sorted `(key, plen, result id)` linear scan — tables that fit the
-    /// trie's small-table mode never pay for the root array.
+    /// Sorted `(key, plen, result id)` linear scan — tables of at most
+    /// [`SMALL_MAX`] entries never pay for the root array.
     Small(Vec<(K, u8, u32)>),
     Table {
         /// `2^ROOT_BITS` entries: result id, or `NODE_TAG | node index`.
@@ -151,11 +243,12 @@ enum Repr<K> {
     },
 }
 
-/// An immutable, flattened multibit LPM table compiled from an [`LpmTrie`].
+/// An immutable, flattened multibit LPM table compiled from an ordered
+/// prefix map.
 ///
-/// Answers exactly what the source trie answered at freeze time (the
-/// differential property tests assert byte-identical results); mutation
-/// happens on the trie, followed by a fresh [`FrozenLpm::from_trie`].
+/// Answers exactly what a longest-match scan over the map's entries
+/// answers (the differential property tests assert it against a linear
+/// scan); a changed map compiles into a fresh table.
 #[derive(Debug, Clone)]
 pub struct FrozenLpm<K: Bits, V> {
     repr: Repr<K>,
@@ -164,39 +257,44 @@ pub struct FrozenLpm<K: Bits, V> {
 }
 
 impl<K: Bits, V: Clone> FrozenLpm<K, V> {
-    /// Compile the trie's current contents into the flattened layout.
-    /// Cost is O(prefixes · WIDTH/STRIDE) plus the `2^ROOT_BITS` root
-    /// array; the trie is untouched.
-    pub fn from_trie(trie: &LpmTrie<K, V>) -> FrozenLpm<K, V> {
-        let mut results: Vec<(u8, V)> = Vec::with_capacity(trie.len());
-        let mut entries: Vec<(K, u8, u32)> = Vec::with_capacity(trie.len());
-        trie.for_each(|key, plen, value| {
-            let id = results.len() as u32;
-            assert!(id < RES_NONE, "FrozenLpm supports < 2^31 - 1 prefixes");
+    /// Compile `(key, plen) → value` entries into the flattened layout.
+    /// Keys must be canonical (no bits set past `plen`). The map's in-order
+    /// iteration is the `(key, plen)` order the builder relies on: a
+    /// shallower prefix precedes the deeper entries it covers. Cost is
+    /// O(prefixes · WIDTH/STRIDE) plus the `2^ROOT_BITS` root array. Records
+    /// the footprint as `lpm.frozen_nodes` / `lpm.frozen_bytes` high-water
+    /// gauges (never a span: a shared table may compile on any worker).
+    pub fn from_map(map: &BTreeMap<(K, u8), V>) -> FrozenLpm<K, V> {
+        assert!(
+            map.len() < RES_NONE as usize,
+            "FrozenLpm supports < 2^31 - 1 prefixes"
+        );
+        let mut results: Vec<(u8, V)> = Vec::with_capacity(map.len());
+        let mut entries: Vec<(K, u8, u32)> = Vec::with_capacity(map.len());
+        for (id, (&(key, plen), value)) in map.iter().enumerate() {
+            debug_assert_eq!(key.truncate(plen), key, "non-canonical key");
             results.push((plen, value.clone()));
-            entries.push((key, plen, id));
-        });
-        // `for_each` visits in (key, plen) order — the builder relies on it
-        // (shallow prefixes precede the deeper entries they cover).
-        debug_assert!(entries
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        let repr = if entries.len() <= crate::trie::SMALL_MAX {
+            entries.push((key, plen, id as u32));
+        }
+        let repr = if entries.len() <= SMALL_MAX {
             Repr::Small(entries)
         } else {
             build_table::<K>(&entries)
         };
-        FrozenLpm { repr, results }
+        let frozen = FrozenLpm { repr, results };
+        obs::gauge_max("lpm.frozen_nodes", frozen.node_count() as u64);
+        obs::gauge_max("lpm.frozen_bytes", frozen.heap_bytes() as u64);
+        frozen
     }
 }
 
 impl<K: Bits, V> FrozenLpm<K, V> {
-    /// Number of prefixes captured at freeze time.
+    /// Number of prefixes compiled in.
     pub fn len(&self) -> usize {
         self.results.len()
     }
 
-    /// True if the frozen table holds no prefixes.
+    /// True if the table holds no prefixes.
     pub fn is_empty(&self) -> bool {
         self.results.is_empty()
     }
@@ -275,8 +373,8 @@ impl<K: Bits, V> FrozenLpm<K, V> {
         Some(&self.results[id as usize].1)
     }
 
-    /// Longest-prefix-match against the frozen table: identical answers to
-    /// the source trie's [`LpmTrie::longest_match`] at freeze time.
+    /// Longest-prefix-match: the most specific compiled prefix containing
+    /// `addr`, as `(prefix_len, &value)`.
     #[inline]
     pub fn longest_match(&self, addr: K) -> Option<(u8, &V)> {
         obs::counter_add("lpm.frozen_lookups", 1);
@@ -426,7 +524,7 @@ fn prefetch<T>(slice: &[T], idx: usize) {
 /// duplicate-poor and the rest skips the memo. Output and the decision
 /// depend only on the batch contents, so results stay byte-identical
 /// whichever path runs.
-pub(crate) fn memoized_batch<K: Bits, R, S, B>(addrs: &[K], scalar: S, bulk: B) -> Vec<R>
+fn memoized_batch<K: Bits, R, S, B>(addrs: &[K], scalar: S, bulk: B) -> Vec<R>
 where
     R: Copy,
     S: Fn(K) -> R,
@@ -680,137 +778,30 @@ fn build_node<K: Bits>(
     }
 }
 
-/// Frozen multibit LPM table for IPv4, compiled with [`Lpm4::freeze`](crate::Lpm4::freeze).
-#[derive(Debug, Clone)]
-pub struct Frozen4<V> {
-    inner: FrozenLpm<u32, V>,
-}
-
-impl<V> Frozen4<V> {
-    pub(crate) fn new(inner: FrozenLpm<u32, V>) -> Frozen4<V> {
-        Frozen4 { inner }
-    }
-
-    /// Most specific covering prefix for `addr` (identical to the source
-    /// [`Lpm4`](crate::Lpm4)'s answer at freeze time).
-    pub fn longest_match(&self, addr: Ipv4Addr) -> Option<(Prefix4, &V)> {
-        self.inner
-            .longest_match(crate::v4_to_u32(addr))
-            .map(|(len, v)| (Prefix4::new(addr, len), v))
-    }
-
-    /// Batched [`Frozen4::longest_match`] preserving input order (memo +
-    /// interleaved prefetch walks).
-    pub fn longest_match_many(&self, addrs: &[Ipv4Addr]) -> Vec<Option<(Prefix4, &V)>> {
-        let keys: Vec<u32> = addrs.iter().map(|&a| crate::v4_to_u32(a)).collect();
-        self.inner
-            .longest_match_many(&keys)
-            .into_iter()
-            .zip(addrs)
-            .map(|(r, &a)| r.map(|(len, v)| (Prefix4::new(a, len), v)))
-            .collect()
-    }
-
-    /// Batched value-only lookup (see [`FrozenLpm::values_many`]).
-    pub fn values_many(&self, addrs: &[Ipv4Addr]) -> Vec<Option<&V>> {
-        let keys: Vec<u32> = addrs.iter().map(|&a| crate::v4_to_u32(a)).collect();
-        self.inner.values_many(&keys)
-    }
-
-    /// Number of prefixes captured at freeze time.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True if no prefixes were captured.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Flattened multibit nodes (see [`FrozenLpm::node_count`]).
-    pub fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    /// Heap footprint in bytes (see [`FrozenLpm::heap_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-}
-
-/// Frozen multibit LPM table for IPv6, compiled with [`Lpm6::freeze`](crate::Lpm6::freeze).
-#[derive(Debug, Clone)]
-pub struct Frozen6<V> {
-    inner: FrozenLpm<u128, V>,
-}
-
-impl<V> Frozen6<V> {
-    pub(crate) fn new(inner: FrozenLpm<u128, V>) -> Frozen6<V> {
-        Frozen6 { inner }
-    }
-
-    /// Most specific covering prefix for `addr` (identical to the source
-    /// [`Lpm6`](crate::Lpm6)'s answer at freeze time).
-    pub fn longest_match(&self, addr: Ipv6Addr) -> Option<(Prefix6, &V)> {
-        self.inner
-            .longest_match(crate::v6_to_u128(addr))
-            .map(|(len, v)| (Prefix6::new(addr, len), v))
-    }
-
-    /// Batched [`Frozen6::longest_match`] preserving input order (memo +
-    /// interleaved prefetch walks).
-    pub fn longest_match_many(&self, addrs: &[Ipv6Addr]) -> Vec<Option<(Prefix6, &V)>> {
-        let keys: Vec<u128> = addrs.iter().map(|&a| crate::v6_to_u128(a)).collect();
-        self.inner
-            .longest_match_many(&keys)
-            .into_iter()
-            .zip(addrs)
-            .map(|(r, &a)| r.map(|(len, v)| (Prefix6::new(a, len), v)))
-            .collect()
-    }
-
-    /// Batched value-only lookup (see [`FrozenLpm::values_many`]).
-    pub fn values_many(&self, addrs: &[Ipv6Addr]) -> Vec<Option<&V>> {
-        let keys: Vec<u128> = addrs.iter().map(|&a| crate::v6_to_u128(a)).collect();
-        self.inner.values_many(&keys)
-    }
-
-    /// Number of prefixes captured at freeze time.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True if no prefixes were captured.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Flattened multibit nodes (see [`FrozenLpm::node_count`]).
-    pub fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    /// Heap footprint in bytes (see [`FrozenLpm::heap_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn frozen(entries: &[(u32, u8, u32)]) -> (LpmTrie<u32, u32>, FrozenLpm<u32, u32>) {
-        let mut trie: LpmTrie<u32, u32> = LpmTrie::new();
-        for &(key, plen, value) in entries {
-            trie.insert(key, plen, value);
-        }
-        let frozen = FrozenLpm::from_trie(&trie);
-        (trie, frozen)
+    fn frozen(entries: &[(u32, u8, u32)]) -> (BTreeMap<(u32, u8), u32>, FrozenLpm<u32, u32>) {
+        let map: BTreeMap<(u32, u8), u32> = entries
+            .iter()
+            .map(|&(key, plen, value)| ((key.truncate(plen), plen), value))
+            .collect();
+        let frozen = FrozenLpm::from_map(&map);
+        (map, frozen)
     }
 
-    /// Enough distinct /16 anchors to push the trie (and the frozen table)
-    /// out of small/linear mode.
+    /// The reference answer: a linear scan for the longest stored prefix
+    /// containing `addr`.
+    fn scan<K: Bits, V>(map: &BTreeMap<(K, u8), V>, addr: K) -> Option<(u8, &V)> {
+        map.iter()
+            .filter(|(&(key, plen), _)| addr.truncate(plen) == key)
+            .max_by_key(|(&(_, plen), _)| plen)
+            .map(|(&(_, plen), value)| (plen, value))
+    }
+
+    /// Enough distinct /16 anchors to push the table out of the linear-scan
+    /// representation.
     fn anchors() -> Vec<(u32, u8, u32)> {
         (0..16u32)
             .map(|i| (0xb000_0000 + (i << 16), 16, 900 + i))
@@ -818,7 +809,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_matches_trie_basics() {
+    fn frozen_matches_linear_scan_basics() {
         let mut entries = anchors();
         entries.extend([
             (0, 0, 1),            // default route
@@ -828,8 +819,8 @@ mod tests {
             (0x0a14_8080, 26, 5), // mid-stride
             (0xc0a8_0101, 32, 6), // host route
         ]);
-        let (trie, frozen) = frozen(&entries);
-        assert_eq!(frozen.len(), trie.len());
+        let (map, frozen) = frozen(&entries);
+        assert_eq!(frozen.len(), map.len());
         for addr in [
             0u32,
             0x0a00_0001,
@@ -844,7 +835,7 @@ mod tests {
         ] {
             assert_eq!(
                 frozen.longest_match(addr),
-                trie.longest_match(addr),
+                scan(&map, addr),
                 "addr {addr:#010x}"
             );
         }
@@ -854,18 +845,18 @@ mod tests {
     fn no_default_route_misses() {
         let mut entries = anchors();
         entries.push((0x0a14_8000, 26, 7));
-        let (trie, frozen) = frozen(&entries);
-        assert_eq!(trie.longest_match(0x0a14_8100), None);
+        let (map, frozen) = frozen(&entries);
+        assert_eq!(scan(&map, 0x0a14_8100), None);
         assert_eq!(frozen.longest_match(0x0a14_8100), None);
         assert_eq!(frozen.longest_match(0x0a14_8001), Some((26, &7)));
     }
 
     #[test]
     fn small_tables_stay_linear() {
-        let (trie, frozen) = frozen(&[(0x0a00_0000, 8, 1), (0, 0, 2)]);
+        let (map, frozen) = frozen(&[(0x0a00_0000, 8, 1), (0, 0, 2)]);
         assert_eq!(frozen.node_count(), 0, "small repr allocates no nodes");
         for addr in [0x0a01_0101u32, 0x0b00_0000, 0] {
-            assert_eq!(frozen.longest_match(addr), trie.longest_match(addr));
+            assert_eq!(frozen.longest_match(addr), scan(&map, addr));
         }
     }
 
@@ -877,7 +868,7 @@ mod tests {
             entries.push((0x1000_0000 + (i * 0x0002_0100), 24, i));
         }
         entries.push((0x1000_0000, 8, 7777));
-        let (trie, frozen) = frozen(&entries);
+        let (map, frozen) = frozen(&entries);
         let mut rng = 0x243f_6a88_85a3_08d3u64;
         let mut addrs: Vec<u32> = (0..4096)
             .map(|_| {
@@ -893,26 +884,28 @@ mod tests {
             addrs.iter().cycle().take(4096).copied().collect()
         }] {
             let got = frozen.longest_match_many(&batch);
+            let values = frozen.values_many(&batch);
             for (i, &addr) in batch.iter().enumerate() {
-                assert_eq!(got[i], trie.longest_match(addr), "addr {addr:#010x}");
+                let want = scan(&map, addr);
+                assert_eq!(got[i], want, "addr {addr:#010x}");
+                assert_eq!(values[i], want.map(|(_, v)| v), "addr {addr:#010x}");
             }
         }
     }
 
     #[test]
     fn v6_deep_prefixes_match() {
-        let mut trie: LpmTrie<u128, u32> = LpmTrie::new();
+        let mut map: BTreeMap<(u128, u8), u32> = BTreeMap::new();
         for i in 0..64u128 {
-            trie.insert(0x2001_0db8 << 96 | i << 80, 48, i as u32);
-            trie.insert(
-                0x2001_0db8 << 96 | i << 80 | 0xabcd << 64,
-                64,
+            map.insert((0x2001_0db8 << 96 | i << 80, 48), i as u32);
+            map.insert(
+                (0x2001_0db8 << 96 | i << 80 | 0xabcd << 64, 64),
                 1000 + i as u32,
             );
         }
-        trie.insert(0x2000 << 112, 3, 424242); // short v6 prefix
-        trie.insert(0, 0, 1);
-        let frozen = FrozenLpm::from_trie(&trie);
+        map.insert((0x2000 << 112, 3), 424242); // short v6 prefix
+        map.insert((0, 0), 1);
+        let frozen = FrozenLpm::from_map(&map);
         let mut rng = 0x1337u64;
         for _ in 0..2000 {
             rng = rng
@@ -925,7 +918,7 @@ mod tests {
                 0x2001_0db8 << 96 | i << 80 | 0xabcd << 64 | tail & ((1 << 64) - 1),
                 tail,
             ] {
-                assert_eq!(frozen.longest_match(addr), trie.longest_match(addr));
+                assert_eq!(frozen.longest_match(addr), scan(&map, addr));
             }
         }
     }
@@ -937,5 +930,20 @@ mod tests {
         assert!(frozen.node_count() > 0);
         // Root table alone is 256 KiB.
         assert!(frozen.heap_bytes() > 1 << 18, "{}", frozen.heap_bytes());
+    }
+
+    #[test]
+    fn key_helpers() {
+        assert_eq!(0xffff_0000u32.common_prefix_len(0xffff_ffff), 16);
+        assert_eq!(0u32.common_prefix_len(0), 32);
+        assert_eq!(0x0a14_0000u32.root_slot(), 0x0a14);
+        assert_eq!(
+            crate::v6_to_u128("2001:db8::".parse().unwrap()).root_slot(),
+            0x2001
+        );
+        assert_eq!(0x0a14_8080u32.truncate(17), 0x0a14_8000);
+        assert_eq!(0xabcd_0000u32.chunk(16, 6), 0);
+        assert_eq!(0x0a14_fc00u32.chunk(16, 6), 0x3f);
+        assert_eq!(0x0a14_8080u32.bits_at(16, 8), 0x80);
     }
 }

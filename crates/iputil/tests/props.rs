@@ -3,8 +3,9 @@
 
 use iputil::anon::{Anonymizer, AnonymizerConfig};
 use iputil::prefix::{Prefix4, Prefix6};
-use iputil::trie::{Lpm4, Lpm6, LpmTrie};
+use iputil::{Lpm4, Lpm6};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 fn arb_prefix4() -> impl Strategy<Value = Prefix4> {
@@ -15,16 +16,45 @@ fn arb_prefix6() -> impl Strategy<Value = Prefix6> {
     (any::<u128>(), 0u8..=128).prop_map(|(bits, len)| Prefix6::new(Ipv6Addr::from(bits), len))
 }
 
+/// The oracle: scan every stored prefix, keep the longest that contains
+/// `addr`.
+fn scan4(mirror: &BTreeMap<Prefix4, u32>, addr: Ipv4Addr) -> Option<(Prefix4, u32)> {
+    mirror
+        .iter()
+        .filter(|(p, _)| p.contains(addr))
+        .max_by_key(|(p, _)| p.len())
+        .map(|(p, v)| (*p, *v))
+}
+
+/// IPv6 twin of [`scan4`].
+fn scan6(mirror: &BTreeMap<Prefix6, u32>, addr: Ipv6Addr) -> Option<(Prefix6, u32)> {
+    mirror
+        .iter()
+        .filter(|(p, _)| p.contains(addr))
+        .max_by_key(|(p, _)| p.len())
+        .map(|(p, v)| (*p, *v))
+}
+
+/// An address inside `p` whose host bits come from `bits`.
+fn inside6(p: Prefix6, bits: u128) -> Ipv6Addr {
+    let host = if p.len() == 128 {
+        0
+    } else {
+        bits & !iputil::prefix::mask128(p.len())
+    };
+    Ipv6Addr::from(p.bits() | host)
+}
+
 proptest! {
-    /// The trie's longest match must agree with a brute-force linear scan.
+    /// The table's longest match must agree with a brute-force linear scan.
     #[test]
     fn lpm_matches_linear_scan(
         prefixes in proptest::collection::vec(arb_prefix4(), 1..40),
         addrs in proptest::collection::vec(any::<u32>(), 1..40),
     ) {
-        let mut trie: Lpm4<usize> = Lpm4::new();
+        let mut table: Lpm4<usize> = Lpm4::new();
         for (i, p) in prefixes.iter().enumerate() {
-            trie.insert(*p, i);
+            table.insert(*p, i);
         }
         for addr_bits in addrs {
             let addr = Ipv4Addr::from(addr_bits);
@@ -33,7 +63,7 @@ proptest! {
                 .enumerate()
                 .filter(|(_, p)| p.contains(addr))
                 .max_by_key(|(i, p)| (p.len(), *i)); // later insert wins ties (same prefix replaced)
-            let got = trie.longest_match(addr);
+            let got = table.longest_match(addr);
             match (expect, got) {
                 (None, None) => {}
                 (Some((_, p)), Some((gp, _))) => {
@@ -46,19 +76,20 @@ proptest! {
         }
     }
 
-    /// Inserting then removing every prefix leaves the trie empty for queries.
+    /// Inserting then removing every prefix leaves the table empty for
+    /// queries.
     #[test]
-    fn trie_remove_all(prefixes in proptest::collection::vec(arb_prefix4(), 1..30)) {
-        let mut trie: Lpm4<u8> = Lpm4::new();
+    fn lpm4_remove_all(prefixes in proptest::collection::vec(arb_prefix4(), 1..30)) {
+        let mut table: Lpm4<u8> = Lpm4::new();
         for p in &prefixes {
-            trie.insert(*p, 0);
+            table.insert(*p, 0);
         }
         for p in &prefixes {
-            trie.remove(*p);
+            table.remove(*p);
         }
-        prop_assert_eq!(trie.len(), 0);
+        prop_assert_eq!(table.len(), 0);
         for p in &prefixes {
-            prop_assert!(trie.longest_match(p.network()).is_none());
+            prop_assert!(table.longest_match(p.network()).is_none());
         }
     }
 
@@ -138,19 +169,7 @@ proptest! {
         prop_assert!(parent.contains(h));
     }
 
-    /// The generic trie agrees with the wrapper on u128 keys.
-    #[test]
-    fn trie_u128_exact(prefixes in proptest::collection::vec(arb_prefix6(), 1..20)) {
-        let mut t: LpmTrie<u128, usize> = LpmTrie::new();
-        for (i, p) in prefixes.iter().enumerate() {
-            t.insert(p.bits(), p.len(), i);
-        }
-        for p in &prefixes {
-            prop_assert!(t.get(p.bits(), p.len()).is_some());
-        }
-    }
-
-    /// IPv6: the radix trie's longest match must agree with a brute-force
+    /// IPv6: the table's longest match must agree with a brute-force
     /// linear scan (observational equivalence against a naive reference).
     /// Addresses are biased toward stored prefixes so hits are exercised,
     /// not just misses.
@@ -159,16 +178,14 @@ proptest! {
         prefixes in proptest::collection::vec(arb_prefix6(), 1..40),
         addrs in proptest::collection::vec((any::<u128>(), 0usize..40, any::<bool>()), 1..40),
     ) {
-        let mut trie: Lpm6<usize> = Lpm6::new();
+        let mut table: Lpm6<usize> = Lpm6::new();
         for (i, p) in prefixes.iter().enumerate() {
-            trie.insert(*p, i);
+            table.insert(*p, i);
         }
         for (bits, pick, inside) in addrs {
             // Half the probes land inside a stored prefix (low bits random).
             let addr = if inside {
-                let p = prefixes[pick % prefixes.len()];
-                let host_bits = if p.len() == 128 { 0 } else { bits & !iputil::prefix::mask128(p.len()) };
-                Ipv6Addr::from(p.bits() | host_bits)
+                inside6(prefixes[pick % prefixes.len()], bits)
             } else {
                 Ipv6Addr::from(bits)
             };
@@ -177,7 +194,7 @@ proptest! {
                 .filter(|p| p.contains(addr))
                 .map(|p| p.len())
                 .max();
-            let got = trie.longest_match(addr);
+            let got = table.longest_match(addr);
             match (expect, got) {
                 (None, None) => {}
                 (Some(len), Some((gp, _))) => {
@@ -227,271 +244,161 @@ proptest! {
         }
     }
 
-    /// Inserting then removing every IPv6 prefix leaves the trie empty for
-    /// queries (the v4 twin of `trie_remove_all` above).
+    /// Inserting then removing every IPv6 prefix leaves the table empty for
+    /// queries (the v6 twin of `lpm4_remove_all` above).
     #[test]
-    fn trie6_remove_all(prefixes in proptest::collection::vec(arb_prefix6(), 1..30)) {
-        let mut trie: Lpm6<u8> = Lpm6::new();
+    fn lpm6_remove_all(prefixes in proptest::collection::vec(arb_prefix6(), 1..30)) {
+        let mut table: Lpm6<u8> = Lpm6::new();
         for p in &prefixes {
-            trie.insert(*p, 0);
+            table.insert(*p, 0);
         }
         for p in &prefixes {
-            trie.remove(*p);
+            table.remove(*p);
         }
-        prop_assert_eq!(trie.len(), 0);
+        prop_assert_eq!(table.len(), 0);
         for p in &prefixes {
-            prop_assert!(trie.longest_match(p.network()).is_none());
+            prop_assert!(table.longest_match(p.network()).is_none());
         }
     }
 
-    /// Interleaved inserts and removes leave the trie *structurally*
-    /// equivalent to a fresh build of the surviving prefix set: same stored
-    /// prefixes, same live node count (merge-on-remove reclaims every
-    /// split node churn created), and identical longest-match behaviour.
+    /// Interleaved inserts and removes against a `BTreeMap` mirror: after
+    /// every op the table's return values, `len` and exact `get` match the
+    /// mirror, and every probe's scalar, batched and value-only answers
+    /// equal a linear scan over it — so a stale compiled table shows up at
+    /// the first lookup after the op that outdated it. Short prefixes and
+    /// the default route are force-included so the leaf-pushing and
+    /// root-spanning paths are always exercised, and the 16 anchors (when
+    /// on) keep the compiled table out of its linear-scan representation.
     #[test]
-    fn lpm4_interleaved_ops_structurally_equal_fresh_build(
-        ops in proptest::collection::vec(
-            ((any::<u32>(), 16u8..=32), any::<bool>(), any::<u32>()),
-            1..80,
-        ),
-        probes in proptest::collection::vec(any::<u32>(), 1..30),
-    ) {
-        // 16 fixed anchors keep both tries out of small-table mode so the
-        // comparison exercises the radix paths.
-        let anchors: Vec<Prefix4> = (0..16u32)
-            .map(|i| Prefix4::new(Ipv4Addr::from(0xb000_0000 + (i << 20)), 16))
-            .collect();
-        let mut churned: Lpm4<u32> = Lpm4::new();
-        let mut reference: std::collections::HashMap<Prefix4, u32> =
-            std::collections::HashMap::new();
-        for a in &anchors {
-            churned.insert(*a, 0);
-            reference.insert(*a, 0);
-        }
-        for ((bits, len), is_insert, val) in ops {
-            let p = Prefix4::new(Ipv4Addr::from(bits), len);
-            if is_insert {
-                prop_assert_eq!(churned.insert(p, val), reference.insert(p, val));
-            } else {
-                prop_assert_eq!(churned.remove(p), reference.remove(&p));
-            }
-        }
-        // Fresh build of the surviving set (insertion order is irrelevant
-        // to the canonical radix structure).
-        let mut fresh: Lpm4<u32> = Lpm4::new();
-        for (p, v) in &reference {
-            fresh.insert(*p, *v);
-        }
-        prop_assert_eq!(churned.len(), fresh.len());
-        prop_assert_eq!(
-            churned.node_count(),
-            fresh.node_count(),
-            "churned trie must not retain stale interior nodes"
-        );
-        for bits in probes {
-            let addr = Ipv4Addr::from(bits);
-            prop_assert_eq!(
-                churned.longest_match(addr).map(|(p, v)| (p, *v)),
-                fresh.longest_match(addr).map(|(p, v)| (p, *v))
-            );
-        }
-    }
-
-    /// IPv6 twin of the structural-equivalence property.
-    #[test]
-    fn lpm6_interleaved_ops_structurally_equal_fresh_build(
-        ops in proptest::collection::vec(
-            ((any::<u128>(), 16u8..=64), any::<bool>(), any::<u32>()),
-            1..60,
-        ),
-        probes in proptest::collection::vec(any::<u128>(), 1..20),
-    ) {
-        let anchors: Vec<Prefix6> = (0..16u128)
-            .map(|i| Prefix6::new(Ipv6Addr::from(0xfd00u128 << 112 | i << 96), 32))
-            .collect();
-        let mut churned: Lpm6<u32> = Lpm6::new();
-        let mut reference: std::collections::HashMap<Prefix6, u32> =
-            std::collections::HashMap::new();
-        for a in &anchors {
-            churned.insert(*a, 0);
-            reference.insert(*a, 0);
-        }
-        for ((bits, len), is_insert, val) in ops {
-            let p = Prefix6::new(Ipv6Addr::from(bits), len);
-            if is_insert {
-                prop_assert_eq!(churned.insert(p, val), reference.insert(p, val));
-            } else {
-                prop_assert_eq!(churned.remove(p), reference.remove(&p));
-            }
-        }
-        let mut fresh: Lpm6<u32> = Lpm6::new();
-        for (p, v) in &reference {
-            fresh.insert(*p, *v);
-        }
-        prop_assert_eq!(churned.len(), fresh.len());
-        prop_assert_eq!(churned.node_count(), fresh.node_count());
-        for bits in probes {
-            let addr = Ipv6Addr::from(bits);
-            prop_assert_eq!(
-                churned.longest_match(addr).map(|(p, v)| (p, *v)),
-                fresh.longest_match(addr).map(|(p, v)| (p, *v))
-            );
-        }
-    }
-
-    /// The frozen multibit engine must answer byte-identically to the trie
-    /// it was compiled from — scalar and batched, hits and misses — across
-    /// interleaved insert/remove/compile sequences. Short prefixes and the
-    /// default route are force-included so the leaf-pushing and
-    /// root-spanning paths are always exercised.
-    #[test]
-    fn frozen4_differential_vs_trie(
+    fn lpm4_differential_vs_linear_scan(
         ops in proptest::collection::vec(
             ((any::<u32>(), 0u8..=32), any::<bool>(), any::<u32>()),
             1..60,
         ),
         default_route in any::<bool>(),
+        anchored in any::<bool>(),
         short in (any::<u32>(), 1u8..=8),
         probes in proptest::collection::vec(any::<u32>(), 1..40),
-        freeze_at in 0usize..60,
     ) {
-        let mut trie: Lpm4<u32> = Lpm4::new();
-        let mut reference: std::collections::HashMap<Prefix4, u32> =
-            std::collections::HashMap::new();
+        let mut table: Lpm4<u32> = Lpm4::new();
+        let mut mirror: BTreeMap<Prefix4, u32> = BTreeMap::new();
+        let mut seed = vec![(Prefix4::new(Ipv4Addr::from(short.0), short.1), 434343)];
         if default_route {
-            trie.insert(Prefix4::new(Ipv4Addr::from(0), 0), 424242);
-            reference.insert(Prefix4::new(Ipv4Addr::from(0), 0), 424242);
+            seed.push((Prefix4::new(Ipv4Addr::from(0), 0), 424242));
         }
-        trie.insert(Prefix4::new(Ipv4Addr::from(short.0), short.1), 434343);
-        reference.insert(Prefix4::new(Ipv4Addr::from(short.0), short.1), 434343);
-        // Churn up to a mid-sequence point, compile, keep churning, compile
-        // again: the second frozen table must reflect every op, the first
-        // must still answer for its own snapshot.
-        let split = freeze_at.min(ops.len());
-        for &((bits, len), is_insert, val) in &ops[..split] {
-            let p = Prefix4::new(Ipv4Addr::from(bits), len);
-            if is_insert { trie.insert(p, val); reference.insert(p, val); }
-            else { trie.remove(p); reference.remove(&p); }
+        if anchored {
+            seed.extend((0..16u32).map(|i| {
+                (Prefix4::new(Ipv4Addr::from(0xb000_0000 + (i << 20)), 16), 900 + i)
+            }));
         }
-        let mid_frozen = trie.freeze();
-        let mid_trie = trie.clone();
-        for &((bits, len), is_insert, val) in &ops[split..] {
-            let p = Prefix4::new(Ipv4Addr::from(bits), len);
-            if is_insert { trie.insert(p, val); reference.insert(p, val); }
-            else { trie.remove(p); reference.remove(&p); }
+        for (p, v) in seed {
+            table.insert(p, v);
+            mirror.insert(p, v);
         }
-        let frozen = trie.freeze();
-        prop_assert_eq!(frozen.len(), trie.len());
-        // Fresh insertion of the surviving set compiles to the same answers
-        // (the compile is a pure function of trie contents, not history).
-        let mut fresh: Lpm4<u32> = Lpm4::new();
-        for (p, v) in &reference {
-            fresh.insert(*p, *v);
-        }
-        let fresh_frozen = fresh.freeze();
         let addrs: Vec<Ipv4Addr> = probes.iter().map(|&b| Ipv4Addr::from(b)).collect();
-        let batch = frozen.longest_match_many(&addrs);
-        let values = frozen.values_many(&addrs);
-        let mid_batch = mid_frozen.longest_match_many(&addrs);
-        for (i, &a) in addrs.iter().enumerate() {
-            let want = trie.longest_match(a).map(|(p, v)| (p, *v));
-            prop_assert_eq!(frozen.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
-            prop_assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {}", a);
-            prop_assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {}", a);
-            prop_assert_eq!(
-                fresh_frozen.longest_match(a).map(|(p, v)| (p, *v)),
-                want,
-                "fresh-build {}", a
-            );
-            prop_assert_eq!(
-                mid_batch[i].map(|(p, v)| (p, *v)),
-                mid_trie.longest_match(a).map(|(p, v)| (p, *v)),
-                "mid-churn snapshot {}", a
-            );
+        for ((bits, len), is_insert, val) in ops {
+            let p = Prefix4::new(Ipv4Addr::from(bits), len);
+            if is_insert {
+                prop_assert_eq!(table.insert(p, val), mirror.insert(p, val), "insert {}", p);
+            } else {
+                prop_assert_eq!(table.remove(p), mirror.remove(&p), "remove {}", p);
+            }
+            prop_assert_eq!(table.len(), mirror.len());
+            prop_assert_eq!(table.get(p), mirror.get(&p), "get {}", p);
+            // Probe the op's own network too, so hits are exercised.
+            let mut probe = addrs.clone();
+            probe.push(p.network());
+            let batch = table.longest_match_many(&probe);
+            let values = table.values_many(&probe);
+            for (i, &a) in probe.iter().enumerate() {
+                let want = scan4(&mirror, a);
+                prop_assert_eq!(table.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
+                prop_assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {}", a);
+                prop_assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {}", a);
+            }
         }
     }
 
-    /// IPv6 twin of the frozen differential property — the 128-bit key
-    /// exercises multi-level stride chains, path-compressed skips, and the
-    /// uniform-node encoding far more deeply than v4.
+    /// IPv6 twin of the differential property — the 128-bit key exercises
+    /// multi-level stride chains, path-compressed skips, and the
+    /// uniform-node encoding far more deeply than v4. Probes are biased
+    /// toward stored prefixes so deep hits are exercised, not just
+    /// root-table misses.
     #[test]
-    fn frozen6_differential_vs_trie(
+    fn lpm6_differential_vs_linear_scan(
         ops in proptest::collection::vec(
             ((any::<u128>(), 0u8..=128), any::<bool>(), any::<u32>()),
             1..50,
         ),
         default_route in any::<bool>(),
+        anchored in any::<bool>(),
         short in (any::<u128>(), 1u8..=12),
         probes in proptest::collection::vec((any::<u128>(), 0usize..50, any::<bool>()), 1..30),
-        freeze_at in 0usize..50,
     ) {
-        let mut trie: Lpm6<u32> = Lpm6::new();
+        let mut table: Lpm6<u32> = Lpm6::new();
+        let mut mirror: BTreeMap<Prefix6, u32> = BTreeMap::new();
+        let mut seed = vec![(Prefix6::new(Ipv6Addr::from(short.0), short.1), 434343)];
         if default_route {
-            trie.insert(Prefix6::new(Ipv6Addr::from(0), 0), 424242);
+            seed.push((Prefix6::new(Ipv6Addr::from(0), 0), 424242));
         }
-        trie.insert(Prefix6::new(Ipv6Addr::from(short.0), short.1), 434343);
+        if anchored {
+            seed.extend((0..16u128).map(|i| {
+                (Prefix6::new(Ipv6Addr::from(0xfd00u128 << 112 | i << 96), 32), 900 + i as u32)
+            }));
+        }
+        for (p, v) in seed {
+            table.insert(p, v);
+            mirror.insert(p, v);
+        }
         let mut inserted: Vec<Prefix6> = Vec::new();
-        let split = freeze_at.min(ops.len());
-        for &((bits, len), is_insert, val) in &ops[..split] {
+        for ((bits, len), is_insert, val) in ops {
             let p = Prefix6::new(Ipv6Addr::from(bits), len);
-            if is_insert { trie.insert(p, val); inserted.push(p); } else { trie.remove(p); }
-        }
-        let mid_frozen = trie.freeze();
-        let mid_trie = trie.clone();
-        for &((bits, len), is_insert, val) in &ops[split..] {
-            let p = Prefix6::new(Ipv6Addr::from(bits), len);
-            if is_insert { trie.insert(p, val); inserted.push(p); } else { trie.remove(p); }
-        }
-        let frozen = trie.freeze();
-        prop_assert_eq!(frozen.len(), trie.len());
-        // Bias probes toward stored prefixes so deep hits are exercised,
-        // not just root-table misses.
-        let addrs: Vec<Ipv6Addr> = probes
-            .iter()
-            .map(|&(bits, pick, inside)| {
-                if inside && !inserted.is_empty() {
-                    let p = inserted[pick % inserted.len()];
-                    let host = if p.len() == 128 { 0 } else { bits & !iputil::prefix::mask128(p.len()) };
-                    Ipv6Addr::from(p.bits() | host)
-                } else {
-                    Ipv6Addr::from(bits)
-                }
-            })
-            .collect();
-        let batch = frozen.longest_match_many(&addrs);
-        let values = frozen.values_many(&addrs);
-        let mid_batch = mid_frozen.longest_match_many(&addrs);
-        for (i, &a) in addrs.iter().enumerate() {
-            let want = trie.longest_match(a).map(|(p, v)| (p, *v));
-            prop_assert_eq!(frozen.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
-            prop_assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {}", a);
-            prop_assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {}", a);
-            prop_assert_eq!(
-                mid_batch[i].map(|(p, v)| (p, *v)),
-                mid_trie.longest_match(a).map(|(p, v)| (p, *v)),
-                "mid-churn snapshot {}", a
-            );
+            if is_insert {
+                prop_assert_eq!(table.insert(p, val), mirror.insert(p, val), "insert {}", p);
+                inserted.push(p);
+            } else {
+                prop_assert_eq!(table.remove(p), mirror.remove(&p), "remove {}", p);
+            }
+            prop_assert_eq!(table.len(), mirror.len());
+            prop_assert_eq!(table.get(p), mirror.get(&p), "get {}", p);
+            let addrs: Vec<Ipv6Addr> = probes
+                .iter()
+                .map(|&(bits, pick, inside)| {
+                    if inside && !inserted.is_empty() {
+                        inside6(inserted[pick % inserted.len()], bits)
+                    } else {
+                        Ipv6Addr::from(bits)
+                    }
+                })
+                .collect();
+            let batch = table.longest_match_many(&addrs);
+            let values = table.values_many(&addrs);
+            for (i, &a) in addrs.iter().enumerate() {
+                let want = scan6(&mirror, a);
+                prop_assert_eq!(table.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
+                prop_assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {}", a);
+                prop_assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {}", a);
+            }
         }
     }
 
-    /// Interleaved inserts and removes keep the trie equivalent to a naive
-    /// map-based reference, LPM included (catches stale short_best /
-    /// dangling-split bugs that insert-only tests cannot).
+    /// Interleaved inserts and removes keep the table equivalent to a naive
+    /// map-based reference, LPM included.
     #[test]
     fn lpm4_interleaved_ops_match_reference(
         ops in proptest::collection::vec((arb_prefix4(), any::<bool>(), any::<u32>()), 1..60),
         probes in proptest::collection::vec(any::<u32>(), 1..30),
     ) {
-        let mut trie: Lpm4<u32> = Lpm4::new();
+        let mut table: Lpm4<u32> = Lpm4::new();
         let mut reference: std::collections::HashMap<Prefix4, u32> =
             std::collections::HashMap::new();
         for (p, is_insert, val) in ops {
             if is_insert {
-                prop_assert_eq!(trie.insert(p, val), reference.insert(p, val), "insert {}", p);
+                prop_assert_eq!(table.insert(p, val), reference.insert(p, val), "insert {}", p);
             } else {
-                prop_assert_eq!(trie.remove(p), reference.remove(&p), "remove {}", p);
+                prop_assert_eq!(table.remove(p), reference.remove(&p), "remove {}", p);
             }
-            prop_assert_eq!(trie.len(), reference.len());
+            prop_assert_eq!(table.len(), reference.len());
         }
         for bits in &probes {
             let addr = Ipv4Addr::from(*bits);
@@ -500,7 +407,7 @@ proptest! {
                 .filter(|(p, _)| p.contains(addr))
                 .max_by_key(|(p, _)| p.len())
                 .map(|(p, v)| (*p, *v));
-            let got = trie.longest_match(addr).map(|(p, v)| {
+            let got = table.longest_match(addr).map(|(p, v)| {
                 // Reconstruct the canonical stored prefix for comparison.
                 (Prefix4::new(addr, p.len()), *v)
             });

@@ -8,7 +8,7 @@
 
 use crate::Time;
 use iputil::prefix::{Prefix4, Prefix6};
-use iputil::trie::{Lpm4, Lpm6};
+use iputil::{Lpm4, Lpm6};
 use std::collections::HashMap;
 use std::net::IpAddr;
 

@@ -317,7 +317,10 @@ fn sanitize(text: &str) -> (Vec<String>, Vec<Vec<Comment>>) {
                 }
             }
             State::Str => {
-                if c == '\\' {
+                // An escaped newline continues the string on the next line:
+                // leave the `\n` to the line bookkeeping above so line
+                // numbers stay aligned with the source.
+                if c == '\\' && next != Some('\n') {
                     i += 2;
                 } else if c == '"' {
                     code.push('"');

@@ -56,6 +56,18 @@ fn iteration_sees_rustfmt_split_chains() {
 }
 
 #[test]
+fn iteration_line_survives_an_escaped_newline_in_a_string() {
+    // `"a\<newline>b"` continues the string literal onto line 3; the
+    // finding must still name the iteration's real source line.
+    let src = "fn f() -> String {\n    let s = \"a\\\nb\";\n    s\n}\nfn g(m: &std::collections::HashMap<u32, u32>) {\n    for v in m.values() {\n        let _ = v;\n    }\n}\n";
+    assert_eq!(src.lines().nth(6), Some("    for v in m.values() {"));
+    let findings = lint(src);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].lint, "nondeterministic-iteration");
+    assert_eq!(findings[0].line, 7);
+}
+
+#[test]
 fn ambient_rng_fires_and_is_suppressible() {
     assert_eq!(
         fired(include_str!("fixtures/rng_fires.rs")),

@@ -8,6 +8,7 @@ use bgpsim::{Registry, Rib};
 use dnssim::ZoneDb;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use webmodel::namegen::NameGenerator;
 use webmodel::psl::Psl;
 use webmodel::toplist::TopList;
@@ -169,11 +170,13 @@ impl World {
 
         let toplist = TopList::new(web.sites.iter().map(|s| s.domain.clone()).collect());
 
-        // All announcements are in: freeze the RIB into the flattened
-        // multibit engine so every attribution pass runs on the fast path.
+        // All announcements are in: one lookup per family compiles the RIB
+        // into the flattened multibit engine here, so the compile is part of
+        // world generation rather than of whichever pass queries first.
         // Later churn (the faults plane's RIB timelines mutate a clone)
-        // invalidates the frozen tables and falls back to the radix trie.
-        rib.compile();
+        // recompiles that clone on its next lookup.
+        rib.origin_of(IpAddr::V4(Ipv4Addr::UNSPECIFIED));
+        rib.origin_of(IpAddr::V6(Ipv6Addr::UNSPECIFIED));
 
         World {
             config: config.clone(),

@@ -83,15 +83,15 @@
 //!
 //! ## The compiled LPM engine
 //!
-//! Per-AS attribution at routing-table scale runs on a compiled LPM path:
-//! world generation freezes the RIB's radix tries into flattened multibit
-//! tables ([`iputil::multibit`], Poptrie-style popcount-bitmap strides),
-//! and batched lookups walk them with interleaved software-prefetch lanes.
-//! This is on by default and purely a performance substitution — every
-//! scenario's report is byte-identical with it disabled
-//! ([`prelude::RunConfig::compiled_lpm`]`(false)` thaws back to the radix
-//! trie, which remains the mutable authority under RIB churn). See the
-//! `iputil` crate docs for the architecture and churn/fallback semantics.
+//! Every longest-prefix match in the suite — per-AS attribution at
+//! routing-table scale, cloud-hosted FQDNs, path profiles, NAT64 maps —
+//! runs on one engine: each [`iputil::Lpm4`]/[`iputil::Lpm6`] table keeps
+//! its prefixes in an ordered map and compiles it, on the first lookup
+//! after a change, into a flattened multibit table ([`iputil::multibit`],
+//! Poptrie-style popcount-bitmap strides). Batched lookups walk it with
+//! interleaved software-prefetch lanes. World generation compiles the RIB
+//! before it returns; RIB churn recompiles on the next lookup. See the
+//! `iputil` crate docs for the architecture.
 //!
 //! ## Spilling flow streams to disk
 //!
@@ -143,7 +143,7 @@
 //!
 //! Everything above rests on one invariant: **scenario output is
 //! byte-identical for a given `(sites, seed, days)` regardless of thread
-//! layout, fault plan, metrics plane, or LPM engine.** Concretely:
+//! layout, fault plan, metrics plane, or spilling.** Concretely:
 //!
 //! * all randomness flows from the session seed through `SmallRng` streams
 //!   keyed by logical coordinates (site rank, residence, day, stream tag) —
@@ -202,9 +202,8 @@ pub use flowmon;
 /// verified replay, and the `--spill` path behind million-subscriber runs.
 pub use flowstore;
 pub use happyeyeballs;
-/// IP primitives: prefixes, the radix-trie LPM authority and its compiled
-/// flattened-multibit twin, symbol interning, prefix-preserving
-/// anonymization.
+/// IP primitives: prefixes, LPM tables on the compiled flattened-multibit
+/// engine, symbol interning, prefix-preserving anonymization.
 pub use iputil;
 pub use ipv6view_core as core;
 pub use mstl;
