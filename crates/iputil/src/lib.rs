@@ -67,6 +67,10 @@ pub mod multibit;
 pub mod prefix;
 pub mod sym;
 
+#[cfg(test)]
+#[path = "lpm_semantics.rs"]
+mod trie;
+
 pub use alloc::{HostAllocator4, HostAllocator6, SubnetAllocator4, SubnetAllocator6};
 pub use anon::{Anonymizer, AnonymizerConfig};
 pub use hash::SipHasher24;

@@ -171,15 +171,17 @@ impl<A: LpmAddr, V: Clone> Lpm<A, V> {
     }
 }
 
+/// The step harness behind the lookup-semantics cases (`crate::trie`'s
+/// tests): each case is a list of [`tests::Step`]s run by [`tests::check`].
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::prefix::Prefix;
     use std::net::IpAddr;
 
     /// One step of a lookup-semantics case. Prefixes and addresses are
     /// text; the family decides which table a step drives.
-    enum Step {
+    pub(crate) enum Step {
         /// Insert `prefix → value`, expecting the replaced value.
         Insert(&'static str, u32, Option<u32>),
         /// Remove `prefix`, expecting the removed value.
@@ -188,8 +190,10 @@ mod tests {
         Lookup(&'static str, Option<(&'static str, u32)>),
         /// The IPv4 table's stored prefixes, in map order.
         Keys(&'static [&'static str]),
+        /// The number of prefixes stored across both families.
+        Len(usize),
     }
-    use Step::{Insert, Keys, Lookup, Remove};
+    use Step::{Insert, Keys, Len, Lookup, Remove};
 
     #[derive(Default)]
     struct Tables {
@@ -255,150 +259,32 @@ mod tests {
                         .collect();
                     assert_eq!(got, want, "{case}: keys");
                 }
+                Len(want) => {
+                    assert_eq!(self.v4.len() + self.v6.len(), want, "{case}: len");
+                }
             }
         }
     }
 
-    /// Lookup semantics, each case run on a small table (linear-scan
-    /// compile) and again next to 16 anchor prefixes per family (root
-    /// table plus multibit nodes).
-    #[test]
-    fn lookup_semantics_table() {
-        let cases: &[(&str, &[Step])] = &[
-            (
-                "basic",
-                &[
-                    Insert("10.0.0.0/8", 1, None),
-                    Insert("10.20.0.0/16", 2, None),
-                    Insert("0.0.0.0/0", 3, None),
-                    Lookup("10.20.5.5", Some(("10.20.0.0/16", 2))),
-                    Lookup("10.1.1.1", Some(("10.0.0.0/8", 1))),
-                    Lookup("192.168.1.1", Some(("0.0.0.0/0", 3))),
-                ],
-            ),
-            (
-                "no default route misses",
-                &[
-                    Insert("192.0.2.0/24", 1, None),
-                    Lookup("192.0.3.0", None),
-                    Lookup("192.0.2.255", Some(("192.0.2.0/24", 1))),
-                ],
-            ),
-            (
-                "reinsert replaces",
-                &[
-                    Insert("10.0.0.0/8", 1, None),
-                    Insert("10.0.0.0/8", 2, Some(1)),
-                    Insert("10.20.0.0/24", 5, None),
-                    Insert("10.20.0.0/24", 6, Some(5)),
-                    Lookup("10.20.0.1", Some(("10.20.0.0/24", 6))),
-                    Lookup("10.9.0.1", Some(("10.0.0.0/8", 2))),
-                ],
-            ),
-            (
-                "remove uncovers",
-                &[
-                    Insert("10.0.0.0/8", 1, None),
-                    Insert("10.0.0.0/12", 2, None),
-                    Lookup("10.1.1.1", Some(("10.0.0.0/12", 2))),
-                    Remove("10.0.0.0/12", Some(2)),
-                    Remove("10.0.0.0/12", None),
-                    Lookup("10.1.1.1", Some(("10.0.0.0/8", 1))),
-                    Remove("10.0.0.0/8", Some(1)),
-                    Lookup("10.1.1.1", None),
-                ],
-            ),
-            (
-                "key truncated on insert",
-                &[
-                    Insert("10.1.2.3/8", 9, None),
-                    Insert("10.0.0.0/8", 10, Some(9)),
-                    Lookup("10.200.0.1", Some(("10.0.0.0/8", 10))),
-                ],
-            ),
-            (
-                "/15-/17 boundary",
-                &[
-                    Insert("10.20.0.0/15", 15, None),
-                    Insert("10.20.0.0/16", 16, None),
-                    Insert("10.20.128.0/17", 17, None),
-                    Lookup("10.20.128.1", Some(("10.20.128.0/17", 17))),
-                    Lookup("10.20.0.1", Some(("10.20.0.0/16", 16))),
-                    Lookup("10.21.0.1", Some(("10.20.0.0/15", 15))),
-                ],
-            ),
-            (
-                "siblings then their ancestor",
-                &[
-                    Insert("10.20.16.0/24", 1, None),
-                    Insert("10.20.24.0/24", 2, None),
-                    Lookup("10.20.16.255", Some(("10.20.16.0/24", 1))),
-                    Lookup("10.20.24.255", Some(("10.20.24.0/24", 2))),
-                    Lookup("10.20.31.255", None),
-                    Insert("10.20.16.0/20", 3, None),
-                    Lookup("10.20.31.255", Some(("10.20.16.0/20", 3))),
-                    Lookup("10.20.16.255", Some(("10.20.16.0/24", 1))),
-                ],
-            ),
-            (
-                "ancestor after descendant",
-                &[
-                    Insert("192.168.1.0/24", 1, None),
-                    Insert("192.168.0.0/18", 2, None),
-                    Lookup("192.168.1.1", Some(("192.168.1.0/24", 1))),
-                    Lookup("192.168.32.1", Some(("192.168.0.0/18", 2))),
-                ],
-            ),
-            (
-                "host routes",
-                &[
-                    Insert("192.168.1.1/32", 7, None),
-                    Insert("2001:db8::1/128", 9, None),
-                    Lookup("192.168.1.1", Some(("192.168.1.1/32", 7))),
-                    Lookup("192.168.1.2", None),
-                    Lookup("2001:db8::1", Some(("2001:db8::1/128", 9))),
-                    Lookup("2001:db8::2", None),
-                ],
-            ),
-            (
-                "nested v6",
-                &[
-                    Insert("2001:db8::/32", 1, None),
-                    Insert("2001:db8:ff::/48", 2, None),
-                    Lookup("2001:db8:ff::1", Some(("2001:db8:ff::/48", 2))),
-                    Lookup("2001:db8:fe::1", Some(("2001:db8::/32", 1))),
-                    Lookup("2002::1", None),
-                    Remove("2001:db8:ff::/48", Some(2)),
-                    Lookup("2001:db8:ff::1", Some(("2001:db8::/32", 1))),
-                ],
-            ),
-            (
-                "keys in (bits, len) order",
-                &[
-                    Insert("10.0.0.0/8", 1, None),
-                    Insert("10.20.0.0/16", 2, None),
-                    Insert("11.0.0.0/8", 3, None),
-                    Insert("0.0.0.0/0", 0, None),
-                    Keys(&["0.0.0.0/0", "10.0.0.0/8", "10.20.0.0/16", "11.0.0.0/8"]),
-                ],
-            ),
-        ];
-        for (case, steps) in cases {
-            let mut small = Tables::default();
-            for step in steps.iter() {
-                small.run(case, step);
-            }
-            let mut anchored = Tables::default();
-            for i in 0..16u32 {
-                let v4 = Prefix4::new(Ipv4Addr::from(0xb000_0000 + (i << 16)), 16);
-                let v6 = Prefix6::new(Ipv6Addr::from(0xfd00u128 << 112 | (i as u128) << 96), 32);
-                anchored.v4.insert(v4, 900 + i);
-                anchored.v6.insert(v6, 900 + i);
-            }
-            for step in steps.iter() {
-                if !matches!(step, Keys(_)) {
-                    anchored.run(case, step);
-                }
+    /// Run one lookup-semantics case on a small table (linear-scan
+    /// compile), then again next to 16 anchor prefixes per family (root
+    /// table plus multibit nodes). `Keys` and `Len` describe the small
+    /// table only.
+    pub(crate) fn check(steps: &[Step]) {
+        let mut small = Tables::default();
+        for step in steps {
+            small.run("small table", step);
+        }
+        let mut anchored = Tables::default();
+        for i in 0..16u32 {
+            let v4 = Prefix4::new(Ipv4Addr::from(0xb000_0000 + (i << 16)), 16);
+            let v6 = Prefix6::new(Ipv6Addr::from(0xfd00u128 << 112 | (i as u128) << 96), 32);
+            anchored.v4.insert(v4, 900 + i);
+            anchored.v6.insert(v6, 900 + i);
+        }
+        for step in steps {
+            if !matches!(step, Keys(_) | Len(_)) {
+                anchored.run("anchored table", step);
             }
         }
     }

@@ -35,6 +35,69 @@ fn scan6(mirror: &BTreeMap<Prefix6, u32>, addr: Ipv6Addr) -> Option<(Prefix6, u3
         .map(|(p, v)| (*p, *v))
 }
 
+/// `table`'s scalar, batched and value-only answers for every address in
+/// `addrs` equal a linear scan over `mirror`.
+fn assert_agrees4(table: &Lpm4<u32>, mirror: &BTreeMap<Prefix4, u32>, addrs: &[Ipv4Addr]) {
+    let batch = table.longest_match_many(addrs);
+    let values = table.values_many(addrs);
+    for (i, &a) in addrs.iter().enumerate() {
+        let want = scan4(mirror, a);
+        assert_eq!(
+            table.longest_match(a).map(|(p, v)| (p, *v)),
+            want,
+            "scalar {a}"
+        );
+        assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {a}");
+        assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {a}");
+    }
+}
+
+/// IPv6 twin of [`assert_agrees4`].
+fn assert_agrees6(table: &Lpm6<u32>, mirror: &BTreeMap<Prefix6, u32>, addrs: &[Ipv6Addr]) {
+    let batch = table.longest_match_many(addrs);
+    let values = table.values_many(addrs);
+    for (i, &a) in addrs.iter().enumerate() {
+        let want = scan6(mirror, a);
+        assert_eq!(
+            table.longest_match(a).map(|(p, v)| (p, *v)),
+            want,
+            "scalar {a}"
+        );
+        assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {a}");
+        assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {a}");
+    }
+}
+
+/// Apply one insert (`true`) or remove op to both the table and its mirror.
+fn apply4(
+    table: &mut Lpm4<u32>,
+    mirror: &mut BTreeMap<Prefix4, u32>,
+    p: Prefix4,
+    insert: bool,
+    val: u32,
+) {
+    if insert {
+        assert_eq!(table.insert(p, val), mirror.insert(p, val), "insert {p}");
+    } else {
+        assert_eq!(table.remove(p), mirror.remove(&p), "remove {p}");
+    }
+}
+
+/// IPv6 twin of [`apply4`].
+fn apply6(
+    table: &mut Lpm6<u32>,
+    mirror: &mut BTreeMap<Prefix6, u32>,
+    p: Prefix6,
+    insert: bool,
+    val: u32,
+) {
+    if insert {
+        assert_eq!(table.insert(p, val), mirror.insert(p, val), "insert {p}");
+    } else {
+        assert_eq!(table.remove(p), mirror.remove(&p), "remove {p}");
+    }
+}
+
 /// An address inside `p` whose host bits come from `bits`.
 fn inside6(p: Prefix6, bits: u128) -> Ipv6Addr {
     let host = if p.len() == 128 {
@@ -298,24 +361,13 @@ proptest! {
         let addrs: Vec<Ipv4Addr> = probes.iter().map(|&b| Ipv4Addr::from(b)).collect();
         for ((bits, len), is_insert, val) in ops {
             let p = Prefix4::new(Ipv4Addr::from(bits), len);
-            if is_insert {
-                prop_assert_eq!(table.insert(p, val), mirror.insert(p, val), "insert {}", p);
-            } else {
-                prop_assert_eq!(table.remove(p), mirror.remove(&p), "remove {}", p);
-            }
+            apply4(&mut table, &mut mirror, p, is_insert, val);
             prop_assert_eq!(table.len(), mirror.len());
             prop_assert_eq!(table.get(p), mirror.get(&p), "get {}", p);
             // Probe the op's own network too, so hits are exercised.
             let mut probe = addrs.clone();
             probe.push(p.network());
-            let batch = table.longest_match_many(&probe);
-            let values = table.values_many(&probe);
-            for (i, &a) in probe.iter().enumerate() {
-                let want = scan4(&mirror, a);
-                prop_assert_eq!(table.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
-                prop_assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {}", a);
-                prop_assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {}", a);
-            }
+            assert_agrees4(&table, &mirror, &probe);
         }
     }
 
@@ -353,11 +405,9 @@ proptest! {
         let mut inserted: Vec<Prefix6> = Vec::new();
         for ((bits, len), is_insert, val) in ops {
             let p = Prefix6::new(Ipv6Addr::from(bits), len);
+            apply6(&mut table, &mut mirror, p, is_insert, val);
             if is_insert {
-                prop_assert_eq!(table.insert(p, val), mirror.insert(p, val), "insert {}", p);
                 inserted.push(p);
-            } else {
-                prop_assert_eq!(table.remove(p), mirror.remove(&p), "remove {}", p);
             }
             prop_assert_eq!(table.len(), mirror.len());
             prop_assert_eq!(table.get(p), mirror.get(&p), "get {}", p);
@@ -371,14 +421,196 @@ proptest! {
                     }
                 })
                 .collect();
-            let batch = table.longest_match_many(&addrs);
-            let values = table.values_many(&addrs);
-            for (i, &a) in addrs.iter().enumerate() {
-                let want = scan6(&mirror, a);
-                prop_assert_eq!(table.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
-                prop_assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {}", a);
-                prop_assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {}", a);
-            }
+            assert_agrees6(&table, &mirror, &addrs);
+        }
+    }
+
+    /// Mid-churn snapshots: a clone taken once a lookup has compiled the
+    /// table keeps answering for its own prefix set while the original
+    /// churns on, and the original's next lookups see every later op — each
+    /// checked against a linear scan over its own mirror. (Named for the
+    /// radix-trie oracle these snapshots were first compared against.)
+    #[test]
+    fn frozen4_differential_vs_trie(
+        ops in proptest::collection::vec(
+            ((any::<u32>(), 0u8..=32), any::<bool>(), any::<u32>()),
+            1..60,
+        ),
+        default_route in any::<bool>(),
+        short in (any::<u32>(), 1u8..=8),
+        probes in proptest::collection::vec(any::<u32>(), 1..40),
+        freeze_at in 0usize..60,
+    ) {
+        let mut table: Lpm4<u32> = Lpm4::new();
+        let mut mirror: BTreeMap<Prefix4, u32> = BTreeMap::new();
+        if default_route {
+            apply4(&mut table, &mut mirror, Prefix4::new(Ipv4Addr::from(0), 0), true, 424242);
+        }
+        apply4(&mut table, &mut mirror, Prefix4::new(Ipv4Addr::from(short.0), short.1), true, 434343);
+        let addrs: Vec<Ipv4Addr> = probes.iter().map(|&b| Ipv4Addr::from(b)).collect();
+        let split = freeze_at.min(ops.len());
+        for &((bits, len), is_insert, val) in &ops[..split] {
+            apply4(&mut table, &mut mirror, Prefix4::new(Ipv4Addr::from(bits), len), is_insert, val);
+        }
+        assert_agrees4(&table, &mirror, &addrs);
+        let (mid, mid_mirror) = (table.clone(), mirror.clone());
+        for &((bits, len), is_insert, val) in &ops[split..] {
+            apply4(&mut table, &mut mirror, Prefix4::new(Ipv4Addr::from(bits), len), is_insert, val);
+        }
+        assert_agrees4(&table, &mirror, &addrs);
+        assert_agrees4(&mid, &mid_mirror, &addrs);
+    }
+
+    /// IPv6 twin of the mid-churn snapshot property, with probes biased
+    /// toward stored prefixes so deep hits are exercised.
+    #[test]
+    fn frozen6_differential_vs_trie(
+        ops in proptest::collection::vec(
+            ((any::<u128>(), 0u8..=128), any::<bool>(), any::<u32>()),
+            1..50,
+        ),
+        default_route in any::<bool>(),
+        short in (any::<u128>(), 1u8..=12),
+        probes in proptest::collection::vec((any::<u128>(), 0usize..50, any::<bool>()), 1..30),
+        freeze_at in 0usize..50,
+    ) {
+        let mut table: Lpm6<u32> = Lpm6::new();
+        let mut mirror: BTreeMap<Prefix6, u32> = BTreeMap::new();
+        if default_route {
+            apply6(&mut table, &mut mirror, Prefix6::new(Ipv6Addr::from(0), 0), true, 424242);
+        }
+        apply6(&mut table, &mut mirror, Prefix6::new(Ipv6Addr::from(short.0), short.1), true, 434343);
+        let ops: Vec<(Prefix6, bool, u32)> = ops
+            .into_iter()
+            .map(|((bits, len), is_insert, val)| (Prefix6::new(Ipv6Addr::from(bits), len), is_insert, val))
+            .collect();
+        let stored: Vec<Prefix6> = ops.iter().filter(|op| op.1).map(|op| op.0).collect();
+        let addrs: Vec<Ipv6Addr> = probes
+            .iter()
+            .map(|&(bits, pick, inside)| {
+                if inside && !stored.is_empty() {
+                    inside6(stored[pick % stored.len()], bits)
+                } else {
+                    Ipv6Addr::from(bits)
+                }
+            })
+            .collect();
+        let split = freeze_at.min(ops.len());
+        for &(p, is_insert, val) in &ops[..split] {
+            apply6(&mut table, &mut mirror, p, is_insert, val);
+        }
+        assert_agrees6(&table, &mirror, &addrs);
+        let (mid, mid_mirror) = (table.clone(), mirror.clone());
+        for &(p, is_insert, val) in &ops[split..] {
+            apply6(&mut table, &mut mirror, p, is_insert, val);
+        }
+        assert_agrees6(&table, &mirror, &addrs);
+        assert_agrees6(&mid, &mid_mirror, &addrs);
+    }
+
+    /// Interleaved inserts and removes, with a lookup (and so a recompile)
+    /// after every op, leave the table equal to a fresh build of the
+    /// surviving prefix set: the same stored prefixes (`len`, and exact
+    /// `get` on every prefix an op touched) and the same answers, scalar
+    /// and batched. The table's structure is a function of its contents,
+    /// not of its history.
+    #[test]
+    fn lpm4_interleaved_ops_structurally_equal_fresh_build(
+        ops in proptest::collection::vec(
+            ((any::<u32>(), 16u8..=32), any::<bool>(), any::<u32>()),
+            1..80,
+        ),
+        probes in proptest::collection::vec(any::<u32>(), 1..30),
+    ) {
+        // 16 fixed anchors keep both tables out of the compile's
+        // linear-scan representation.
+        let mut churned: Lpm4<u32> = Lpm4::new();
+        let mut mirror: BTreeMap<Prefix4, u32> = BTreeMap::new();
+        for i in 0..16u32 {
+            let anchor = Prefix4::new(Ipv4Addr::from(0xb000_0000 + (i << 20)), 16);
+            apply4(&mut churned, &mut mirror, anchor, true, 0);
+        }
+        let mut touched = Vec::new();
+        for ((bits, len), is_insert, val) in ops {
+            let p = Prefix4::new(Ipv4Addr::from(bits), len);
+            apply4(&mut churned, &mut mirror, p, is_insert, val);
+            let _ = churned.longest_match(p.network());
+            touched.push(p);
+        }
+        let mut fresh: Lpm4<u32> = Lpm4::new();
+        for (p, v) in &mirror {
+            fresh.insert(*p, *v);
+        }
+        prop_assert_eq!(churned.len(), fresh.len());
+        for p in &touched {
+            prop_assert_eq!(churned.get(*p), fresh.get(*p), "get {}", p);
+        }
+        let addrs: Vec<Ipv4Addr> = probes.iter().map(|&b| Ipv4Addr::from(b)).collect();
+        let batch = churned.longest_match_many(&addrs);
+        let fresh_batch = fresh.longest_match_many(&addrs);
+        for (i, &a) in addrs.iter().enumerate() {
+            prop_assert_eq!(
+                churned.longest_match(a).map(|(p, v)| (p, *v)),
+                fresh.longest_match(a).map(|(p, v)| (p, *v)),
+                "scalar {}", a
+            );
+            prop_assert_eq!(batch[i], fresh_batch[i], "batched {}", a);
+        }
+    }
+
+    /// IPv6 twin of the structural-equivalence property.
+    #[test]
+    fn lpm6_interleaved_ops_structurally_equal_fresh_build(
+        ops in proptest::collection::vec(
+            ((any::<u128>(), 16u8..=64), any::<bool>(), any::<u32>()),
+            1..60,
+        ),
+        probes in proptest::collection::vec(any::<u128>(), 1..20),
+    ) {
+        let mut churned: Lpm6<u32> = Lpm6::new();
+        let mut mirror: BTreeMap<Prefix6, u32> = BTreeMap::new();
+        for i in 0..16u128 {
+            let anchor = Prefix6::new(Ipv6Addr::from(0xfd00u128 << 112 | i << 96), 32);
+            apply6(&mut churned, &mut mirror, anchor, true, 0);
+        }
+        let mut touched = Vec::new();
+        for ((bits, len), is_insert, val) in ops {
+            let p = Prefix6::new(Ipv6Addr::from(bits), len);
+            apply6(&mut churned, &mut mirror, p, is_insert, val);
+            let _ = churned.longest_match(p.network());
+            touched.push(p);
+        }
+        let mut fresh: Lpm6<u32> = Lpm6::new();
+        for (p, v) in &mirror {
+            fresh.insert(*p, *v);
+        }
+        prop_assert_eq!(churned.len(), fresh.len());
+        for p in &touched {
+            prop_assert_eq!(churned.get(*p), fresh.get(*p), "get {}", p);
+        }
+        let addrs: Vec<Ipv6Addr> = probes.iter().map(|&b| Ipv6Addr::from(b)).collect();
+        let batch = churned.longest_match_many(&addrs);
+        let fresh_batch = fresh.longest_match_many(&addrs);
+        for (i, &a) in addrs.iter().enumerate() {
+            prop_assert_eq!(
+                churned.longest_match(a).map(|(p, v)| (p, *v)),
+                fresh.longest_match(a).map(|(p, v)| (p, *v)),
+                "scalar {}", a
+            );
+            prop_assert_eq!(batch[i], fresh_batch[i], "batched {}", a);
+        }
+    }
+
+    /// Every inserted IPv6 prefix (128-bit key) is found again by exact
+    /// `get`, holding the value of its last insert.
+    #[test]
+    fn trie_u128_exact(prefixes in proptest::collection::vec(arb_prefix6(), 1..20)) {
+        let mut t: Lpm6<usize> = Lpm6::new();
+        for (i, p) in prefixes.iter().enumerate() {
+            t.insert(*p, i);
+        }
+        for p in &prefixes {
+            prop_assert_eq!(t.get(*p).copied(), prefixes.iter().rposition(|q| q == p));
         }
     }
 
