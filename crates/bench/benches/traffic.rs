@@ -23,7 +23,6 @@ fn bench_cfg() -> TrafficConfig {
         num_days: 5,
         scale: 1.0 / 200.0,
         threads: 1,
-        day_threads: 1,
         ..TrafficConfig::default()
     }
 }

@@ -22,6 +22,7 @@
 //!
 //! Crawling is deterministic *and* parallel: each site derives its own RNG
 //! from `(seed, rank)`, so results are identical regardless of thread count.
+//! Sites run on the suite's one executor, [`obs::par`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -143,7 +144,7 @@ pub struct CrawlConfig {
     /// Happy Eyeballs parameters.
     pub he: HappyEyeballsConfig,
     /// Number of worker threads (1 = sequential; results are identical
-    /// either way).
+    /// either way). Defaults to [`obs::par::default_threads`].
     pub threads: usize,
 }
 
@@ -155,9 +156,7 @@ impl Default for CrawlConfig {
             click_links: true,
             v6_degraded_rate: 0.116,
             he: HappyEyeballsConfig::default(),
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1),
+            threads: obs::par::default_threads(),
         }
     }
 }
@@ -168,35 +167,13 @@ const MAX_REDIRECTS: usize = 5;
 /// Crawl one epoch of the world.
 pub fn crawl_epoch(world: &World, epoch: usize, config: &CrawlConfig) -> CrawlReport {
     let state = &world.web.epochs[epoch];
-    let sites = &world.web.sites;
-    let n = sites.len();
-    let threads = config.threads.max(1);
-
-    let mut results: Vec<Option<SiteCrawl>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-
-    if threads == 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
-            *slot = Some(crawl_site(world, state, i, config));
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, slice) in results.chunks_mut(chunk).enumerate() {
-                let base = t * chunk;
-                scope.spawn(move || {
-                    for (off, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(crawl_site(world, state, base + off, config));
-                    }
-                });
-            }
-        });
-    }
-
+    let indices = (0..world.web.sites.len()).collect();
     CrawlReport {
         epoch_label: state.label.clone(),
         epoch,
-        sites: results.into_iter().map(|r| r.expect("filled")).collect(),
+        sites: obs::par::fan_out(indices, config.threads, |_, i| {
+            crawl_site(world, state, i, config)
+        }),
     }
 }
 
@@ -469,17 +446,14 @@ mod tests {
                 ..CrawlConfig::default()
             },
         );
+        assert_eq!(seq.sites.len(), par.sites.len());
         for (a, b) in seq.sites.iter().zip(&par.sites) {
-            assert_eq!(a.domain, b.domain);
-            match (&a.outcome, &b.outcome) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.final_fqdn, y.final_fqdn);
-                    assert_eq!(x.main_used, y.main_used);
-                    assert_eq!(x.resources.len(), y.resources.len());
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                _ => panic!("outcome mismatch for {}", a.domain),
-            }
+            assert_eq!(
+                serde_json::to_string(a).expect("serializable"),
+                serde_json::to_string(b).expect("serializable"),
+                "crawl of {} differs across thread counts",
+                a.domain
+            );
         }
     }
 

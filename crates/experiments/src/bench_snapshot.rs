@@ -250,7 +250,6 @@ fn traffic_probe() -> TrafficProbe {
         num_days: 5,
         scale: 1.0 / 200.0,
         threads: 1,
-        day_threads: 1,
         ..TrafficConfig::default()
     };
     let samples = 9;

@@ -15,8 +15,8 @@
 //!
 //! Both scenarios honour the fault plane's determinism contract: every
 //! number here is a pure function of `(world seed, days)` and invariant to
-//! `--threads` / `--day-threads` — [`adoption_under_stress`] attaches its
-//! dataset to the report precisely so that invariance stays testable.
+//! `--threads` — [`adoption_under_stress`] attaches its dataset to the
+//! report precisely so that invariance stays testable.
 
 use crate::report::Report;
 use crate::session::Session;
@@ -204,7 +204,7 @@ pub struct RibChurnSummary {
 }
 
 /// The exportable adoption-under-stress dataset: per-line rows plus the
-/// RIB churn summary. Byte-identical at any `--threads` / `--day-threads`.
+/// RIB churn summary. Byte-identical at any `--threads`.
 #[derive(Debug, Clone, Serialize)]
 pub struct StressReport {
     /// Days simulated.
@@ -355,6 +355,8 @@ pub fn adoption_under_stress(s: &mut Session) -> Report {
         data.rib.withdrawn,
         days
     ));
+    // The report digest is pinned in e2ebench/pins.txt, so this text keeps
+    // a since-deleted flag name until the pins are next re-cut.
     r.line(
         "(identical demand clean vs stressed: every shift is a fault effect —\n\
          v6-only lines lose translated bytes to DNS bursts and outages while\n\
@@ -416,8 +418,8 @@ mod tests {
     #[test]
     fn adoption_under_stress_dataset_is_layout_invariant() {
         let base = RunConfig::default().sites(400).seed(77).days(6);
-        let s1 = Session::new(base.clone().threads(1).day_threads(1));
-        let s2 = Session::new(base.threads(4).day_threads(3));
+        let s1 = Session::new(base.clone().threads(1));
+        let s2 = Session::new(base.threads(4));
         let d1 = adoption_under_stress_data(&s1, 6);
         let d2 = adoption_under_stress_data(&s2, 6);
         let j1 = serde_json::to_string_pretty(&d1).expect("serializable");

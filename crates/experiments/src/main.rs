@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <scenario> [--sites N] [--seed S] [--days D] [--full] [--json]
-//!                  [--threads N] [--day-threads N] [--spill DIR]
+//!                  [--threads N] [--spill DIR]
 //! repro list       # enumerate the scenario registry (name<TAB>description)
 //! repro all        # every registered scenario, in paper order
 //! repro export     # write every exportable dataset as JSON
@@ -19,11 +19,10 @@
 //! (1/5th of the paper's 100k) and scale rank-dependent thresholds
 //! accordingly; `--full` switches to the paper's full scale.
 //!
-//! `--threads` fans residences (and ISPs in sweeps) over worker threads;
-//! `--day-threads` additionally fans the days inside one residence. Output
-//! is byte-identical at any combination — the flags only trade memory
-//! (day buffers) for wall-clock. Numeric flags accept both `--sites N`
-//! and `--sites=N`.
+//! `--threads` sets the worker count of every crawl and synthesis pass
+//! (sites, (residence, day) pairs, ISPs in sweeps). Output is byte-identical
+//! at any count — the flag only trades memory (a few day buffers) for
+//! wall-clock. Numeric flags accept both `--sites N` and `--sites=N`.
 
 use experiments::{append_metrics, export_all, find, registry, Report, RunConfig, Session};
 
@@ -59,7 +58,6 @@ fn main() {
             "--seed" => config.seed = num_value(flag, inline, &mut it),
             "--days" => config.days = num_value(flag, inline, &mut it),
             "--threads" => config.threads = Some(num_value(flag, inline, &mut it)),
-            "--day-threads" => config.day_threads = Some(num_value(flag, inline, &mut it)),
             "--spill" => config.spill = Some(str_value(flag, inline, &mut it).into()),
             "--full" => {
                 no_value("--full");
@@ -227,16 +225,14 @@ fn usage(msg: &str) -> ! {
     }
     obs::error!(
         "usage: repro <scenario> [--sites N] [--seed S] [--days D] [--full] [--json]\n\
-         \x20                    [--threads N] [--day-threads N] [--metrics] [--metrics-json]\n\
-         \x20                    [--spill DIR]\n\
+         \x20                    [--threads N] [--spill DIR] [--metrics] [--metrics-json]\n\
          \x20      repro list | all | export | bench-snapshot [--check]\n\
          `repro list` prints every registered scenario; `all` runs them in\n\
          paper order; `export` writes the JSON datasets; `bench-snapshot`\n\
          runs the standing perf probes and appends timestamped snapshots to\n\
          BENCH_*.json (--check validates the files without writing). Numeric\n\
-         flags accept `--flag N` and `--flag=N`. --threads fans\n\
-         residences/ISPs over N workers, --day-threads fans days inside a\n\
-         residence; output is identical at any combination. --json emits the\n\
+         flags accept `--flag N` and `--flag=N`. --threads runs crawls and\n\
+         synthesis on N workers; output is identical at any N. --json emits the\n\
          structured report. --metrics appends a telemetry section (stage\n\
          spans, pipeline counters, flow-shape histograms); --metrics-json\n\
          prints only the raw metrics snapshot as JSON.\n\

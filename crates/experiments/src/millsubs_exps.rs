@@ -4,12 +4,12 @@
 //!
 //! The producer is [`trafficgen::subs`]: the lazy subscriber model walks
 //! in `(day, shard)` tasks, each a pure function of `(seed, day, shard)`,
-//! fanned out over the work-stealing pool. The spill path writes each
-//! task's records as one sealed [`flowstore`] day-part and replays the
-//! part set in canonical order — so peak RSS is bounded by one in-flight
-//! day-part per worker, not the run length, and the replay digest must
-//! equal the live stream's digest byte for byte. The report is identical
-//! with and without `--spill` — the registry tests assert it.
+//! on the work-stealing [`obs::par::ordered`] executor. The spill path
+//! writes each task's records as one sealed [`flowstore`] day-part and
+//! replays the part set in canonical order — so peak RSS is bounded by two
+//! in-flight day-parts per worker, not the run length, and the replay
+//! digest must equal the live stream's digest byte for byte. The report is
+//! identical with and without `--spill` — the registry tests assert it.
 
 use crate::report::Report;
 use crate::session::Session;
@@ -19,7 +19,7 @@ use ipv6view_core::report::TextTable;
 use serde::Serialize;
 use std::path::PathBuf;
 use trafficgen::{
-    fan_out, num_shards, shard_day_records, subscriber_of_src, synthesize_subscribers_into,
+    shard_day_records, shard_day_tasks, subscriber_of_src, synthesize_subscribers_into,
     SubscriberTrafficConfig,
 };
 use worldgen::{World, WorldConfig};
@@ -188,9 +188,10 @@ pub fn million_subs_report(params: &MillionSubsParams) -> MillionSubsReport {
 }
 
 /// The spill path: every `(day, shard)` task becomes one sealed day-part,
-/// written in canonical order as workers finish; the aggregator is fed by
-/// the **replay**, and the replay digest must match the live stream's.
-/// Peak RSS is one in-flight day-part per worker.
+/// written by the worker that synthesized it (a part's bytes depend only
+/// on its identity and rows) and digested in canonical order; the
+/// aggregator is fed by the **replay**, and the replay digest must match
+/// the live stream's. Peak RSS is two in-flight day-parts per worker.
 fn spill_run(
     world: &World,
     cfg: &SubscriberTrafficConfig,
@@ -205,28 +206,28 @@ fn spill_run(
     if let Err(e) = std::fs::create_dir_all(dir) {
         panic!("creating spill dir {}: {e}", dir.display());
     }
-    let shards = num_shards(world, cfg);
-    let tasks: Vec<(u32, usize)> = (0..cfg.num_days)
-        .flat_map(|day| (0..shards).map(move |shard| (day, shard)))
-        .collect();
+    let tasks = shard_day_tasks(world, cfg);
     let mut live = flowstore::DigestSink::new();
     let mut metas = Vec::with_capacity(tasks.len());
-    // Same chunked fan-out as the in-memory path: one chunk of tasks in
-    // flight, flushed (digested + written) in canonical day-major order.
-    let chunk = (cfg.threads * 2).max(1);
-    for window in tasks.chunks(chunk) {
-        let buffers = fan_out(window.to_vec(), cfg.threads, |_, (day, shard)| {
-            shard_day_records(world, cfg, day, shard)
-        });
-        for ((day, shard), records) in window.iter().zip(buffers) {
+    obs::par::ordered(
+        tasks,
+        cfg.threads,
+        |_, (day, shard)| {
+            let records = shard_day_records(world, cfg, day, shard);
+            let (shard, day) = (shard as u64, day as u64);
+            let path = dir.join(flowstore::part_file_name(shard, day, 0));
+            let meta = flowstore::write_part(&path, shard, day, 0, &records)
+                .map_err(|e| format!("writing part {}: {e}", path.display()));
+            (records, meta)
+        },
+        |_, (records, meta)| {
             live.accept_batch(&records);
-            let path = dir.join(flowstore::part_file_name(*shard as u64, *day as u64, 0));
-            match flowstore::write_part(&path, *shard as u64, *day as u64, 0, &records) {
+            match meta {
                 Ok(meta) => metas.push(meta),
-                Err(e) => panic!("writing part {}: {e}", path.display()),
+                Err(e) => panic!("{e}"),
             }
-        }
-    }
+        },
+    );
     obs::info!(
         "[repro] million-subs spilled {} parts to {}",
         metas.len(),
@@ -309,13 +310,9 @@ fn million_subs_report_for(params: &MillionSubsParams) -> Report {
 /// `million-subs`: stream a provider-scale subscriber population through
 /// the adoption-tier pipeline. `--sites` doubles as the scale knob
 /// (50 subscribers per site; the paper-scale run targets 1M+), and
-/// `--spill DIR` bounds peak RSS to one in-flight day-part per worker.
+/// `--spill DIR` bounds peak RSS to two in-flight day-parts per worker.
 pub fn million_subs(s: &mut Session) -> Report {
-    let threads = s.config.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(1)
-    });
+    let threads = s.config.threads.unwrap_or_else(obs::par::default_threads);
     let params = MillionSubsParams {
         seed: s.world.config.seed,
         subscribers: s.world.web.sites.len() * 50,

@@ -46,10 +46,9 @@ pub struct RunConfig {
     pub seed: u64,
     /// Traffic duration in days (the paper observes ~273).
     pub days: u32,
-    /// `--threads` override for every synthesis pass (`None` = default).
+    /// `--threads` override for every crawl and synthesis pass (`None` =
+    /// [`obs::par::default_threads`]).
     pub threads: Option<usize>,
-    /// `--day-threads` override (`None` = default).
-    pub day_threads: Option<usize>,
     /// Fault timeline injected into every synthesis pass of the session
     /// (empty by default — an empty plan is byte-identical to no plan).
     pub faults: FaultPlan,
@@ -75,7 +74,6 @@ impl Default for RunConfig {
             seed: 0x1f6_ad0b,
             days: 273,
             threads: None,
-            day_threads: None,
             faults: FaultPlan::default(),
             metrics: false,
             spill: None,
@@ -102,15 +100,10 @@ impl RunConfig {
         self
     }
 
-    /// Fan synthesis passes over `threads` workers (output-invariant).
+    /// Run crawls and synthesis passes on `threads` workers
+    /// (output-invariant).
     pub fn threads(mut self, threads: usize) -> RunConfig {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Additionally fan the days inside one residence (output-invariant).
-    pub fn day_threads(mut self, day_threads: usize) -> RunConfig {
-        self.day_threads = Some(day_threads);
         self
     }
 
@@ -221,22 +214,28 @@ impl Session {
         self.world.web.sites.len() as f64 / 100_000.0
     }
 
-    /// The base synthesis configuration of this session: `days` plus the
-    /// `threads` / `day_threads` overrides. Scenarios that need different
+    /// The base synthesis configuration of this session: `days`, the fault
+    /// plan and the `threads` override. Scenarios that need different
     /// seeds/scales start from this and override fields.
     pub fn traffic_config(&self) -> TrafficConfig {
-        let mut cfg = TrafficConfig {
+        let defaults = TrafficConfig::default();
+        TrafficConfig {
             num_days: self.config.days,
             faults: self.config.faults.clone(),
-            ..TrafficConfig::default()
-        };
-        if let Some(t) = self.config.threads {
-            cfg.threads = t.max(1);
+            threads: self.config.threads.map_or(defaults.threads, |t| t.max(1)),
+            ..defaults
         }
-        if let Some(t) = self.config.day_threads {
-            cfg.day_threads = t.max(1);
+    }
+
+    /// The base crawl configuration of this session: the crawler defaults
+    /// plus the `threads` override — the crawl twin of
+    /// [`Session::traffic_config`].
+    pub fn crawl_config(&self) -> CrawlConfig {
+        let defaults = CrawlConfig::default();
+        CrawlConfig {
+            threads: self.config.threads.map_or(defaults.threads, |t| t.max(1)),
+            ..defaults
         }
-        cfg
     }
 
     /// Crawl (cached) of one epoch.
@@ -245,7 +244,7 @@ impl Session {
             obs::info!("[repro] crawling epoch {epoch} ...");
             let t0 = std::time::Instant::now();
             let _span = obs::span!("crawl", epoch = epoch);
-            let report = crawl_epoch(&self.world, epoch, &CrawlConfig::default());
+            let report = crawl_epoch(&self.world, epoch, &self.crawl_config());
             drop(_span);
             obs::info!("[repro] crawl done in {:.1}s", t0.elapsed().as_secs_f64());
             self.crawls[epoch] = Some(report);
@@ -282,7 +281,7 @@ impl Session {
             obs::info!("[repro] crawling latest epoch (main-page-only ablation) ...");
             let cfg = CrawlConfig {
                 click_links: false,
-                ..CrawlConfig::default()
+                ..self.crawl_config()
             };
             let _span = obs::span!("crawl-mainpage");
             let report = crawl_epoch(&self.world, self.world.latest_epoch(), &cfg);

@@ -187,10 +187,10 @@ pub struct CgnSweepRow {
 }
 
 /// Run the pool-size sweep: one ISP (shared, cross-day gateway) per
-/// capacity, identical subscriber demand, fanned out via the shared
-/// [`trafficgen::fan_out`] machinery inside [`synthesize_isps`].
+/// capacity, identical subscriber demand, fanned out over the shared
+/// [`obs::par`] executor inside [`synthesize_isps`].
 /// Deterministic in `(world seed, days, subscribers)` and invariant to
-/// `--threads` / `--day-threads`.
+/// `--threads`.
 pub fn cgn_sweep_rows(
     s: &Session,
     subscribers: usize,

@@ -1,7 +1,7 @@
 //! Tier-1 registry sweep: every registered scenario must run at tiny scale
-//! and produce a `Report` whose JSON is byte-identical at any
-//! `threads` / `day-threads` setting — the determinism contract the whole
-//! streaming pipeline is built on, asserted scenario-by-scenario.
+//! and produce a `Report` whose JSON is byte-identical at any `threads`
+//! setting — crawls and synthesis alike — the determinism contract the
+//! whole streaming pipeline is built on, asserted scenario-by-scenario.
 
 use experiments::{find, registry, RunConfig, Session};
 
@@ -33,15 +33,16 @@ fn run_registry(config: RunConfig) -> Vec<(String, String)> {
         .collect()
 }
 
+/// The sequential reference layout: one thread, whatever the host.
 fn tiny() -> RunConfig {
-    RunConfig::default().sites(200).seed(77).days(2)
+    RunConfig::default().sites(200).seed(77).days(2).threads(1)
 }
 
 #[test]
 fn every_scenario_runs_and_is_thread_invariant() {
     let base = run_registry(tiny());
     assert!(base.len() >= 30, "registry shrank to {}", base.len());
-    let fanned = run_registry(tiny().threads(3).day_threads(2));
+    let fanned = run_registry(tiny().threads(3));
     for ((name_a, json_a), (name_b, json_b)) in base.iter().zip(&fanned) {
         assert_eq!(name_a, name_b);
         assert_eq!(
@@ -61,7 +62,7 @@ fn every_scenario_is_spill_invariant() {
     let dir = std::env::temp_dir().join(format!("registry-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let in_memory = run_registry(tiny());
-    let spilled = run_registry(tiny().threads(3).day_threads(2).spill(&dir));
+    let spilled = run_registry(tiny().threads(3).spill(&dir));
     for ((name_a, json_a), (name_b, json_b)) in in_memory.iter().zip(&spilled) {
         assert_eq!(name_a, name_b);
         assert_eq!(

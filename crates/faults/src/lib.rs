@@ -24,7 +24,7 @@
 //!    happens without shifting any unrelated draw.
 //! 3. **Layout independence.** Streams are keyed purely by logical
 //!    coordinates (residence index, day), so results are byte-identical at
-//!    any `threads`/`day_threads` layout, exactly like synthesis itself.
+//!    any `threads` count, exactly like synthesis itself.
 //!
 //! Window-only decisions (a gateway outage covering 10:00–14:00) consume no
 //! randomness at all; they are pure functions of the flow timestamp.

@@ -5,7 +5,7 @@
 //!
 //! 1. **Spans** — scoped wall-clock timers with parent/child nesting, created
 //!    with the [`span!`] macro. Each thread keeps its own aggregate per span
-//!    *path* (`"traffic/synthesize/residence/day"`); the merge at
+//!    *path* (`"traffic/synthesize/day"`); the merge at
 //!    [`snapshot`] sorts by path, never by thread order.
 //! 2. **Counters / gauges / histograms** — [`counter_add`], [`gauge_max`],
 //!    and [`hist_record`] write into per-thread shards that are merged
@@ -23,7 +23,8 @@
 //! the thread layout. [`MetricsReport::counts_fingerprint`] captures exactly
 //! the layout-invariant subset (counts, sums, deterministic histogram
 //! shapes — no nanoseconds), which the experiment registry asserts is
-//! identical across `--threads`/`--day-threads` combinations.
+//! identical at every `--threads` count. The suite's one executor, [`par`],
+//! lives here because that needs its workers to inherit span paths.
 //!
 //! # Cost when disabled
 //!
@@ -52,6 +53,7 @@
 
 mod log;
 mod metrics;
+pub mod par;
 mod report;
 mod span;
 

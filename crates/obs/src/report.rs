@@ -120,7 +120,7 @@ impl MetricsReport {
     /// The layout-invariant portion of the report as one stable string:
     /// span paths and close counts (no nanoseconds), counters, gauges, and
     /// full histogram summaries. Two runs of the same workload must produce
-    /// identical fingerprints regardless of `--threads`/`--day-threads`.
+    /// identical fingerprints regardless of `--threads`.
     pub fn counts_fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -9,7 +9,7 @@
 //! [`enter_path`] exist for exactly that seam: the spawning side captures its
 //! path before the fan-out and each worker re-enters it, so span paths (and
 //! per-path counts) are identical whether the work ran inline or on eight
-//! threads.
+//! threads. The executor in [`crate::par`] does this for every worker.
 
 use std::cell::RefCell;
 use std::time::Instant;

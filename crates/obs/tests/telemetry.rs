@@ -60,17 +60,16 @@ fn span_paths_nest_and_survive_fan_out() {
 
     {
         let _stage = obs::span!("stage");
-        let parent = obs::current_span_path();
-        assert_eq!(parent, "stage");
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let parent = parent.clone();
-                scope.spawn(move || {
-                    let _inherit = obs::enter_path(&parent);
-                    let _work = obs::span!("work", item = 7);
-                });
-            }
-        });
+        assert_eq!(obs::current_span_path(), "stage");
+        // The executor's workers inherit the caller's path.
+        obs::par::ordered(
+            vec![7; 3],
+            3,
+            |_, item: u32| {
+                let _work = obs::span!("work", item = item);
+            },
+            |_, ()| {},
+        );
         // Inline (threads=1) shape: same path, no inheritance needed.
         let _work = obs::span!("work");
     }

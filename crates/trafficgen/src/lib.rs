@@ -35,20 +35,19 @@
 #![warn(missing_docs)]
 
 pub mod longtail;
-pub mod par;
 pub mod profile;
 pub mod provider;
 pub mod subs;
 pub mod synth;
 
 pub use longtail::{synthesize_long_tail_into, LongTailTrafficConfig};
-pub use par::fan_out;
+pub use obs::par::fan_out;
 pub use profile::{
     isp_cohort, paper_residences, transition_residences, EventDayProfile, ResidenceProfile,
 };
 pub use provider::{synthesize_isp, synthesize_isps, IspRun, IspSpec, SubscriberStats};
 pub use subs::{
-    num_shards, shard_day_records, subscriber_of_src, subscriber_src, synthesize_shard_day,
+    num_shards, shard_day_records, shard_day_tasks, subscriber_of_src, subscriber_src,
     synthesize_subscribers_into, SubscriberTrafficConfig,
 };
 pub use synth::{

@@ -15,10 +15,9 @@
 //!
 //! The determinism contract matches residence synthesis: every day derives
 //! its own RNG from `(seed, day)` and is emitted in ascending day order, so
-//! output is byte-identical at any `threads` count (day workers buffer and
-//! flush in order, exactly like [`crate::synth`]'s day fan-out).
+//! output is byte-identical at any `threads` count (parallel days are
+//! buffered and flushed in day order, exactly as in [`crate::synth`]).
 
-use crate::par::fan_out;
 use crate::synth::SportAlloc;
 use flowmon::sink::{CollectSink, FlowSink};
 use flowmon::{FlowKey, FlowRecord, Scope};
@@ -35,8 +34,8 @@ const DAY_US: u64 = 24 * HOUR_US;
 pub struct LongTailTrafficConfig {
     /// Master seed (per-day RNGs derive from it).
     pub seed: u64,
-    /// Days to simulate. Peak memory is independent of this: day workers
-    /// buffer at most one chunk of days, aggregators hold O(ASes).
+    /// Days to simulate. Peak memory is independent of this: at most
+    /// `2 × threads` days are buffered, aggregators hold O(ASes).
     pub num_days: u32,
     /// Flow records per simulated day.
     pub flows_per_day: usize,
@@ -90,7 +89,7 @@ fn synthesize_day<S: FlowSink>(
     // One hour of records is built up and handed over as a single
     // `accept_batch` run: attribution sinks resolve the whole run through
     // the batched LPM path. The hour boundaries are a pure function of
-    // `flows_per_day` (see `hour_batches`), so the parallel fan-out below
+    // `flows_per_day` (see `hour_batches`), so the parallel path below
     // reconstructs the exact same runs and every memo/bypass decision —
     // and with it every obs counter — is thread-layout-invariant.
     let mut hour_buf: Vec<FlowRecord> = Vec::with_capacity(per_hour + 1);
@@ -161,25 +160,21 @@ pub fn synthesize_long_tail_into<S: FlowSink>(
     config: &LongTailTrafficConfig,
     sink: &mut S,
 ) {
-    if config.threads.max(1) == 1 {
+    if config.threads <= 1 {
         for day in 0..config.num_days {
             synthesize_day(world, config, day, sink);
         }
         return;
     }
-    // Chunked day fan-out (see `synth::run_days`): one chunk in flight,
-    // flushed in day order, so peak memory is O(chunk × day records) and
-    // the emitted sequence matches the sequential path exactly.
-    let chunk = (config.threads * 2).max(1) as u32;
-    let mut start = 0u32;
-    while start < config.num_days {
-        let end = (start + chunk).min(config.num_days);
-        let buffers = fan_out((start..end).collect(), config.threads, |_, day| {
+    obs::par::ordered(
+        (0..config.num_days).collect(),
+        config.threads,
+        |_, day| {
             let mut buf = CollectSink::new();
             synthesize_day(world, config, day, &mut buf);
             buf.into_records()
-        });
-        for records in buffers {
+        },
+        |_, records| {
             // Re-deliver in the exact hour runs the sequential path emits,
             // so batched sinks see identical `accept_batch` boundaries (and
             // identical memo counters) at any thread count.
@@ -189,9 +184,8 @@ pub fn synthesize_long_tail_into<S: FlowSink>(
                 off += n;
             }
             debug_assert_eq!(off, records.len());
-        }
-        start = end;
-    }
+        },
+    );
 }
 
 #[cfg(test)]

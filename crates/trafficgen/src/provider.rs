@@ -5,33 +5,32 @@
 //! shared by every line — the deployment reality the day-local gateways of
 //! [`crate::synth`] approximate away. The pipeline is:
 //!
-//! 1. **Demand generation** — for each simulated day, every subscriber's
-//!    day is synthesized independently (provider gateway mode:
-//!    stateless address mapping, no admission yet) and buffered. Days of
-//!    different subscribers fan out over `config.threads` workers; the
-//!    per-(subscriber, day) streams are pure functions of the seed, so the
-//!    buffers are byte-identical at any thread count.
-//! 2. **Admission replay** — the day's buffers are replayed *sequentially*
-//!    through the shared gateway in canonical order (subscriber 0's day,
-//!    then subscriber 1's, …). Translated records that win a binding — and
-//!    all native records — flow on into the subscriber's [`FlowSink`];
-//!    rejected records are dropped, exactly like a day-local gateway drop.
+//! 1. **Demand generation** — every `(day, subscriber)` pair is
+//!    synthesized independently (provider gateway mode: stateless address
+//!    mapping, no admission yet) and buffered. The pairs run over
+//!    `config.threads` workers on [`obs::par::ordered`]; each stream is a
+//!    pure function of the seed, so the buffers are byte-identical at any
+//!    thread count.
+//! 2. **Admission replay** — the buffers are replayed *sequentially*
+//!    through the shared gateway in canonical order (day 0: subscriber 0,
+//!    then subscriber 1, …; then day 1). Translated records that win a
+//!    binding — and all native records — flow on into the subscriber's
+//!    [`FlowSink`]; rejected records are dropped, exactly like a
+//!    day-local gateway drop.
 //!
-//! Peak memory is O(subscribers × one day of records) for the replay
-//! window plus whatever the sinks keep — independent of the number of
-//! simulated days. Because admission is a sequential replay over
-//! deterministic buffers, the full output (streams, per-subscriber
-//! counters, gateway stats) is invariant to `threads` and `day_threads`.
+//! Peak memory is `2 × threads` subscriber-day buffers plus whatever the
+//! sinks keep — independent of the number of simulated days. Because
+//! admission is a sequential replay over deterministic buffers, the full
+//! output (streams, per-subscriber counters, gateway stats) is invariant
+//! to `threads`.
 //!
 //! [`synthesize_isps`] fans several independent ISPs (e.g. one per pool
-//! size in a CGN sweep) out over the same [`fan_out`] primitive.
+//! size in a CGN sweep) out over [`obs::par::fan_out`].
 
-use crate::par::fan_out;
 use crate::profile::ResidenceProfile;
 use crate::synth::{synthesize_day_into, GatewayMode, ResidenceCtx, ResidenceSetup, TrafficConfig};
 use faults::PoolTarget;
 use flowmon::sink::{CollectSink, FlowSink, NullSink};
-use flowmon::FlowRecord;
 use serde::Serialize;
 use transition::provider::{Admission, ProviderDayStats, ProviderGateway, ProviderPool};
 use transition::{AccessTech, GatewayConfig, GatewayStats};
@@ -99,38 +98,45 @@ pub fn synthesize_isp<S: FlowSink>(
         })
         .collect();
 
-    // One day at a time: generate every subscriber's day in parallel,
-    // replay admissions sequentially, drop the buffers, move on. The
-    // replay sees (day, subscriber, emission order) — the canonical
-    // deterministic order the gateway documents. The fault plan acts here
-    // too: scheduled pool shrinks resize the shared pools at each day
-    // boundary, and outage windows flip the pools down/up as the replay
-    // crosses each record's hour (pure window checks — no randomness, so
-    // an empty plan leaves the replay byte-identical).
+    // Generate subscriber-days in parallel, replay admissions sequentially
+    // in the canonical (day, subscriber, emission) order the gateway
+    // documents. The fault plan acts here too: scheduled pool shrinks
+    // resize the shared pools at each day boundary, and outage windows flip
+    // the pools down/up as the replay crosses each record's hour (pure
+    // window checks — no randomness, so an empty plan leaves the replay
+    // byte-identical).
     let plan = &config.faults;
     let base_capacity = config.gateway.capacity;
-    for day in 0..config.num_days {
-        if !plan.is_empty() {
-            gateway.set_capacity(plan.pool_capacity(base_capacity, day));
-            // Day boundary: lift any outage carried over from yesterday's
-            // final window (the per-record flips below only run on days an
-            // outage touches).
-            gateway.set_outage(ProviderPool::Nat64, false);
-            gateway.set_outage(ProviderPool::Aftr, false);
-        }
-        let outage_today = !plan.is_empty() && plan.gateway_outage_on_day(day);
-        let day_buffers: Vec<Vec<FlowRecord>> =
-            fan_out((0..setups.len()).collect(), config.threads, |_, i| {
-                let ctx = ResidenceCtx {
-                    world,
-                    config,
-                    setup: &setups[i],
-                };
-                let mut buf = CollectSink::new();
-                synthesize_day_into(&ctx, day, GatewayMode::Provider, &mut buf);
-                buf.into_records()
-            });
-        for (i, records) in day_buffers.into_iter().enumerate() {
+    let subscribers = setups.len();
+    let tasks = (0..config.num_days)
+        .flat_map(|day| (0..subscribers).map(move |i| (day, i)))
+        .collect();
+    let mut outage_today = false;
+    obs::par::ordered(
+        tasks,
+        config.threads,
+        |_, (day, i)| {
+            let ctx = ResidenceCtx {
+                world,
+                config,
+                setup: &setups[i],
+            };
+            let mut buf = CollectSink::new();
+            synthesize_day_into(&ctx, day, GatewayMode::Provider, &mut buf);
+            (day, i, buf.into_records())
+        },
+        |_, (day, i, records)| {
+            if i == 0 {
+                if !plan.is_empty() {
+                    gateway.set_capacity(plan.pool_capacity(base_capacity, day));
+                    // Day boundary: lift any outage carried over from
+                    // yesterday's final window (the per-record flips below
+                    // only run on days an outage touches).
+                    gateway.set_outage(ProviderPool::Nat64, false);
+                    gateway.set_outage(ProviderPool::Aftr, false);
+                }
+                outage_today = !plan.is_empty() && plan.gateway_outage_on_day(day);
+            }
             let dslite = profiles[i].access_tech == AccessTech::DsLite;
             for record in &records {
                 if outage_today {
@@ -155,16 +161,16 @@ pub fn synthesize_isp<S: FlowSink>(
                     }
                 }
             }
-        }
-        // Shared-pool high-water at each day boundary (peak-so-far of the
-        // lifetime counters — the replay order is canonical, so this is
-        // deterministic and layout-invariant).
-        obs::hist_record("gateway.pool_day_peak", gateway.stats().peak_active as u64);
-        obs::gauge_max(
-            "gateway.pool_peak_active",
-            gateway.stats().peak_active as u64,
-        );
-    }
+            if i + 1 == subscribers {
+                // Shared-pool high-water at each day's end (peak-so-far of
+                // the lifetime counters — the replay order is canonical, so
+                // this is deterministic and layout-invariant).
+                let peak = gateway.stats().peak_active as u64;
+                obs::hist_record("gateway.pool_day_peak", peak);
+                obs::gauge_max("gateway.pool_peak_active", peak);
+            }
+        },
+    );
     stats
 }
 
@@ -203,13 +209,13 @@ impl IspRun {
 }
 
 /// Run several independent ISPs (one shared gateway each), fanning the
-/// ISPs out over `config.threads` workers via the same [`fan_out`]
-/// primitive as every other parallel axis. Inside each ISP the demand
+/// ISPs out over `config.threads` workers via [`obs::par::fan_out`], the
+/// executor every other parallel axis runs on. Inside each ISP the demand
 /// generation runs sequentially (the outer fan-out already owns the
 /// threads); results are in spec order and thread-invariant.
 pub fn synthesize_isps(world: &World, isps: Vec<IspSpec>, config: &TrafficConfig) -> Vec<IspRun> {
     let threads = config.threads;
-    fan_out(isps, threads, |_, spec| {
+    obs::par::fan_out(isps, threads, |_, spec| {
         let inner_cfg = TrafficConfig {
             threads: 1,
             gateway: spec.gateway,
@@ -256,22 +262,24 @@ mod tests {
             capacity: 64,
             binding_timeout: 1_800 * 1_000_000,
         };
-        let run = |threads: usize, day_threads: usize| {
+        let run = |threads: usize| {
             let mut gateway = ProviderGateway::new(world.transition.nat64_prefix, gw_cfg);
             let mut sinks: Vec<CollectSink> =
                 (0..profiles.len()).map(|_| CollectSink::new()).collect();
-            let config = TrafficConfig {
-                day_threads,
-                ..cfg(8, threads)
-            };
-            let stats = synthesize_isp(&world, &profiles, &config, &mut gateway, &mut sinks);
+            let stats = synthesize_isp(
+                &world,
+                &profiles,
+                &cfg(8, threads),
+                &mut gateway,
+                &mut sinks,
+            );
             let flows: Vec<Vec<flowmon::FlowRecord>> =
                 sinks.into_iter().map(|s| s.into_records()).collect();
             (stats, gateway.stats(), gateway.daily().to_vec(), flows)
         };
-        let (s1, g1, d1, f1) = run(1, 1);
-        for (threads, day_threads) in [(4, 1), (2, 3)] {
-            let (s, g, d, f) = run(threads, day_threads);
+        let (s1, g1, d1, f1) = run(1);
+        for threads in [2, 4, 7] {
+            let (s, g, d, f) = run(threads);
             assert_eq!(f, f1, "flow streams differ at threads={threads}");
             assert_eq!(g.granted, g1.granted);
             assert_eq!(g.rejected, g1.rejected);

@@ -29,7 +29,6 @@
 //! provider gateway of [`crate::provider`], which defers binding admission
 //! to a pool persisted across days and residences.
 
-use crate::par::fan_out;
 use crate::profile::ResidenceProfile;
 use dnssim::{Name, ResolveAddrs, Resolver};
 use faults::{DayPathFault, FaultPlan, FaultyResolver, PoolTarget, DNS_STREAM, FLOW_DROP_STREAM};
@@ -73,16 +72,13 @@ pub struct TrafficConfig {
     pub he_both_flow_rate: f64,
     /// Happy Eyeballs parameters for the per-(day, service) health race.
     pub he: HappyEyeballsConfig,
-    /// Worker threads fanning residences out in [`synthesize_all`]
-    /// (1 = sequential). Output is identical at any thread count.
+    /// Worker threads over the flattened `(residence, day)` task list
+    /// (1 = sequential: every day streams straight into its sink). Days
+    /// derive independent RNGs from `(seed, residence, day)`, so output is
+    /// identical at any thread count. With more than one worker each day
+    /// buffers before flushing to its residence's sink in day order, so
+    /// peak memory grows by `2 × threads` day buffers, not O(run).
     pub threads: usize,
-    /// Worker threads fanning *days* out inside one residence
-    /// (1 = sequential). Days derive independent RNGs from
-    /// `(seed, residence, day)`, so output is identical at any thread
-    /// count; combined with `threads` the two levels multiply. With more
-    /// than one day worker each day buffers before flushing to the sink in
-    /// day order, so peak memory grows by O(in-flight days), not O(run).
-    pub day_threads: usize,
     /// Binding-table limits of the NAT64/AFTR gateways serving translated
     /// residences (shrink to provoke the exhaustion scenario).
     pub gateway: GatewayConfig,
@@ -97,8 +93,7 @@ pub struct TrafficConfig {
     /// service's draw count no longer shifts any other service's draws —
     /// the isolation the service×hour analysis grid needs. Off by default:
     /// enabling it changes the stream layout and therefore the output
-    /// bytes, but output stays byte-identical across `threads` ×
-    /// `day_threads` either way.
+    /// bytes, but output stays byte-identical across `threads` either way.
     pub service_streams: bool,
 }
 
@@ -110,10 +105,7 @@ impl Default for TrafficConfig {
             scale: 1.0 / 1000.0,
             he_both_flow_rate: 0.13,
             he: HappyEyeballsConfig::default(),
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1),
-            day_threads: 1,
+            threads: obs::par::default_threads(),
             gateway: GatewayConfig::default(),
             faults: FaultPlan::default(),
             service_streams: false,
@@ -214,34 +206,33 @@ fn service_seed(seed: u64, residence_index: u64, day: u32, service_index: usize)
         .wrapping_add((service_index as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d))
 }
 
-/// Synthesize every paper residence, fanning residences out over
-/// `config.threads` scoped worker threads.
+/// Synthesize every paper residence over `config.threads` workers.
 pub fn synthesize_all(world: &World, config: &TrafficConfig) -> Vec<ResidenceDataset> {
     synthesize_profiles(world, crate::profile::paper_residences(), config)
 }
 
 /// Synthesize an arbitrary cohort of residences (the transition-technology
-/// cohort, ablations), fanning residences out over `config.threads` and
-/// materializing every record.
+/// cohort, ablations) over `config.threads` workers, materializing every
+/// record.
 ///
 /// Residence `i` derives all randomness from `(seed, i)` and, inside,
-/// `(seed, i, day)` alone, so output is byte-identical at any combination
-/// of `threads` and `day_threads`.
+/// `(seed, i, day)` alone, so output is byte-identical at any `threads`.
 pub fn synthesize_profiles(
     world: &World,
     profiles: Vec<ResidenceProfile>,
     config: &TrafficConfig,
 ) -> Vec<ResidenceDataset> {
-    let _span = obs::span!("synthesize");
-    fan_out(profiles, config.threads, |i, p| {
-        synthesize_residence(world, p, config, i as u64)
-    })
+    synthesize_profiles_with(world, profiles, config, |_, _| CollectSink::new())
+        .into_iter()
+        .map(|(summary, sink)| ResidenceDataset::new(summary, sink))
+        .collect()
 }
 
 /// Streaming cohort synthesis: every residence gets its own sink (built by
-/// `make_sink` from the residence's index and profile) and streams into it
-/// while residences fan out over `config.threads`. Returns summaries and
-/// the filled sinks in input order.
+/// `make_sink` from the residence's index and profile) and receives its
+/// days in order while `(residence, day)` tasks run over `config.threads`
+/// workers. Sinks are fed on the calling thread. Returns summaries and the
+/// filled sinks in input order.
 ///
 /// This is the paper-scale entry point: with aggregator sinks the whole run
 /// completes in O(residences × aggregator) memory — no flow record outlives
@@ -250,18 +241,94 @@ pub fn synthesize_profiles_with<S, F>(
     world: &World,
     profiles: Vec<ResidenceProfile>,
     config: &TrafficConfig,
-    make_sink: F,
+    mut make_sink: F,
 ) -> Vec<(ResidenceSummary, S)>
 where
-    S: FlowSink + Send,
-    F: Fn(usize, &ResidenceProfile) -> S + Sync,
+    S: FlowSink,
+    F: FnMut(usize, &ResidenceProfile) -> S,
 {
+    let mut sinks: Vec<S> = profiles
+        .iter()
+        .enumerate()
+        .map(|(i, p)| make_sink(i, p))
+        .collect();
+    let residences = profiles.into_iter().enumerate().map(|(i, p)| (i as u64, p));
+    let summaries = synthesize_cohort(world, config, residences, &mut sinks);
+    summaries.into_iter().zip(sinks).collect()
+}
+
+impl ResidenceSummary {
+    /// Fold in one day's gateway counters and fault casualties.
+    fn absorb(&mut self, (gateway, drops): (Option<GatewayStats>, DropCounters)) {
+        if let Some(stats) = gateway {
+            self.gateway
+                .get_or_insert_with(GatewayStats::default)
+                .absorb(stats);
+        }
+        self.drops.absorb(drops);
+    }
+}
+
+/// The one synthesis driver: every day of every `(residence_index,
+/// profile)` into `sinks`, one sink per residence, days ascending.
+///
+/// At one thread each day streams straight into its sink. Otherwise the
+/// flattened `(residence, day)` task list runs on [`obs::par::ordered`]:
+/// each worker buffers one day, and the calling thread routes it to its
+/// residence's sink in task order — so a cohort's slowest residence no
+/// longer sets the critical path, and the record sequence every sink sees
+/// is the sequential one.
+fn synthesize_cohort<S: FlowSink>(
+    world: &World,
+    config: &TrafficConfig,
+    residences: impl Iterator<Item = (u64, ResidenceProfile)>,
+    sinks: &mut [S],
+) -> Vec<ResidenceSummary> {
     let _span = obs::span!("synthesize");
-    fan_out(profiles, config.threads, |i, profile| {
-        let mut sink = make_sink(i, &profile);
-        let summary = synthesize_residence_into(world, profile, config, i as u64, &mut sink);
-        (summary, sink)
-    })
+    let (mut summaries, setups): (Vec<_>, Vec<_>) = residences
+        .map(|(i, profile)| {
+            let summary = ResidenceSummary {
+                profile: profile.clone(),
+                scale: config.scale,
+                num_days: config.num_days,
+                gateway: None,
+                drops: DropCounters::default(),
+            };
+            (summary, ResidenceSetup::build(world, config, profile, i))
+        })
+        .unzip();
+    let ctx = |r: usize| ResidenceCtx {
+        world,
+        config,
+        setup: &setups[r],
+    };
+    if config.threads <= 1 {
+        for (r, sink) in sinks.iter_mut().enumerate() {
+            for day in 0..config.num_days {
+                summaries[r].absorb(synthesize_day_into(&ctx(r), day, GatewayMode::Local, sink));
+            }
+        }
+    } else {
+        let tasks = (0..setups.len())
+            .flat_map(|r| (0..config.num_days).map(move |day| (r, day)))
+            .collect();
+        obs::par::ordered(
+            tasks,
+            config.threads,
+            |_, (r, day)| {
+                let mut buf = CollectSink::new();
+                let outcome = synthesize_day_into(&ctx(r), day, GatewayMode::Local, &mut buf);
+                (r, buf.into_records(), outcome)
+            },
+            |_, (r, records, outcome)| {
+                for record in &records {
+                    sinks[r].accept(record);
+                }
+                summaries[r].absorb(outcome);
+            },
+        );
+    }
+    summaries
 }
 
 /// Per-residence state stable across days: LAN addressing, the device
@@ -411,21 +478,15 @@ pub fn synthesize_residence(
 ) -> ResidenceDataset {
     let mut sink = CollectSink::new();
     let summary = synthesize_residence_into(world, profile, config, residence_index, &mut sink);
-    ResidenceDataset {
-        profile: summary.profile,
-        flows: sink.into_records(),
-        scale: summary.scale,
-        num_days: summary.num_days,
-        gateway: summary.gateway,
-        drops: summary.drops,
-    }
+    ResidenceDataset::new(summary, sink)
 }
 
-/// Synthesize one residence, streaming every record into `sink`.
+/// Synthesize one residence, streaming every record into `sink`; its days
+/// run over `config.threads` workers.
 ///
 /// Emission order is deterministic — days ascending, records within a day
-/// in generation order — and independent of `config.day_threads` (day
-/// workers buffer their day and flush in order). A [`CollectSink`] here
+/// in generation order — and independent of `config.threads` (day workers
+/// buffer their day and it is flushed in order). A [`CollectSink`] here
 /// reproduces [`synthesize_residence`]'s `flows` byte-for-byte.
 pub fn synthesize_residence_into<S: FlowSink>(
     world: &World,
@@ -434,77 +495,21 @@ pub fn synthesize_residence_into<S: FlowSink>(
     residence_index: u64,
     sink: &mut S,
 ) -> ResidenceSummary {
-    let _span = obs::span!("residence", residence = residence_index);
-    let setup = ResidenceSetup::build(world, config, profile, residence_index);
-    let ctx = ResidenceCtx {
-        world,
-        config,
-        setup: &setup,
-    };
-    let (gateway, drops) = run_days(&ctx, GatewayMode::Local, sink);
-    ResidenceSummary {
-        profile: setup.profile,
-        scale: config.scale,
-        num_days: config.num_days,
-        gateway,
-        drops,
-    }
+    let residence = std::iter::once((residence_index, profile));
+    synthesize_cohort(world, config, residence, std::slice::from_mut(sink)).remove(0)
 }
 
-/// Drive every day of one residence into `sink`, sequentially or over
-/// `day_threads` workers (buffered, flushed in day order).
-pub(crate) fn run_days<S: FlowSink>(
-    ctx: &ResidenceCtx<'_>,
-    mode: GatewayMode,
-    sink: &mut S,
-) -> (Option<GatewayStats>, DropCounters) {
-    let config = ctx.config;
-    let mut gateway: Option<GatewayStats> = None;
-    let mut drops = DropCounters::default();
-    let absorb = |gateway: &mut Option<GatewayStats>, stats: Option<GatewayStats>| {
-        if let Some(stats) = stats {
-            gateway
-                .get_or_insert_with(GatewayStats::default)
-                .absorb(stats);
-        }
-    };
-    if config.day_threads.max(1) == 1 {
-        // Fully streaming: a day's records go straight to the sink.
-        for day in 0..config.num_days {
-            let (stats, day_drops) = synthesize_day_into(ctx, day, mode, sink);
-            absorb(&mut gateway, stats);
-            drops.absorb(day_drops);
-        }
-    } else {
-        // Day fan-out, chunked: each worker buffers its day, and only one
-        // chunk of days is in flight at a time — the chunk flushes to the
-        // sink in day order before the next begins, so the record sequence
-        // is identical to the sequential path and peak memory is bounded
-        // by O(chunk) day buffers, not O(run). Chunk size is a small
-        // multiple of the worker count (enough days per dispatch to
-        // amortize thread spawning; day seeds are chunk-oblivious, so the
-        // split cannot affect output).
-        let day_threads = config.day_threads;
-        let chunk = (day_threads * 2).max(1) as u32;
-        let mut start = 0u32;
-        while start < config.num_days {
-            let end = (start + chunk).min(config.num_days);
-            let day_results = fan_out((start..end).collect(), day_threads, |_, day| {
-                let mut buf = CollectSink::new();
-                let outcome = synthesize_day_into(ctx, day, mode, &mut buf);
-                (buf.into_records(), outcome)
-            });
-            for (records, (stats, day_drops)) in day_results {
-                for r in &records {
-                    sink.accept(r);
-                }
-                absorb(&mut gateway, stats);
-                drops.absorb(day_drops);
-            }
-            start = end;
+impl ResidenceDataset {
+    fn new(summary: ResidenceSummary, sink: CollectSink) -> ResidenceDataset {
+        ResidenceDataset {
+            profile: summary.profile,
+            flows: sink.into_records(),
+            scale: summary.scale,
+            num_days: summary.num_days,
+            gateway: summary.gateway,
+            drops: summary.drops,
         }
     }
-    (gateway, drops)
 }
 
 /// Ephemeral source-port allocator for one (residence, day).
@@ -1555,7 +1560,7 @@ mod tests {
             &world,
             profiles[0].clone(),
             &TrafficConfig {
-                day_threads: 1,
+                threads: 1,
                 ..cfg.clone()
             },
             0,
@@ -1564,7 +1569,7 @@ mod tests {
             &world,
             profiles[0].clone(),
             &TrafficConfig {
-                day_threads: 5,
+                threads: 5,
                 ..cfg.clone()
             },
             0,
@@ -1581,7 +1586,7 @@ mod tests {
             &world,
             nat64.clone(),
             &TrafficConfig {
-                day_threads: 1,
+                threads: 1,
                 ..cfg.clone()
             },
             2,
@@ -1590,7 +1595,7 @@ mod tests {
             &world,
             nat64.clone(),
             &TrafficConfig {
-                day_threads: 4,
+                threads: 4,
                 ..cfg.clone()
             },
             2,
@@ -1606,23 +1611,21 @@ mod tests {
     fn service_streams_identical_at_any_layout() {
         // The per-(day, service) schedule must hold the same contract the
         // per-(residence, day) schedule does: byte-identical output at any
-        // threads × day_threads layout.
+        // thread count.
         let world = World::generate(&WorldConfig::small());
         let profiles = crate::profile::paper_residences();
-        let cfg = |threads: usize, day_threads: usize| TrafficConfig {
+        let cfg = |threads: usize| TrafficConfig {
             num_days: 20,
             service_streams: true,
             threads,
-            day_threads,
             ..TrafficConfig::fast()
         };
-        let seq = synthesize_residence(&world, profiles[0].clone(), &cfg(1, 1), 0);
-        for (threads, day_threads) in [(1, 5), (4, 3)] {
-            let par =
-                synthesize_residence(&world, profiles[0].clone(), &cfg(threads, day_threads), 0);
+        let seq = synthesize_residence(&world, profiles[0].clone(), &cfg(1), 0);
+        for threads in [3, 5] {
+            let par = synthesize_residence(&world, profiles[0].clone(), &cfg(threads), 0);
             assert_eq!(
                 seq.flows, par.flows,
-                "service streams differ at {threads}x{day_threads}"
+                "service streams differ at threads={threads}"
             );
         }
         // The dedicated streams must actually engage: the layout change is
@@ -1822,7 +1825,7 @@ mod tests {
     #[test]
     fn empty_fault_plan_is_byte_identical_to_no_plan() {
         // Rule 1 of the faults determinism contract: a seeded-but-empty
-        // plan perturbs nothing, at every day-thread layout.
+        // plan perturbs nothing, at every thread layout.
         let world = World::generate(&WorldConfig::small());
         let cohort = crate::profile::transition_residences();
         let nat64 = cohort
@@ -1834,16 +1837,16 @@ mod tests {
             ..TrafficConfig::fast()
         };
         let base = synthesize_residence(&world, nat64.clone(), &base_cfg, 2);
-        for day_threads in [1usize, 4] {
+        for threads in [1usize, 4] {
             let cfg = TrafficConfig {
                 faults: faults::FaultPlan::new(0xdead_beef),
-                day_threads,
+                threads,
                 ..base_cfg.clone()
             };
             let ds = synthesize_residence(&world, nat64.clone(), &cfg, 2);
             assert_eq!(
                 ds.flows, base.flows,
-                "empty plan perturbed output at day_threads={day_threads}"
+                "empty plan perturbed output at threads={threads}"
             );
             assert!(ds.drops.is_empty(), "empty plan cannot drop flows");
         }
@@ -1868,10 +1871,10 @@ mod tests {
             .iter()
             .find(|p| p.access_tech == AccessTech::Ipv6OnlyNat64)
             .unwrap();
-        let cfg = |day_threads: usize| TrafficConfig {
+        let cfg = |threads: usize| TrafficConfig {
             num_days: 14,
             faults: stress_plan(),
-            day_threads,
+            threads,
             ..TrafficConfig::fast()
         };
         let a = synthesize_residence(&world, nat64.clone(), &cfg(1), 2);

@@ -59,7 +59,7 @@
 //! default (one relaxed atomic load per instrumentation point) and never
 //! perturbs results: scenario output is byte-identical with the plane
 //! enabled, and everything in the snapshot except wall-clock nanoseconds is
-//! invariant to `threads` / `day_threads`. Enable it per session with
+//! invariant to `threads`. Enable it per session with
 //! [`prelude::RunConfig::metrics`] and read the merged snapshot back:
 //!
 //! ```
