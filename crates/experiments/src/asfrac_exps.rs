@@ -37,10 +37,6 @@ pub struct AsFractionsParams {
     pub flows_per_day: usize,
     /// Day-level worker threads (output is invariant to this).
     pub threads: usize,
-    /// When set, tee the stream into sealed [`flowstore`] day-parts under
-    /// `<dir>/as-fractions` and digest-verify the replay. The report is
-    /// byte-identical either way.
-    pub spill: Option<std::path::PathBuf>,
 }
 
 /// The exportable dataset: run parameters plus every kept per-AS row.
@@ -80,49 +76,7 @@ pub fn as_fractions_report(params: &AsFractionsParams) -> AsFractionsReport {
         threads: params.threads.max(1),
     };
     let mut agg = AsAgg::new(&world.rib, &world.registry);
-    match &params.spill {
-        None => synthesize_long_tail_into(&world, &cfg, &mut agg),
-        Some(spill) => {
-            // Spill mode: same stream, teed into a day-part writer and a
-            // live digest; the replayed parts must reproduce the stream
-            // byte for byte before the report is trusted.
-            let dir = spill.join("as-fractions");
-            if dir.exists() {
-                if let Err(e) = std::fs::remove_dir_all(&dir) {
-                    panic!("clearing spill dir {}: {e}", dir.display());
-                }
-            }
-            let mut live = flowstore::DigestSink::new();
-            let mut spill_sink = match flowstore::SpillSink::new(&dir, 0) {
-                Ok(s) => s,
-                Err(e) => panic!("opening spill sink: {e}"),
-            };
-            synthesize_long_tail_into(&world, &cfg, &mut (&mut agg, &mut live, &mut spill_sink));
-            let metas = match spill_sink.finish() {
-                Ok(m) => m,
-                Err(e) => panic!("sealing spill parts: {e}"),
-            };
-            let mut replayed = flowstore::DigestSink::new();
-            let stats = match flowstore::PartSet::from_metas(metas).replay_into(&mut replayed) {
-                Ok(s) => s,
-                Err(e) => panic!("replaying spilled parts: {e}"),
-            };
-            if replayed.digest() != live.digest() {
-                panic!(
-                    "spill replay diverged: live {:#018x} vs replay {:#018x} ({} rows)",
-                    live.digest(),
-                    replayed.digest(),
-                    stats.rows,
-                );
-            }
-            obs::debug!(
-                "[repro] as-fractions spill verified: {} parts, {} rows, digest {:#018x}",
-                stats.parts,
-                stats.rows,
-                live.digest(),
-            );
-        }
-    }
+    synthesize_long_tail_into(&world, &cfg, &mut agg);
     let rows = agg.fractions('T', MIN_SHARE);
     AsFractionsReport {
         ases: params.ases,
@@ -215,7 +169,6 @@ pub fn as_fractions(s: &mut Session) -> Report {
         days: s.config.days.min(30),
         flows_per_day: (ases * 10).clamp(20_000, 600_000),
         threads: s.config.threads.unwrap_or(1),
-        spill: s.config.spill.clone(),
     };
     as_fractions_report_for(&params)
 }
@@ -229,7 +182,6 @@ pub fn as_fractions_export_report(s: &mut Session) -> Report {
         days: s.config.days.min(3),
         flows_per_day: 10_000,
         threads: s.config.threads.unwrap_or(1),
-        spill: s.config.spill.clone(),
     };
     as_fractions_report_for(&params)
 }
@@ -237,6 +189,7 @@ pub fn as_fractions_export_report(s: &mut Session) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::RunConfig;
 
     fn params(threads: usize) -> AsFractionsParams {
         AsFractionsParams {
@@ -245,7 +198,6 @@ mod tests {
             days: 3,
             flows_per_day: 5_000,
             threads,
-            spill: None,
         }
     }
 
@@ -263,16 +215,33 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// `--spill` is not this scenario's business: the dataset is the same
+    /// and nothing is written under the spill directory.
     #[test]
     fn spilling_does_not_change_the_table() {
         let dir = std::env::temp_dir().join(format!("asfrac-test-{}", std::process::id()));
-        let a = as_fractions_json(&as_fractions_report(&params(1)));
-        let b = as_fractions_json(&as_fractions_report(&AsFractionsParams {
-            spill: Some(dir.clone()),
-            ..params(2)
-        }));
-        assert_eq!(a, b, "spilling must not change the exported table");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dataset = |config: RunConfig| {
+            let report = as_fractions(&mut Session::new(config));
+            let json = report
+                .datasets()
+                .map(|d| d.json.clone())
+                .collect::<Vec<_>>();
+            assert_eq!(json.len(), 1, "one as_fractions.json dataset");
+            json
+        };
+        let config = || RunConfig::default().sites(400).seed(77).days(3);
+        let plain = dataset(config());
+        let spilled = dataset(config().threads(2).spill(&dir));
+        assert_eq!(
+            plain, spilled,
+            "spilling must not change the exported table"
+        );
+        assert!(
+            !dir.join("as-fractions").exists(),
+            "as-fractions must not write spill parts"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * `BENCH_traffic.json` — pipeline throughput: whole-residence streaming
 //!   synthesis into aggregate sinks, per-AS attribution of 200k flows
 //!   over a 100k-AS long-tail RIB (mirroring `benches/traffic.rs`), and
-//!   the flowstore spill/replay halves of the `--spill` path over the
-//!   same 200k-record stream.
+//!   the flowstore spill/replay halves over the same 200k-record stream
+//!   (`ipv6view_bench::SpillProbe`).
 //!
 //! The ledgers are history: existing bytes are never rewritten — the new
 //! snapshot is spliced into the `"snapshots"` array (created after the
@@ -20,6 +20,7 @@
 
 use flowmon::sink::{CollectSink, FlowStatsAgg};
 use flowmon::{FlowSink, Scope, ScopeFamilyAgg};
+use ipv6view_bench::SpillProbe;
 use ipv6view_core::client::AsAgg;
 use std::net::Ipv6Addr;
 use std::time::Instant;
@@ -286,32 +287,16 @@ fn traffic_probe() -> TrafficProbe {
     });
     // Spill/replay throughput over the same 200k-record stream: encode and
     // seal the columnar day-parts, then decode them back through a digest
-    // sink — the two halves of the `--spill` path.
-    let spill_dir = std::env::temp_dir().join(format!("bench-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spill_dir);
+    // sink.
+    let spill = SpillProbe::new("bench-snapshot", records);
     let spill_write_200k_ns = median_ns(5, 200, 60, || {
-        let mut sink = match flowstore::SpillSink::new(&spill_dir, 0) {
-            Ok(s) => s,
-            Err(e) => panic!("spill probe: {e}"),
-        };
-        sink.accept_batch(&records);
-        match sink.finish() {
-            Ok(m) => std::hint::black_box(m.len()),
-            Err(e) => panic!("spill probe: {e}"),
-        };
+        let parts = spill.write();
+        std::hint::black_box(parts.unwrap_or_else(|e| fatal(&format!("spill probe: {e}"))));
     });
-    let parts = match flowstore::PartSet::open(&spill_dir) {
-        Ok(p) => p,
-        Err(e) => panic!("spill probe: {e}"),
-    };
     let spill_replay_200k_ns = median_ns(5, 200, 60, || {
-        let mut digest = flowstore::DigestSink::new();
-        if let Err(e) = parts.replay_into(&mut digest) {
-            panic!("replay probe: {e}");
-        }
-        std::hint::black_box(digest.digest());
+        let digest = spill.replay();
+        std::hint::black_box(digest.unwrap_or_else(|e| fatal(&format!("replay probe: {e}"))));
     });
-    let _ = std::fs::remove_dir_all(&spill_dir);
     TrafficProbe {
         synth_residence_5d_ns,
         per_as_agg_200k_frozen_ns,

@@ -102,17 +102,18 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
     // 5. Client-side: per-residence aggregates plus ANONYMIZED daily logs
     //    (CryptoPAN'd addresses, like the paper's upload pipeline; the raw
     //    logs are deliberately not exported). The anonymized logs are the
-    //    one dataset that genuinely needs materialized records. Without
-    //    `--spill` the materialized session cache provides them; with it,
-    //    each residence spills to columnar day-parts and is replayed —
-    //    digest-verified — one residence at a time, so peak memory is one
-    //    residence's records instead of all five. The files are
-    //    byte-identical either way.
+    //    one dataset that genuinely needs materialized records, so the
+    //    residences are synthesized, analysed and written one at a time:
+    //    peak memory is one residence's records, with or without `--spill`.
     let exporter = AnonymizingExporter::new(Anonymizer::new(
         *b"dataset-release!",
         AnonymizerConfig::paper(),
     ));
-    let write_logs = |ds: &trafficgen::ResidenceDataset| -> std::io::Result<()> {
+    let cfg = session.traffic_config();
+    let mut analyses = Vec::new();
+    for (i, profile) in trafficgen::paper_residences().into_iter().enumerate() {
+        let ds = trafficgen::synthesize_residence(&session.world, profile, &cfg, i as u64);
+        analyses.push(ipv6view_core::client::analyze_residence(&ds));
         let logs = exporter.export(&ds.flows);
         let sample: Vec<_> = logs
             .iter()
@@ -122,70 +123,9 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
         write(
             &format!("residence_{}_flows_anonymized.json", ds.profile.key),
             &sample,
-        )
-    };
-    match session.config.spill.clone() {
-        None => {
-            session.traffic();
-            let analyses: Vec<_> = session
-                .traffic_ref()
-                .iter()
-                .map(ipv6view_core::client::analyze_residence)
-                .collect();
-            write("residence_analyses.json", &analyses)?;
-            for ds in session.traffic_ref() {
-                write_logs(ds)?;
-            }
-        }
-        Some(spill) => {
-            let dir = spill.join("export");
-            if dir.exists() {
-                std::fs::remove_dir_all(&dir)?;
-            }
-            let cfg = session.traffic_config();
-            let results = trafficgen::synthesize_profiles_with(
-                &session.world,
-                trafficgen::paper_residences(),
-                &cfg,
-                |i, _| {
-                    let sink = match flowstore::SpillSink::new(&dir, i as u64) {
-                        Ok(s) => s,
-                        Err(e) => panic!("opening spill sink {i}: {e}"),
-                    };
-                    (flowstore::DigestSink::new(), sink)
-                },
-            );
-            let io_err = |e: flowstore::Error| std::io::Error::other(format!("{e}"));
-            let mut analyses = Vec::with_capacity(results.len());
-            for (summary, (live, spill_sink)) in results {
-                let metas = spill_sink.finish().map_err(io_err)?;
-                let mut collect = flowmon::CollectSink::new();
-                let mut replayed = flowstore::DigestSink::new();
-                flowstore::PartSet::from_metas(metas)
-                    .replay_into(&mut (&mut collect, &mut replayed))
-                    .map_err(io_err)?;
-                if replayed.digest() != live.digest() {
-                    panic!(
-                        "spill replay diverged for residence {}: live {:#018x} vs replay {:#018x}",
-                        summary.profile.key,
-                        live.digest(),
-                        replayed.digest(),
-                    );
-                }
-                let ds = trafficgen::ResidenceDataset {
-                    profile: summary.profile,
-                    flows: collect.into_records(),
-                    scale: summary.scale,
-                    num_days: summary.num_days,
-                    gateway: summary.gateway,
-                    drops: summary.drops,
-                };
-                analyses.push(ipv6view_core::client::analyze_residence(&ds));
-                write_logs(&ds)?;
-            }
-            write("residence_analyses.json", &analyses)?;
-        }
+        )?;
     }
+    write("residence_analyses.json", &analyses)?;
     Ok(())
 }
 
@@ -230,6 +170,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `--spill` leaves every exported file unchanged and writes no parts.
     #[test]
     fn spilled_export_is_byte_identical() {
         let base =
@@ -258,6 +199,7 @@ mod tests {
             let b = std::fs::read(dir_b.join(name)).expect("readable");
             assert_eq!(a, b, "{name} differs between in-memory and spilled export");
         }
+        assert!(!spill.exists(), "export must not write under the spill dir");
         let _ = std::fs::remove_dir_all(&base);
     }
 }

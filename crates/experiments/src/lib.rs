@@ -8,8 +8,8 @@
 //! * [`Session`] — the shared state scenarios run in: a world generated
 //!   from a typed [`RunConfig`] (sites / seed / days / thread fan-out),
 //!   plus lazily-built caches of the expensive derived artifacts (crawls,
-//!   materialized traffic, streaming aggregate passes). A sequence of
-//!   scenarios pays for each artifact once.
+//!   streaming aggregate passes). A sequence of scenarios pays for each
+//!   artifact once.
 //! * [`Scenario`] — a named, describable experiment:
 //!   `run(&mut Session) -> Report`. The static [`registry`] holds every
 //!   built-in scenario in paper order and is the single source of truth

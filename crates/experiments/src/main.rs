@@ -23,6 +23,7 @@
 //! (sites, (residence, day) pairs, ISPs in sweeps). Output is byte-identical
 //! at any count — the flag only trades memory (a few day buffers) for
 //! wall-clock. Numeric flags accept both `--sites N` and `--sites=N`.
+//! `--spill DIR` is honoured by `million-subs` alone (see the usage text).
 
 use experiments::{append_metrics, export_all, find, registry, Report, RunConfig, Session};
 
@@ -236,10 +237,11 @@ fn usage(msg: &str) -> ! {
          structured report. --metrics appends a telemetry section (stage\n\
          spans, pipeline counters, flow-shape histograms); --metrics-json\n\
          prints only the raw metrics snapshot as JSON.\n\
-         --spill DIR streams flow records through sorted columnar day-parts\n\
-         under DIR instead of memory; replays are digest-verified and\n\
-         reports stay byte-identical. REPRO_LOG=off|error|\n\
-         warn|info|debug|trace filters progress diagnostics on stderr."
+         --spill DIR makes million-subs write its flow stream as columnar\n\
+         day-parts under DIR/million-subs and build its report from their\n\
+         digest-verified replay (same report; other scenarios ignore it).\n\
+         REPRO_LOG=off|error|warn|info|debug|trace filters progress\n\
+         diagnostics on stderr."
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

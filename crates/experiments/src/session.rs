@@ -1,20 +1,18 @@
 //! [`RunConfig`] and [`Session`]: the shared state every scenario runs in.
 //!
 //! A `Session` owns the synthetic world plus lazily-built caches of the
-//! expensive derived artifacts (crawls, traffic runs, streaming aggregate
-//! passes), so a sequence of scenarios — `repro all`, a registry sweep in a
-//! test, or an embedding application — pays for each artifact once.
+//! expensive derived artifacts (crawls and streaming aggregate passes), so
+//! a sequence of scenarios — `repro all`, a registry sweep in a test, or an
+//! embedding application — pays for each artifact once.
 //!
-//! Flow-derived experiments come in two flavors. The *streaming* caches
-//! ([`Session::client_analyses`], [`Session::as_rows`],
+//! Flow-derived caches ([`Session::client_analyses`], [`Session::as_rows`],
 //! [`Session::domain_rows`], [`Session::hourly_aggs`],
 //! [`Session::flow_sketches`]) run one synthesis pass with composite
 //! [`FlowSink`](flowmon::FlowSink) aggregators — peak memory is
-//! O(residences × aggregator),
-//! independent of `days`, which is what lets `--full` runs scale.
-//! [`Session::traffic`] still materializes every record, but only the
-//! anonymized-log export needs it (raw flow logs are the one artifact that
-//! *is* the records).
+//! O(residences × aggregator), independent of `days`, which is what lets
+//! `--full` runs scale. No cache holds flow records: the anonymized-log
+//! export, the one artifact that *is* the records, synthesizes one
+//! residence at a time (see [`crate::export_all`]).
 
 use crawlsim::{crawl_epoch, CrawlConfig, CrawlReport};
 use dnssim::Name;
@@ -24,9 +22,7 @@ use flowmon::{Scope, ScopeFamilyAgg};
 use ipv6view_core::client::{
     analyze_agg, domain_fractions_from, AsAgg, AsFraction, DomainAgg, HourlyAgg, ResidenceAnalysis,
 };
-use trafficgen::{
-    paper_residences, synthesize_all, synthesize_profiles_with, ResidenceDataset, TrafficConfig,
-};
+use trafficgen::{paper_residences, synthesize_profiles_with, TrafficConfig};
 use worldgen::{World, WorldConfig};
 
 /// Typed run parameters: what the `repro` flags used to thread positionally.
@@ -56,12 +52,10 @@ pub struct RunConfig {
     /// default; when on, [`Session::new`] resets and enables the global
     /// plane so [`Session::metrics`] returns this session's activity.
     pub metrics: bool,
-    /// Spill directory for flow streams (`--spill DIR`). When set, the
-    /// flow-producing passes write sorted columnar day-parts
-    /// ([`flowstore`]) instead of holding records, and every replay is
-    /// digest-verified against the live stream. Scenario reports stay
-    /// byte-identical to in-memory runs — the registry tests assert it —
-    /// so this trades disk for peak RSS, never answers.
+    /// Spill directory (`--spill DIR`), honoured by `million-subs` alone: it
+    /// writes its flow stream as columnar day-parts under `DIR/million-subs`
+    /// ([`flowstore::spill_through`]) and builds its report from their
+    /// digest-verified replay, byte-identical to the in-memory report.
     pub spill: Option<std::path::PathBuf>,
 }
 
@@ -121,9 +115,9 @@ impl RunConfig {
         self
     }
 
-    /// Spill flow streams to sorted columnar day-parts under `dir`. Every
-    /// replay is digest-verified against the live stream and scenario
-    /// output stays byte-identical to in-memory runs.
+    /// Persist `million-subs`' flow stream as sorted columnar day-parts
+    /// under `dir/million-subs` and build its report from their replay.
+    /// Scenario output stays byte-identical to in-memory runs.
     pub fn spill(mut self, dir: impl Into<std::path::PathBuf>) -> RunConfig {
         self.spill = Some(dir.into());
         self
@@ -160,7 +154,6 @@ pub struct Session {
     pub config: RunConfig,
     crawls: Vec<Option<CrawlReport>>,
     crawl_mainpage_only: Option<CrawlReport>,
-    traffic: Option<Vec<ResidenceDataset>>,
     streamed: Option<StreamedClient>,
     hourly: Option<Vec<(char, HourlyAgg)>>,
 }
@@ -202,7 +195,6 @@ impl Session {
             config,
             crawls: (0..epochs).map(|_| None).collect(),
             crawl_mainpage_only: None,
-            traffic: None,
             streamed: None,
             hourly: None,
         }
@@ -268,13 +260,6 @@ impl Session {
             .expect("crawl(epoch) must run before crawl_ref(epoch)")
     }
 
-    /// Shared-reference accessor for already-synthesized traffic.
-    pub fn traffic_ref(&self) -> &[ResidenceDataset] {
-        self.traffic
-            .as_ref()
-            .expect("traffic() must run before traffic_ref()")
-    }
-
     /// Main-page-only ablation crawl of the latest epoch.
     pub fn mainpage_crawl(&mut self) -> &CrawlReport {
         if self.crawl_mainpage_only.is_none() {
@@ -290,33 +275,9 @@ impl Session {
         self.crawl_mainpage_only.as_ref().expect("just filled")
     }
 
-    /// The nine-month traffic run at 1/1000 sampling, fully materialized.
-    /// Only the anonymized-flow-log export should need this; every
-    /// aggregate analysis reads the streaming caches instead.
-    pub fn traffic(&mut self) -> &[ResidenceDataset] {
-        if self.traffic.is_none() {
-            obs::info!(
-                "[repro] synthesizing {}-day traffic for 5 residences (materialized) ...",
-                self.config.days
-            );
-            let t0 = std::time::Instant::now();
-            let cfg = self.traffic_config();
-            let _span = obs::span!("traffic");
-            let ds = synthesize_all(&self.world, &cfg);
-            drop(_span);
-            let flows: usize = ds.iter().map(|d| d.flows.len()).sum();
-            obs::info!(
-                "[repro] traffic done in {:.1}s ({flows} sampled flow records)",
-                t0.elapsed().as_secs_f64()
-            );
-            self.traffic = Some(ds);
-        }
-        self.traffic.as_ref().expect("just filled")
-    }
-
-    /// The streaming client pass: same seed and sampling as
-    /// [`Session::traffic`], but every record dies in its aggregators. One
-    /// pass feeds Table 1, Fig 1/3/4/14–17 and the flow-shape sketches.
+    /// The streaming client pass: the nine-month traffic run at 1/1000
+    /// sampling, with every record dying in its aggregators. One pass feeds
+    /// Table 1, Fig 1/3/4/14–17 and the flow-shape sketches.
     ///
     /// The composite per-residence sink is a plain 4-tuple of aggregators —
     /// the [`FlowSink`](flowmon::FlowSink) tuple combinators replace the
@@ -331,72 +292,14 @@ impl Session {
             let _span = obs::span!("streaming");
             let cfg = self.traffic_config();
             let world = &self.world;
-            let make_aggs = || {
+            let results = synthesize_profiles_with(world, paper_residences(), &cfg, |_, _| {
                 (
                     ScopeFamilyAgg::new(cfg.num_days),
                     FlowStatsAgg::new(),
                     AsAgg::new(&world.rib, &world.registry),
                     DomainAgg::new(&world.client_zone, &world.psl),
                 )
-            };
-            let results = match self.config.spill.clone() {
-                None => {
-                    synthesize_profiles_with(world, paper_residences(), &cfg, |_, _| make_aggs())
-                }
-                Some(spill) => {
-                    // Spill mode: tee every residence's stream into a
-                    // columnar day-part writer alongside the aggregators,
-                    // then replay the sealed parts and insist the replay
-                    // digest matches the live stream byte for byte.
-                    let dir = spill.join("residences");
-                    if dir.exists() {
-                        if let Err(e) = std::fs::remove_dir_all(&dir) {
-                            panic!("clearing spill dir {}: {e}", dir.display());
-                        }
-                    }
-                    let with_spill =
-                        synthesize_profiles_with(world, paper_residences(), &cfg, |i, _| {
-                            let spill_sink = match flowstore::SpillSink::new(&dir, i as u64) {
-                                Ok(s) => s,
-                                Err(e) => panic!("opening spill sink {i}: {e}"),
-                            };
-                            (make_aggs(), (flowstore::DigestSink::new(), spill_sink))
-                        });
-                    let mut results = Vec::with_capacity(with_spill.len());
-                    for (summary, (aggs, (live, spill_sink))) in with_spill {
-                        let metas = match spill_sink.finish() {
-                            Ok(m) => m,
-                            Err(e) => panic!("sealing spill parts: {e}"),
-                        };
-                        let mut replayed = flowstore::DigestSink::new();
-                        let stats = match flowstore::PartSet::from_metas(metas)
-                            .replay_into(&mut replayed)
-                        {
-                            Ok(s) => s,
-                            Err(e) => panic!("replaying spilled parts: {e}"),
-                        };
-                        if replayed.digest() != live.digest() {
-                            panic!(
-                                "spill replay diverged for residence {}: live {:#018x} ({} rows) vs replay {:#018x} ({} rows)",
-                                summary.profile.key,
-                                live.digest(),
-                                live.count(),
-                                replayed.digest(),
-                                stats.rows,
-                            );
-                        }
-                        obs::debug!(
-                            "[repro] spill verified: residence {} — {} parts, {} rows, digest {:#018x}",
-                            summary.profile.key,
-                            stats.parts,
-                            stats.rows,
-                            live.digest(),
-                        );
-                        results.push((summary, aggs));
-                    }
-                    results
-                }
-            };
+            });
             let mut analyses = Vec::with_capacity(results.len());
             let mut as_rows = Vec::new();
             let mut sketches = Vec::with_capacity(results.len());

@@ -6,7 +6,7 @@ use std::fmt;
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Failure while writing, reading, or verifying a part.
+/// Failure while writing, reading, or verifying parts.
 #[derive(Debug)]
 pub enum Error {
     /// Underlying filesystem failure, tagged with the path involved.
@@ -19,6 +19,16 @@ pub enum Error {
     /// Structural corruption: bad magic, truncated footer, codec overrun,
     /// or a content digest that does not match the footer.
     Corrupt(String),
+    /// A replay that decoded cleanly but is not the stream that was
+    /// spilled: its digest differs from the live stream's.
+    Diverged {
+        /// Digest of the live stream, in task order.
+        live: u64,
+        /// Digest of the replay, in canonical part order.
+        replayed: u64,
+        /// Rows the replay delivered.
+        rows: u64,
+    },
 }
 
 impl Error {
@@ -39,6 +49,14 @@ impl fmt::Display for Error {
         match self {
             Error::Io { path, source } => write!(f, "io error at {}: {source}", path.display()),
             Error::Corrupt(msg) => write!(f, "corrupt part: {msg}"),
+            Error::Diverged {
+                live,
+                replayed,
+                rows,
+            } => write!(
+                f,
+                "spill replay diverged: live {live:#018x} vs replay {replayed:#018x} ({rows} rows)"
+            ),
         }
     }
 }
@@ -47,7 +65,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Io { source, .. } => Some(source),
-            Error::Corrupt(_) => None,
+            Error::Corrupt(_) | Error::Diverged { .. } => None,
         }
     }
 }

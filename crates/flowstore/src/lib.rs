@@ -3,9 +3,11 @@
 //! `CollectSink` fidelity without `CollectSink` memory: sinks write the
 //! record stream into sorted immutable **day-parts** (one file per
 //! `(stream, day, seq)`, one compressed column per [`flowmon::FlowRecord`]
-//! field) and replay them **byte-identically** later. Million-subscriber
-//! worlds spill each in-flight day-part as it completes, so peak RSS is
-//! bounded by one day-part per worker instead of the whole run.
+//! field) and replay them **byte-identically** later. [`spill_through`] is
+//! the one spill path of the experiment engine: it runs a task-parallel
+//! producer, writes one part per task on the workers, replays the parts
+//! into any sink and proves the replay is the live stream by digest, with
+//! every failure returned as an [`Error`] value.
 //!
 //! ## Part layout
 //!
@@ -29,7 +31,8 @@
 //!
 //! * A sealed part's bytes are a **pure function** of its identity and
 //!   rows — no wall clock, no ambient RNG, no hash-order iteration.
-//! * [`SpillSink`] seals at day boundaries of the producer stream, so the
+//! * [`spill_through`] names each part by its task's `(stream, day)` and
+//!   [`SpillSink`] seals at day boundaries of the producer stream, so the
 //!   set of parts a run writes depends only on `(sites, seed, days)`,
 //!   never on the thread layout.
 //! * [`PartSet::replay_into`] delivers parts in canonical
@@ -43,18 +46,16 @@
 //! ## Quick start
 //!
 //! ```
-//! use flowmon::{CollectSink, FlowSink};
-//! use flowstore::{records_digest, PartSet, SpillSink};
+//! use flowmon::CollectSink;
+//! use flowstore::{records_digest, spill_through};
 //!
+//! // Tasks in canonical `(day, stream)` order; each produces one part's rows.
 //! let dir = std::env::temp_dir().join("flowstore-doc");
-//! let mut spill = SpillSink::new(&dir, 0)?;
-//! // ... feed spill through any synthesis path (it is a FlowSink) ...
-//! let parts = spill.finish()?;
-//!
+//! let tasks: Vec<(u64, u64)> = vec![(0, 0), (0, 1), (1, 0)];
 //! let mut collect = CollectSink::new();
-//! PartSet::from_metas(parts).replay_into(&mut collect)?;
-//! let replayed = collect.into_records();
-//! assert_eq!(records_digest(&replayed), records_digest(&[]));
+//! let stats = spill_through(&dir, tasks, 2, |(day, stream)| (stream, day, Vec::new()), &mut collect)?;
+//! assert_eq!((stats.parts, stats.rows), (3, 0));
+//! assert_eq!(stats.digest, records_digest(&collect.into_records()));
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), flowstore::Error>(())
 //! ```
@@ -75,5 +76,5 @@ pub use part::{
     parse_part_file_name, part_bytes, part_file_name, read_part, write_part, ColumnMeta, Footer,
     PartMeta, COLUMNS, COLUMN_NAMES,
 };
-pub use spill::SpillSink;
+pub use spill::{spill_through, SpillSink, SpillStats};
 pub use store::{PartSet, ReplayStats};

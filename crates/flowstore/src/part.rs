@@ -382,36 +382,46 @@ pub fn encode_columns(records: &[FlowRecord]) -> (Vec<u8>, Vec<ColumnMeta>) {
 /// [`encode_columns`] for any record slice.
 pub fn decode_columns(region: &[u8], footer: &Footer) -> Result<Vec<FlowRecord>> {
     let rows = usize::try_from(footer.rows).map_err(|_| Error::corrupt("row count overflow"))?;
+    // Every row takes at least one byte of the varint columns, so a larger
+    // count is damage, caught before it sizes any buffer.
+    if rows > region.len() {
+        return Err(Error::corrupt("row count exceeds the column region"));
+    }
     if footer.columns.len() != COLUMNS {
         return Err(Error::corrupt("wrong column count"));
     }
-    let col = |i: usize| -> Result<&[u8]> {
-        let m = footer
-            .columns
-            .get(i)
-            .ok_or_else(|| Error::corrupt("missing column meta"))?;
-        let start = usize::try_from(m.offset).map_err(|_| Error::corrupt("offset overflow"))?;
-        let len = usize::try_from(m.len).map_err(|_| Error::corrupt("length overflow"))?;
-        let end = start
-            .checked_add(len)
-            .filter(|&e| e <= region.len())
-            .ok_or_else(|| Error::corrupt("column out of range"))?;
-        Ok(&region[start..end])
-    };
+    // The footer sits outside the content digest, so its layout is checked
+    // instead: the columns must tile the region in order, exactly as
+    // `encode_columns` lays them out.
+    let mut col = Vec::with_capacity(COLUMNS);
+    let mut rest = region;
+    for m in &footer.columns {
+        let at = (region.len() - rest.len()) as u64;
+        let len = usize::try_from(m.len)
+            .ok()
+            .filter(|&len| m.offset == at && len <= rest.len())
+            .ok_or_else(|| Error::corrupt("columns do not tile the column region"))?;
+        let (bytes, tail) = rest.split_at(len);
+        col.push(bytes);
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(Error::corrupt("columns do not tile the column region"));
+    }
 
-    let proto = decode_rle(col(0)?, rows)?;
-    let (src_tag, src_bits) = decode_addr(col(1)?, rows)?;
-    let (dst_tag, dst_bits) = decode_addr(col(2)?, rows)?;
-    let sport = decode_delta(col(3)?, rows)?;
-    let dport = decode_delta(col(4)?, rows)?;
-    let icmp = decode_rle(col(5)?, rows)?;
-    let start = decode_delta2(col(6)?, rows)?;
-    let end_rel = decode_varint(col(7)?, rows)?;
-    let bytes_orig = decode_varint(col(8)?, rows)?;
-    let bytes_reply = decode_varint(col(9)?, rows)?;
-    let packets_orig = decode_varint(col(10)?, rows)?;
-    let packets_reply = decode_varint(col(11)?, rows)?;
-    let scope = decode_rle(col(12)?, rows)?;
+    let proto = decode_rle(col[0], rows)?;
+    let (src_tag, src_bits) = decode_addr(col[1], rows)?;
+    let (dst_tag, dst_bits) = decode_addr(col[2], rows)?;
+    let sport = decode_delta(col[3], rows)?;
+    let dport = decode_delta(col[4], rows)?;
+    let icmp = decode_rle(col[5], rows)?;
+    let start = decode_delta2(col[6], rows)?;
+    let end_rel = decode_varint(col[7], rows)?;
+    let bytes_orig = decode_varint(col[8], rows)?;
+    let bytes_reply = decode_varint(col[9], rows)?;
+    let packets_orig = decode_varint(col[10], rows)?;
+    let packets_reply = decode_varint(col[11], rows)?;
+    let scope = decode_rle(col[12], rows)?;
 
     let mut out = Vec::with_capacity(rows);
     for i in 0..rows {

@@ -1,20 +1,91 @@
-//! [`SpillSink`]: a [`FlowSink`] that seals sorted immutable day-parts.
+//! Spilling a record stream into sealed day-parts: [`spill_through`] for
+//! task-parallel producers (one part per task, every failure an [`Error`]
+//! value), and [`SpillSink`] for a [`FlowSink`] stream.
 //!
-//! The producer contract (records of one day arrive contiguously, days
-//! ascending) means a day boundary in the stream is a seal point: the
-//! buffered rows become one immutable part file and the buffer restarts.
-//! Peak memory is therefore one in-flight day of one stream, regardless
-//! of `--days`.
-//!
-//! `FlowSink::accept` cannot return errors, so the first I/O failure is
-//! latched and surfaced by [`SpillSink::finish`]; subsequent records are
-//! dropped (the run is already lost — determinism of the error beats
-//! partial output).
+//! `SpillSink`'s producer contract (records of one day arrive contiguously,
+//! days ascending) makes a day boundary a seal point, so peak memory is one
+//! in-flight day of one stream. `FlowSink::accept` cannot return errors, so
+//! the first I/O failure is latched and surfaced by [`SpillSink::finish`];
+//! subsequent records are dropped (the run is already lost — determinism of
+//! the error beats partial output).
 
+use crate::digest::DigestSink;
 use crate::error::{Error, Result};
 use crate::part::{part_file_name, write_part, PartMeta};
+use crate::store::PartSet;
 use flowmon::{day_of, FlowRecord, FlowSink};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// Summary of a completed [`spill_through`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpillStats {
+    /// Parts written and replayed: one per task.
+    pub parts: u64,
+    /// Rows replayed into the sink.
+    pub rows: u64,
+    /// Digest of the stream; the live and replayed digests are equal.
+    pub digest: u64,
+}
+
+/// Spill a task-parallel record stream through day-parts under `dir`, then
+/// replay the parts into `sink`.
+///
+/// `dir` is cleared and created. Up to `threads` workers of
+/// [`obs::par::ordered`] run `produce(task) -> (stream, day, records)` and
+/// write the records as part `(stream, day, 0)`; the caller digests them
+/// in task order. The parts then replay into `sink` in canonical
+/// `(day, stream)` order and must digest the same — so `tasks` must be in
+/// canonical order, one task per identity.
+///
+/// # Errors
+///
+/// The first I/O or corrupt-part error in task order, or
+/// [`Error::Diverged`] when the replay is not the live stream (`sink` may
+/// have seen its rows by then).
+pub fn spill_through<T: Send, S: FlowSink>(
+    dir: impl AsRef<Path>,
+    tasks: Vec<T>,
+    threads: usize,
+    produce: impl Fn(T) -> (u64, u64, Vec<FlowRecord>) + Sync,
+    sink: &mut S,
+) -> Result<SpillStats> {
+    let dir = dir.as_ref();
+    match std::fs::remove_dir_all(dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(Error::io(dir, e)),
+        _ => std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?,
+    }
+    let mut live = DigestSink::new();
+    let mut metas = Vec::with_capacity(tasks.len());
+    obs::par::ordered(
+        tasks,
+        threads,
+        |_, task| {
+            let (stream, day, records) = produce(task);
+            let path = dir.join(part_file_name(stream, day, 0));
+            let meta = write_part(path, stream, day, 0, &records);
+            (records, meta)
+        },
+        |_, (records, meta)| {
+            live.accept_batch(&records);
+            metas.push(meta);
+        },
+    );
+    let metas = metas.into_iter().collect::<Result<Vec<_>>>()?;
+    let mut replayed = DigestSink::new();
+    let stats = PartSet::from_metas(metas).replay_into(&mut (sink, &mut replayed))?;
+    if replayed.digest() != live.digest() {
+        return Err(Error::Diverged {
+            live: live.digest(),
+            replayed: replayed.digest(),
+            rows: stats.rows,
+        });
+    }
+    Ok(SpillStats {
+        parts: stats.parts,
+        rows: stats.rows,
+        digest: live.digest(),
+    })
+}
 
 /// Spills a record stream into day-parts under a directory.
 #[derive(Debug)]
@@ -75,12 +146,6 @@ impl SpillSink {
             Some(e) => Err(e),
             None => Ok(std::mem::take(&mut self.sealed)),
         }
-    }
-
-    /// Parts sealed so far (excludes the in-flight buffer).
-    #[must_use]
-    pub fn sealed(&self) -> &[PartMeta] {
-        &self.sealed
     }
 }
 

@@ -95,11 +95,10 @@
 //!
 //! ## Spilling flow streams to disk
 //!
-//! Million-subscriber runs cannot hold their flow records. The `flowstore`
-//! crate spills any [`prelude::FlowSink`] stream into sorted, immutable,
-//! columnar **day-parts** (delta/dictionary/RLE-compressed, one file per
-//! stream-day with a digest-bearing footer) and replays them back in
-//! canonical order, reproducing the stream byte for byte:
+//! The `flowstore` crate spills any [`prelude::FlowSink`] stream into
+//! sorted, immutable, columnar **day-parts** (delta/dictionary/RLE-compressed,
+//! one file per stream-day with a digest-bearing footer) and replays them
+//! back in canonical order, reproducing the stream byte for byte:
 //!
 //! ```
 //! use ipv6view::flowmon::{CollectSink, FlowKey, FlowRecord, FlowSink, Scope, DAY};
@@ -132,12 +131,14 @@
 //! # }
 //! ```
 //!
-//! The experiment engine wires this in end to end:
-//! [`prelude::RunConfig::spill`] (the CLI's `--spill DIR`) routes the
-//! streaming passes of `million-subs`, `as-fractions` and `repro export`
-//! through day-parts — peak RSS becomes one in-flight day-part per worker —
-//! and every replay is digest-verified against the live stream, with
-//! reports byte-identical to in-memory runs.
+//! The experiment engine has one spill path, `flowstore::spill_through`,
+//! and one caller: with [`prelude::RunConfig::spill`] (the CLI's
+//! `--spill DIR`) the `million-subs` scenario writes one day-part per
+//! `(day, shard)` task on the workers, replays the parts into its
+//! aggregate and checks the replay digest against the live stream. Its
+//! report is byte-identical to the in-memory run; every other scenario
+//! and `repro export` ignore the flag. A failed spill is a typed
+//! `flowstore::Error`, never a report.
 //!
 //! ## Determinism contract
 //!
