@@ -3,108 +3,17 @@
 //! the Wilcoxon test, Happy Eyeballs racing and flow-table churn.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ipv6view_bench::bench_series;
+use ipv6view_bench::{bench_series, probes};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// The LPM rows of the probe catalogue (`BENCH_lpm.json`).
 fn bench_lpm(c: &mut Criterion) {
-    use iputil::{Lpm4, Lpm6};
-    let mut rng = SmallRng::seed_from_u64(1);
-    let mut table: Lpm4<u32> = Lpm4::new();
-    for i in 0..50_000u32 {
-        let bits: u32 = rng.gen();
-        let len = rng.gen_range(8..=24);
-        table.insert(
-            iputil::prefix::Prefix4::new(std::net::Ipv4Addr::from(bits), len),
-            i,
-        );
+    for mut p in probes::lpm() {
+        c.bench_function(p.name, |b| {
+            b.iter(|| (p.run)().unwrap_or_else(|e| panic!("{}: {e}", p.name)))
+        });
     }
-    let addrs: Vec<std::net::Ipv4Addr> = (0..1_000)
-        .map(|_| std::net::Ipv4Addr::from(rng.gen::<u32>()))
-        .collect();
-    c.bench_function("lpm4_frozen_longest_match_50k_prefixes", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for &a in &addrs {
-                if table.longest_match(black_box(a)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-
-    // IPv6: the attribution hot path. Prefix lengths follow the routed-table
-    // shape (/32-ish allocations down to /48 customer cut-outs), addresses
-    // are half table-covered, half random misses — like FQDN attribution
-    // where some addresses fall outside the simulated RIB.
-    let mut rng = SmallRng::seed_from_u64(2);
-    let mut table6: Lpm6<u32> = Lpm6::new();
-    let mut covered: Vec<u128> = Vec::new();
-    for i in 0..50_000u32 {
-        let bits: u128 = (rng.gen::<u32>() as u128) << 96 | (rng.gen::<u32>() as u128) << 64;
-        let len = rng.gen_range(20..=48);
-        covered.push(bits);
-        table6.insert(
-            iputil::prefix::Prefix6::new(std::net::Ipv6Addr::from(bits), len),
-            i,
-        );
-    }
-    let addrs6: Vec<std::net::Ipv6Addr> = (0..1_000)
-        .map(|i| {
-            if i % 2 == 0 {
-                let base = covered[rng.gen_range(0..covered.len())];
-                std::net::Ipv6Addr::from(base | rng.gen::<u64>() as u128)
-            } else {
-                std::net::Ipv6Addr::from(
-                    (rng.gen::<u32>() as u128) << 96 | rng.gen::<u64>() as u128,
-                )
-            }
-        })
-        .collect();
-    c.bench_function("lpm6_frozen_longest_match_50k_prefixes", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for &a in &addrs6 {
-                if table6.longest_match(black_box(a)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-
-    // Batched attribution workload: heavy duplication (every CDN edge
-    // address is resolved by many FQDNs), answered through the memoized
-    // batch entry point.
-    let batch: Vec<std::net::Ipv6Addr> = (0..4_000).map(|_| addrs6[rng.gen_range(0..64)]).collect();
-    // The regression risk the memo carries: a duplicate-*poor* batch
-    // (long-tail attribution) where every probe misses. The bypass hands
-    // it to the interleaved prefetch walks.
-    let unique: Vec<std::net::Ipv6Addr> = (0..4_000)
-        .map(|i| {
-            let base = covered[(i * 13) % covered.len()];
-            std::net::Ipv6Addr::from(base | rng.gen::<u64>() as u128)
-        })
-        .collect();
-    c.bench_function("lpm6_frozen_longest_match_many_4k_unique_addrs", |b| {
-        b.iter(|| {
-            table6
-                .longest_match_many(black_box(&unique))
-                .iter()
-                .filter(|r| r.is_some())
-                .count()
-        })
-    });
-    c.bench_function("lpm6_frozen_longest_match_many_4k_dup_addrs", |b| {
-        b.iter(|| {
-            table6
-                .longest_match_many(black_box(&batch))
-                .iter()
-                .filter(|r| r.is_some())
-                .count()
-        })
-    });
 }
 
 fn bench_anonymizer(c: &mut Criterion) {

@@ -1,51 +1,26 @@
-//! Benchmarks of the streaming flow pipeline: whole-residence synthesis
-//! into a collecting vs an aggregating sink (the refactor's memory/speed
-//! trade), raw sink push throughput, and the provider-shared CGN replay.
-//! Recorded in `BENCH_traffic.json` (flows/sec derived from the per-
-//! iteration flow counts printed by the JSON notes).
+//! Benchmarks of the streaming flow pipeline: the catalogue's pipeline
+//! probes (whole-residence synthesis into a collecting vs an aggregating
+//! sink, per-AS attribution, flowstore spill and replay), raw sink push
+//! throughput, and the provider-shared CGN replay. Recorded in
+//! `BENCH_traffic.json` (flows/sec derived from the per-iteration flow
+//! counts printed by the JSON notes).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use flowmon::sink::{CollectSink, FlowStatsAgg, NullSink, ScopeCell, TranslationAgg};
+use flowmon::sink::{CollectSink, NullSink, TranslationAgg};
 use flowmon::{FlowKey, FlowRecord, FlowSink, Scope, ScopeFamilyAgg, TranslationMap};
-use ipv6view_bench::bench_world;
-use ipv6view_core::client::AsAgg;
-use std::collections::HashMap;
-use trafficgen::{
-    isp_cohort, paper_residences, synthesize_isp, synthesize_long_tail_into,
-    synthesize_residence_into, LongTailTrafficConfig, TrafficConfig,
-};
+use ipv6view_bench::{bench_world, probes};
+use trafficgen::{isp_cohort, synthesize_isp, TrafficConfig};
 use transition::provider::ProviderGateway;
 use transition::GatewayConfig;
-use worldgen::{World, WorldConfig};
 
-fn bench_cfg() -> TrafficConfig {
-    TrafficConfig {
-        num_days: 5,
-        scale: 1.0 / 200.0,
-        threads: 1,
-        ..TrafficConfig::default()
+/// The pipeline rows of the probe catalogue (`BENCH_traffic.json`):
+/// residence synthesis, per-AS attribution, and flowstore spill and replay.
+fn bench_pipeline(c: &mut Criterion) {
+    for mut p in probes::pipeline() {
+        c.bench_function(p.name, |b| {
+            b.iter(|| (p.run)().unwrap_or_else(|e| panic!("{}: {e}", p.name)))
+        });
     }
-}
-
-fn bench_synthesis(c: &mut Criterion) {
-    let world = bench_world();
-    let profile = paper_residences().remove(0);
-    let cfg = bench_cfg();
-    // ~5 days of residence A at 1/200 sampling per iteration.
-    c.bench_function("synthesize_residence_5d_collect_sink", |b| {
-        b.iter(|| {
-            let mut sink = CollectSink::new();
-            synthesize_residence_into(&world, profile.clone(), &cfg, 0, &mut sink);
-            black_box(sink.records.len())
-        })
-    });
-    c.bench_function("synthesize_residence_5d_aggregate_sinks", |b| {
-        b.iter(|| {
-            let mut sink = (ScopeFamilyAgg::new(cfg.num_days), FlowStatsAgg::new());
-            synthesize_residence_into(&world, profile.clone(), &cfg, 0, &mut sink);
-            black_box(sink.0.overall(Scope::External).total_flows())
-        })
-    });
 }
 
 /// A deterministic pre-built record stream (no synthesis cost) for raw
@@ -151,98 +126,5 @@ fn bench_provider(c: &mut Criterion) {
     });
 }
 
-/// Per-AS aggregation at routing-table scale: 200k prebuilt records over a
-/// 100k-AS long-tail RIB, attributed via LPM into (a) the historical
-/// `HashMap<AsId, ScopeCell>`, one scalar lookup per record, and (b) the
-/// interned dense `SymVec` path of [`AsAgg`], fed in batches through the
-/// engine's batched lookups.
-fn bench_per_as_agg(c: &mut Criterion) {
-    let world = World::generate(
-        &WorldConfig {
-            num_sites: 200,
-            ..WorldConfig::small()
-        }
-        .with_long_tail(100_000),
-    );
-    let mut sink = CollectSink::new();
-    synthesize_long_tail_into(
-        &world,
-        &LongTailTrafficConfig {
-            num_days: 1,
-            flows_per_day: 200_000,
-            threads: 1,
-            ..LongTailTrafficConfig::default()
-        },
-        &mut sink,
-    );
-    let records = sink.into_records();
-    c.bench_function("per_as_agg_200k_flows_100k_ases_hashmap_baseline", |b| {
-        b.iter(|| {
-            // The pre-interning AsAgg, verbatim: sparse AsId keys hashed
-            // per record.
-            let mut per_as: HashMap<bgpsim::AsId, ScopeCell> = HashMap::new();
-            let mut total = 0u64;
-            for r in &records {
-                let Some(asn) = world.rib.origin_of(black_box(r).key.dst) else {
-                    continue;
-                };
-                per_as.entry(asn).or_default().add(r);
-                total += r.total_bytes();
-            }
-            black_box((per_as.len(), total))
-        })
-    });
-    c.bench_function("per_as_agg_200k_flows_100k_ases_frozen_multibit", |b| {
-        b.iter(|| {
-            let mut agg = AsAgg::new(&world.rib, &world.registry);
-            // Hour-run-sized batches, like the streaming pipeline delivers:
-            // attribution goes through `origins_of` and the engine's
-            // interleaved-prefetch walks instead of per-record walks.
-            for chunk in records.chunks(8_192) {
-                agg.accept_batch(black_box(chunk));
-            }
-            black_box((agg.observed_as_count(), agg.total_bytes()))
-        })
-    });
-    // Map-only variants: origins pre-resolved, isolating the per-AS cell
-    // structure the interning refactor actually replaced.
-    let origins: Vec<bgpsim::AsId> = records
-        .iter()
-        .map(|r| {
-            world
-                .rib
-                .origin_of(r.key.dst)
-                .expect("tail is attributable")
-        })
-        .collect();
-    c.bench_function("per_as_cells_200k_flows_100k_ases_hashmap", |b| {
-        b.iter(|| {
-            let mut per_as: HashMap<bgpsim::AsId, ScopeCell> = HashMap::new();
-            for (r, asn) in records.iter().zip(&origins) {
-                per_as.entry(*asn).or_default().add(black_box(r));
-            }
-            black_box(per_as.len())
-        })
-    });
-    c.bench_function("per_as_cells_200k_flows_100k_ases_symvec", |b| {
-        let registry = &world.registry;
-        b.iter(|| {
-            let mut cells: iputil::sym::SymVec<ScopeCell> =
-                iputil::sym::SymVec::with_capacity(registry.as_count());
-            for (r, asn) in records.iter().zip(&origins) {
-                let sym = registry.as_sym(*asn).expect("registered");
-                cells.get_mut_or_default(sym).add(black_box(r));
-            }
-            black_box(cells.len())
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_synthesis,
-    bench_sink_push,
-    bench_provider,
-    bench_per_as_agg
-);
+criterion_group!(benches, bench_pipeline, bench_sink_push, bench_provider);
 criterion_main!(benches);

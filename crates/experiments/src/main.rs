@@ -100,7 +100,13 @@ fn main() {
         }
         // Standing perf probes; appends snapshots to BENCH_*.json unless
         // `--check` (validate shapes only).
-        "bench-snapshot" => bench_snapshot::run(bench_check),
+        "bench-snapshot" => match bench_snapshot::run(std::path::Path::new("."), bench_check) {
+            Ok(summary) => println!("{summary}"),
+            Err(e) => {
+                obs::error!("[bench-snapshot] {e}");
+                std::process::exit(1);
+            }
+        },
         "export" => {
             let mut session = Session::new(config);
             let dir = std::path::PathBuf::from("datasets");
