@@ -98,12 +98,11 @@ pub fn lpm() -> Vec<Probe> {
         })
         .collect();
     // Batched attribution workload: heavy duplication (every CDN edge
-    // address is resolved by many FQDNs), answered through the memoized
-    // batch entry point.
+    // address is resolved by many FQDNs), answered through the batched
+    // entry point.
     let dup: Vec<Ipv6Addr> = (0..4_000).map(|_| addrs6[rng.gen_range(0..64)]).collect();
-    // The regression risk the memo carries: a duplicate-*poor* batch
-    // (long-tail attribution) where every probe misses. The bypass hands
-    // it to the interleaved prefetch walks.
+    // A duplicate-*poor* batch (long-tail attribution): every address
+    // walks a different path through the interleaved prefetch walks.
     let unique: Vec<Ipv6Addr> = (0..4_000)
         .map(|i| {
             let base = covered[(i * 13) % covered.len()];

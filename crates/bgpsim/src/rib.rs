@@ -3,7 +3,7 @@
 use crate::registry::AsId;
 use iputil::prefix::{Prefix, Prefix4, Prefix6};
 use iputil::{Lpm4, Lpm6};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::IpAddr;
 
 /// A dual-family RIB mapping announced prefixes to their origin AS.
 ///
@@ -73,10 +73,9 @@ impl Rib {
     /// Batched [`Rib::origin_of`] preserving input order.
     ///
     /// Splits the batch by family and answers each through the LPM engine's
-    /// memoized batch path, so duplicate addresses (shared CDN edges) are
-    /// resolved once — the cloud-attribution pipeline routes entire crawl
-    /// epochs through this. Duplicate-poor batches resolve through the
-    /// engine's interleaved prefetching walks.
+    /// interleaved prefetching walks — the cloud-attribution pipeline routes
+    /// entire crawl epochs through this, and per-AS attribution every batch
+    /// of external flows.
     pub fn origins_of(&self, addrs: &[IpAddr]) -> Vec<Option<AsId>> {
         let mut v4_addrs = Vec::new();
         let mut v6_addrs = Vec::new();
@@ -86,45 +85,18 @@ impl Rib {
                 IpAddr::V6(a) => v6_addrs.push(*a),
             }
         }
-        let v4_results = self.origins_of_v4(&v4_addrs);
-        let v6_results = self.origins_of_v6(&v6_addrs);
-        let (mut i4, mut i6) = (0usize, 0usize);
+        // Value-only lookups: no per-hit `Prefix` is built.
+        let mut v4 = self.v4.values_many(&v4_addrs).into_iter();
+        let mut v6 = self.v6.values_many(&v6_addrs).into_iter();
         addrs
             .iter()
-            .map(|addr| match addr {
-                IpAddr::V4(_) => {
-                    let r = v4_results[i4];
-                    i4 += 1;
-                    r
-                }
-                IpAddr::V6(_) => {
-                    let r = v6_results[i6];
-                    i6 += 1;
-                    r
-                }
+            .map(|addr| {
+                let answer = match addr {
+                    IpAddr::V4(_) => v4.next(),
+                    IpAddr::V6(_) => v6.next(),
+                };
+                answer.flatten().copied()
             })
-            .collect()
-    }
-
-    /// Batched IPv4 origin lookup: the family-presplit twin of
-    /// [`Rib::origins_of`] for callers that already hold typed addresses —
-    /// skips the `IpAddr` split/reassembly pass and the per-hit `Prefix`
-    /// construction (the engines' value-only path), which is measurable at
-    /// attribution scale.
-    pub fn origins_of_v4(&self, addrs: &[Ipv4Addr]) -> Vec<Option<AsId>> {
-        self.v4
-            .values_many(addrs)
-            .into_iter()
-            .map(|r| r.copied())
-            .collect()
-    }
-
-    /// Batched IPv6 origin lookup (see [`Rib::origins_of_v4`]).
-    pub fn origins_of_v6(&self, addrs: &[Ipv6Addr]) -> Vec<Option<AsId>> {
-        self.v6
-            .values_many(addrs)
-            .into_iter()
-            .map(|r| r.copied())
             .collect()
     }
 

@@ -18,7 +18,7 @@ use flowmon::{FlowRecord, FlowSink, Scope, ScopeFamilyAgg};
 use iputil::sym::SymVec;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::IpAddr;
 use trafficgen::ResidenceDataset;
 use webmodel::psl::Psl;
 
@@ -369,42 +369,18 @@ impl FlowSink for AsAgg<'_> {
         self.attribute(f, asn);
     }
 
-    /// Batched attribution: one family-presplit pass resolves every
-    /// external destination through [`Rib::origins_of_v4`]/[`origins_of_v6`]
-    /// (value-only lookups — no per-hit `Prefix` materialisation), so the
-    /// RIB answers through the LPM engine's memoized, interleaved-prefetch
-    /// batch path instead of one dependent-load chain per record.
-    /// Processing all v4 records then all v6 reorders within the batch, but
-    /// aggregation is commutative (per-AS counter adds), so the result is
-    /// byte-identical to the per-record path.
-    ///
-    /// [`origins_of_v6`]: bgpsim::Rib::origins_of_v6
+    /// Batched attribution: every external destination of the batch is
+    /// resolved in one [`Rib::origins_of`] call, so the RIB answers through
+    /// the LPM engine's interleaved-prefetch walks instead of one
+    /// dependent-load chain per record. Aggregation is per-AS counter adds,
+    /// so the result is byte-identical to the per-record path.
     fn accept_batch(&mut self, records: &[FlowRecord]) {
-        let mut rec4: Vec<&FlowRecord> = Vec::new();
-        let mut a4: Vec<Ipv4Addr> = Vec::new();
-        let mut rec6: Vec<&FlowRecord> = Vec::with_capacity(records.len());
-        let mut a6: Vec<Ipv6Addr> = Vec::with_capacity(records.len());
-        for f in records {
-            if f.scope != Scope::External {
-                continue;
-            }
-            match f.key.dst {
-                IpAddr::V4(a) => {
-                    rec4.push(f);
-                    a4.push(a);
-                }
-                IpAddr::V6(a) => {
-                    rec6.push(f);
-                    a6.push(a);
-                }
-            }
-        }
-        for (f, origin) in rec4.iter().zip(self.rib.origins_of_v4(&a4)) {
-            if let Some(asn) = origin {
-                self.attribute(f, asn);
-            }
-        }
-        for (f, origin) in rec6.iter().zip(self.rib.origins_of_v6(&a6)) {
+        let external: Vec<&FlowRecord> = records
+            .iter()
+            .filter(|f| f.scope == Scope::External)
+            .collect();
+        let dsts: Vec<IpAddr> = external.iter().map(|f| f.key.dst).collect();
+        for (f, origin) in external.into_iter().zip(self.rib.origins_of(&dsts)) {
             if let Some(asn) = origin {
                 self.attribute(f, asn);
             }

@@ -33,8 +33,8 @@ pub struct HostedFqdn {
 ///
 /// Attribution is the hot path: two LPM lookups per unique FQDN, hundreds of
 /// thousands per crawl epoch. All addresses are collected first and answered
-/// through [`Rib::origins_of`], whose batched LPM engine resolves duplicate
-/// addresses (shared CDN edges host thousands of FQDNs) only once.
+/// in one [`Rib::origins_of`] batch, whose interleaved prefetching walks
+/// overlap the cache misses that one lookup at a time would serialise.
 pub fn hosted_fqdns(report: &CrawlReport, rib: &Rib, registry: &Registry) -> Vec<HostedFqdn> {
     // Pass 1: deduplicate FQDNs and gather their addresses for the batch.
     struct Pending<'a> {

@@ -48,10 +48,8 @@
 //! RIB so that compile lands in world generation rather than in the first
 //! attribution pass.
 //!
-//! *Memo interaction:* `longest_match_many` and `values_many` keep a
-//! direct-mapped duplicate memo in front; a deterministic probe-window
-//! check makes it bypass itself on duplicate-poor batches, where the
-//! interleaved prefetching walker takes over ([`multibit::MEMO_BYPASS`]).
+//! *Batched lookups:* `longest_match_many` and `values_many` walk every
+//! address with the interleaved prefetching walker (see [`multibit`]).
 
 // `deny` rather than `forbid` solely for the one `#[allow(unsafe_code)]`
 // software-prefetch intrinsic in `multibit` (a cache hint, no memory

@@ -152,7 +152,7 @@ impl<A: LpmAddr, V: Clone> Lpm<A, V> {
     }
 
     /// Batched [`Lpm::longest_match`] over a slice, preserving input order
-    /// (duplicate memo plus interleaved prefetching walks — see
+    /// (interleaved prefetching walks — see
     /// [`FrozenLpm::longest_match_many`]).
     pub fn longest_match_many(&self, addrs: &[A]) -> Vec<Option<(A::Prefix, &V)>> {
         let keys: Vec<A::Key> = addrs.iter().map(|&a| a.key()).collect();

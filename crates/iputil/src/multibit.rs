@@ -41,19 +41,15 @@
 //! Tables of at most a dozen entries (a residence router's LAN set) compile
 //! to a sorted linear scan and never allocate the root table.
 //!
-//! # Batched lookups, prefetch, and the memo
+//! # Batched lookups and prefetch
 //!
-//! [`FrozenLpm::longest_match_many`] keeps a direct-mapped duplicate memo
-//! in front (hot CDN addresses resolved by thousands of FQDNs cost one
-//! walk), and the memo *bypasses itself* when a probe window over the head
-//! of the batch observes a hit rate below [`MEMO_BYPASS`]'s threshold —
-//! decided deterministically from batch contents alone, so attribution
-//! output stays byte-identical. Bypassed (and memo-missing) tails resolve
-//! through an interleaved walker: `LANES` (16) addresses advance one node
-//! level per round, issuing a software prefetch for each lane's next node,
-//! so the DRAM latency of up to 16 independent walks overlaps instead of
-//! serialising. This is where the batch path wins on *unique*-address
-//! batches (long-tail attribution), which the memo alone would tax.
+//! [`FrozenLpm::longest_match_many`] and [`FrozenLpm::values_many`] resolve
+//! a batch through an interleaved walker: `LANES` (16) addresses advance
+//! one node level per round, issuing a software prefetch for each lane's
+//! next node, so the DRAM latency of up to 16 independent walks overlaps
+//! instead of serialising. Every address is walked, so the answers and the
+//! `lpm.frozen_lookups` counter depend only on the addresses, never on
+//! where a batch starts or ends.
 //!
 //! ```
 //! use iputil::FrozenLpm;
@@ -90,9 +86,6 @@ pub trait Bits: Copy + Eq + Ord + std::fmt::Debug {
     /// Number of leading bits shared with `other` (capped at `WIDTH`).
     fn common_prefix_len(self, other: Self) -> u8;
 
-    /// XOR-fold the key to 64 bits (batched-lookup memo hashing).
-    fn fold_u64(self) -> u64;
-
     /// The `stride` bits starting `depth` bits from the most-significant
     /// end, as an index (`depth + stride` must not exceed `WIDTH`). Lookups
     /// walk the address in these chunks.
@@ -120,10 +113,6 @@ impl Bits for u32 {
         (self ^ other).leading_zeros().min(32) as u8
     }
 
-    fn fold_u64(self) -> u64 {
-        self as u64
-    }
-
     fn chunk(self, depth: u8, stride: u8) -> usize {
         debug_assert!(depth + stride <= 32);
         (self >> (32 - depth - stride)) as usize & ((1 << stride) - 1)
@@ -148,10 +137,6 @@ impl Bits for u128 {
 
     fn common_prefix_len(self, other: u128) -> u8 {
         (self ^ other).leading_zeros().min(128) as u8
-    }
-
-    fn fold_u64(self) -> u64 {
-        (self >> 64) as u64 ^ self as u64
     }
 
     fn chunk(self, depth: u8, stride: u8) -> usize {
@@ -186,12 +171,6 @@ const NODE_TAG: u32 = 1 << 31;
 /// in flight to saturate the core's outstanding-miss capacity (line-fill
 /// buffers), few enough that the lane state stays in L1.
 const LANES: usize = 16;
-
-/// Memo bypass policy: probe the first `WINDOW` batch entries through the
-/// memo; if fewer than `WINDOW / DIVISOR` hit, the remainder of the batch
-/// skips the memo entirely. Both the decision and the output are pure
-/// functions of the batch contents.
-pub const MEMO_BYPASS: (usize, usize) = (256, 8);
 
 /// One flattened multibit node (40 bytes): chunk-occupancy bitmaps, base
 /// indices into the contiguous child and leaf arrays, and the node's
@@ -381,30 +360,25 @@ impl<K: Bits, V> FrozenLpm<K, V> {
         self.result(self.lookup_id(addr))
     }
 
-    /// Batched longest-prefix-match preserving input order: the duplicate
-    /// memo in front (with deterministic bypass — see [`MEMO_BYPASS`]),
-    /// interleaved prefetching walks behind it.
+    /// Batched longest-prefix-match preserving input order, resolved by
+    /// interleaved prefetching walks.
     pub fn longest_match_many(&self, addrs: &[K]) -> Vec<Option<(u8, &V)>> {
         obs::counter_add("lpm.frozen_lookups", addrs.len() as u64);
-        memoized_batch(
-            addrs,
-            |addr| self.result(self.lookup_id(addr)),
-            |rest, out| self.bulk_append(rest, out, |id| self.result(id)),
-        )
+        let mut out = Vec::with_capacity(addrs.len());
+        self.bulk_append(addrs, &mut out, |id| self.result(id));
+        out
     }
 
     /// Batched value-only lookup (no prefix-length/`Prefix` materialisation)
     /// — the slim path attribution pipelines run on, where only the mapped
     /// value matters and every extra per-record map pass shows up at
-    /// 200k-records-per-day scale. Same memo, bypass, and interleaved walks
-    /// as [`FrozenLpm::longest_match_many`]; same answers, minus the plen.
+    /// 200k-records-per-day scale. Same interleaved walks as
+    /// [`FrozenLpm::longest_match_many`]; same answers, minus the plen.
     pub fn values_many(&self, addrs: &[K]) -> Vec<Option<&V>> {
         obs::counter_add("lpm.frozen_lookups", addrs.len() as u64);
-        memoized_batch(
-            addrs,
-            |addr| self.value(self.lookup_id(addr)),
-            |rest, out| self.bulk_append(rest, out, |id| self.value(id)),
-        )
+        let mut out = Vec::with_capacity(addrs.len());
+        self.bulk_append(addrs, &mut out, |id| self.value(id));
+        out
     }
 
     /// Resolve `addrs` with [`LANES`] interleaved walks: every lane
@@ -513,88 +487,6 @@ fn prefetch<T>(slice: &[T], idx: usize) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (slice, idx);
-}
-
-/// Shared batched-lookup front: a direct-mapped duplicate memo with a
-/// deterministic low-hit-rate bypass. `scalar` answers one address;
-/// `bulk` appends answers for a slice (the engine's fastest bypass path).
-///
-/// The memo probe runs over the first [`MEMO_BYPASS`]`.0` addresses; if
-/// hits stay under `window / `[`MEMO_BYPASS`]`.1`, the batch is
-/// duplicate-poor and the rest skips the memo. Output and the decision
-/// depend only on the batch contents, so results stay byte-identical
-/// whichever path runs.
-fn memoized_batch<K: Bits, R, S, B>(addrs: &[K], scalar: S, bulk: B) -> Vec<R>
-where
-    R: Copy,
-    S: Fn(K) -> R,
-    B: Fn(&[K], &mut Vec<R>),
-{
-    if addrs.is_empty() {
-        return Vec::new();
-    }
-    // Power-of-two direct-mapped memo sized to the batch (capped: the
-    // point is cache residency, not completeness). The probe phase only
-    // ever inserts `window` distinct keys, so the memo starts at probe
-    // size; duplicate-rich batches that stay on the memo path get a
-    // batch-sized memo for the remainder. Memo shape never changes
-    // answers — only which duplicates are served without a walk.
-    let (window, divisor) = MEMO_BYPASS;
-    let probe = addrs.len().min(window);
-    let slots = (probe.next_power_of_two() * 2).clamp(64, 4096);
-    let mut memo: Vec<Option<(K, R)>> = vec![None; slots];
-    // Tally memo traffic locally and flush once per batch: the memo is
-    // per-call, so hit/miss/bypass totals are a pure function of the input
-    // batches and stay layout-invariant.
-    let (mut hits, mut misses) = (0u64, 0u64);
-    let mut out: Vec<R> = Vec::with_capacity(addrs.len());
-    // Captures only `scalar`; the mutable state is threaded through
-    // arguments so the hit count stays readable between the two loops.
-    let probe_memo = |addr: K,
-                      memo: &mut Vec<Option<(K, R)>>,
-                      hits: &mut u64,
-                      misses: &mut u64,
-                      out: &mut Vec<R>| {
-        let slots = memo.len();
-        let slot =
-            (addr.fold_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48) as usize & (slots - 1);
-        match memo[slot] {
-            Some((key, res)) if key == addr => {
-                *hits += 1;
-                out.push(res);
-            }
-            _ => {
-                *misses += 1;
-                let res = scalar(addr);
-                memo[slot] = Some((addr, res));
-                out.push(res);
-            }
-        }
-    };
-    for &addr in &addrs[..probe] {
-        probe_memo(addr, &mut memo, &mut hits, &mut misses, &mut out);
-    }
-    let rest = &addrs[probe..];
-    if !rest.is_empty() {
-        if (hits as usize) * divisor < probe {
-            // Duplicate-poor batch: the memo costs more than it saves.
-            obs::counter_add("lpm.memo_bypassed", rest.len() as u64);
-            bulk(rest, &mut out);
-        } else {
-            // Duplicate-rich: grow the memo to batch size (rehash-free —
-            // just a fresh table; the probe window's entries re-fault once).
-            let grown = (addrs.len().next_power_of_two()).clamp(64, 4096);
-            if grown > slots {
-                memo = vec![None; grown];
-            }
-            for &addr in rest {
-                probe_memo(addr, &mut memo, &mut hits, &mut misses, &mut out);
-            }
-        }
-    }
-    obs::counter_add("lpm.memo_hits", hits);
-    obs::counter_add("lpm.memo_misses", misses);
-    out
 }
 
 /// Compile sorted `(key, plen, result id)` entries into the flattened
@@ -868,7 +760,17 @@ mod tests {
             entries.push((0x1000_0000 + (i * 0x0002_0100), 24, i));
         }
         entries.push((0x1000_0000, 8, 7777));
+        // Nested prefixes that cover some of the addresses below and miss
+        // others (0x13/8), few enough to stay a linear scan.
+        let (small_map, small) = frozen(&[
+            (0x1000_0000, 7, 1),
+            (0x1000_0000, 9, 2),
+            (0x1200_0000, 8, 3),
+            (0x1280_0000, 10, 4),
+        ]);
         let (map, frozen) = frozen(&entries);
+        assert_eq!(small.node_count(), 0, "small repr");
+        assert!(frozen.node_count() > 0, "table repr");
         let mut rng = 0x243f_6a88_85a3_08d3u64;
         let mut addrs: Vec<u32> = (0..4096)
             .map(|_| {
@@ -878,18 +780,29 @@ mod tests {
                 0x1000_0000 + ((rng >> 33) as u32 % 0x0400_0000)
             })
             .collect();
-        // Unique-heavy batch (bypass path), then a duplicate-heavy one.
+        let check =
+            |map: &BTreeMap<(u32, u8), u32>, frozen: &FrozenLpm<u32, u32>, batch: &[u32]| {
+                let got = frozen.longest_match_many(batch);
+                let values = frozen.values_many(batch);
+                assert_eq!((got.len(), values.len()), (batch.len(), batch.len()));
+                for (i, &addr) in batch.iter().enumerate() {
+                    let want = scan(map, addr);
+                    assert_eq!(got[i], want, "addr {addr:#010x}");
+                    assert_eq!(values[i], want.map(|(_, v)| v), "addr {addr:#010x}");
+                }
+            };
+        // Short and partial batches: every length through two full lane
+        // groups plus one, on a linear-scan table and a multibit one.
+        for len in 0..=2 * LANES + 1 {
+            check(&small_map, &small, &addrs[..len]);
+            check(&map, &frozen, &addrs[..len]);
+        }
+        // A unique-heavy batch, then a duplicate-heavy one.
         for batch in [addrs.clone(), {
             addrs.truncate(64);
             addrs.iter().cycle().take(4096).copied().collect()
         }] {
-            let got = frozen.longest_match_many(&batch);
-            let values = frozen.values_many(&batch);
-            for (i, &addr) in batch.iter().enumerate() {
-                let want = scan(&map, addr);
-                assert_eq!(got[i], want, "addr {addr:#010x}");
-                assert_eq!(values[i], want.map(|(_, v)| v), "addr {addr:#010x}");
-            }
+            check(&map, &frozen, &batch);
         }
     }
 

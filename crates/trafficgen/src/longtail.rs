@@ -88,10 +88,9 @@ fn synthesize_day<S: FlowSink>(
     let remainder = config.flows_per_day % 24;
     // One hour of records is built up and handed over as a single
     // `accept_batch` run: attribution sinks resolve the whole run through
-    // the batched LPM path. The hour boundaries are a pure function of
-    // `flows_per_day` (see `hour_batches`), so the parallel path below
-    // reconstructs the exact same runs and every memo/bypass decision —
-    // and with it every obs counter — is thread-layout-invariant.
+    // the batched LPM path. No sink's output or counter depends on where a
+    // batch ends, so the parallel path below may deliver a whole day at
+    // once.
     let mut hour_buf: Vec<FlowRecord> = Vec::with_capacity(per_hour + 1);
     for hour in 0..24u64 {
         let n = per_hour + usize::from((hour as usize) < remainder);
@@ -141,16 +140,6 @@ fn synthesize_day<S: FlowSink>(
     }
 }
 
-/// The per-hour batch sizes one synthesized day delivers: `flows_per_day`
-/// spread over 24 hours, the remainder front-loaded — the same arithmetic
-/// `synthesize_day` emits with, shared so the parallel flush can split a
-/// buffered day back into identical `accept_batch` runs.
-fn hour_batches(flows_per_day: usize) -> impl Iterator<Item = usize> {
-    let per_hour = flows_per_day / 24;
-    let remainder = flows_per_day % 24;
-    (0..24usize).map(move |hour| per_hour + usize::from(hour < remainder))
-}
-
 /// Synthesize the whole run into `sink`: days ascending, records within a
 /// day in generation order, byte-identical at any `config.threads` — the
 /// same producer contract as residence synthesis, so every [`FlowSink`]
@@ -174,17 +163,7 @@ pub fn synthesize_long_tail_into<S: FlowSink>(
             synthesize_day(world, config, day, &mut buf);
             buf.into_records()
         },
-        |_, records| {
-            // Re-deliver in the exact hour runs the sequential path emits,
-            // so batched sinks see identical `accept_batch` boundaries (and
-            // identical memo counters) at any thread count.
-            let mut off = 0;
-            for n in hour_batches(config.flows_per_day) {
-                sink.accept_batch(&records[off..off + n]);
-                off += n;
-            }
-            debug_assert_eq!(off, records.len());
-        },
+        |_, records| sink.accept_batch(&records),
     );
 }
 
