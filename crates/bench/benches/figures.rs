@@ -6,16 +6,17 @@
 
 use crawlsim::{crawl_epoch, CrawlConfig, CrawlReport};
 use criterion::{criterion_group, criterion_main, Criterion};
+use flowmon::{CollectSink, FlowSink, ScopeFamilyAgg};
 use ipv6view_bench::bench_world;
 use ipv6view_core::classify::ClassCounts;
-use ipv6view_core::client::{analyze_residence, as_fractions};
+use ipv6view_core::client::{analyze_agg, AsAgg};
 use ipv6view_core::cloud::{
     default_groups, hosted_fqdns, org_readiness, pairwise_comparison, service_adoption,
 };
 use ipv6view_core::influence::{InfluenceReport, TypeHeatmap};
 use ipv6view_core::readiness::ReadinessBuckets;
 use ipv6view_core::whatif::WhatIfCurve;
-use trafficgen::{synthesize_all, TrafficConfig};
+use trafficgen::{paper_residences, synthesize_profiles_with, TrafficConfig};
 use worldgen::World;
 
 fn crawl(world: &World) -> CrawlReport {
@@ -96,21 +97,35 @@ fn bench_table1_client(c: &mut Criterion) {
         scale: 1.0 / 2_000.0,
         ..TrafficConfig::default()
     };
+    let synthesize =
+        || synthesize_profiles_with(&world, paper_residences(), &cfg, |_, _| CollectSink::new());
     c.bench_function("table1_traffic_synthesis_30d", |b| {
-        b.iter(|| synthesize_all(&world, &cfg).len())
+        b.iter(|| synthesize().len())
     });
-    let datasets = synthesize_all(&world, &cfg);
+    let runs = synthesize();
     c.bench_function("table1_analysis", |b| {
         b.iter(|| {
-            datasets
-                .iter()
-                .map(analyze_residence)
-                .map(|a| a.external.v6_byte_fraction)
+            runs.iter()
+                .map(|(summary, records)| {
+                    let mut agg = ScopeFamilyAgg::new(cfg.num_days);
+                    agg.accept_batch(&records.records);
+                    analyze_agg(summary.profile.key, summary.scale, &agg)
+                        .external
+                        .v6_byte_fraction
+                })
                 .sum::<f64>()
         })
     });
     c.bench_function("fig3_fig4_as_attribution", |b| {
-        b.iter(|| as_fractions(&datasets, &world.rib, &world.registry, 0.0001).len())
+        b.iter(|| {
+            runs.iter()
+                .map(|(summary, records)| {
+                    let mut agg = AsAgg::new(&world.rib, &world.registry);
+                    agg.accept_batch(&records.records);
+                    agg.fractions(summary.profile.key, 0.0001).len()
+                })
+                .sum::<usize>()
+        })
     });
 }
 

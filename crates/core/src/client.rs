@@ -2,24 +2,21 @@
 //! distributions (Fig 1/16), AS-level and domain-level lead/lag
 //! (Fig 3/4/17).
 //!
-//! Every analysis here has two entry points: a record-scanning function
-//! over a materialized [`ResidenceDataset`] (the historical API, kept for
-//! small runs and tests), and a streaming [`FlowSink`] aggregator
-//! ([`analyze_agg`], [`AsAgg`], [`DomainAgg`], [`HourlyAgg`]) that computes
-//! the same numbers while the synthesizer pushes records — the paper-scale
-//! path, whose memory is independent of the number of simulated days. The
-//! record-scanning functions are implemented *by* feeding the records
-//! through the streaming aggregators, so the two paths cannot drift.
+//! Every analysis here has one entry point: a [`FlowSink`] aggregator that
+//! computes its numbers while the synthesizer pushes records ([`AsAgg`],
+//! [`DomainAgg`], [`HourlyAgg`], and the [`ScopeFamilyAgg`] that
+//! [`analyze_agg`] reads). Memory is independent of the number of simulated
+//! days. A caller that already holds records feeds them through
+//! [`FlowSink::accept_batch`].
 
 use bgpsim::{AsCategory, AsId, Registry, Rib};
 use dnssim::{Name, NameId, NameTable};
-use flowmon::sink::{drain_into, ScopeCell};
+use flowmon::sink::ScopeCell;
 use flowmon::{FlowRecord, FlowSink, Scope, ScopeFamilyAgg};
 use iputil::sym::SymVec;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::net::IpAddr;
-use trafficgen::ResidenceDataset;
 use webmodel::psl::Psl;
 
 /// Microseconds per day (flowmon convention).
@@ -76,18 +73,9 @@ pub struct ResidenceAnalysis {
     pub daily: Vec<DailyFractions>,
 }
 
-/// Analyze one residence dataset into its Table 1 row and daily series
-/// (record-scanning wrapper around [`analyze_agg`]).
-pub fn analyze_residence(ds: &ResidenceDataset) -> ResidenceAnalysis {
-    let mut agg = ScopeFamilyAgg::new(ds.num_days);
-    drain_into(&ds.flows, &mut agg);
-    analyze_agg(ds.profile.key, ds.scale, &agg)
-}
-
-/// Build a [`ResidenceAnalysis`] from a streamed [`ScopeFamilyAgg`] — the
-/// paper-scale path: the aggregate was filled while synthesis ran, no
-/// record was ever materialized, and the numbers equal
-/// [`analyze_residence`]'s exactly (integer counters, same formulas).
+/// Build residence `key`'s [`ResidenceAnalysis`] (its Table 1 row and
+/// daily series) from the [`ScopeFamilyAgg`] its stream filled; `scale` is
+/// the stream's sampling factor, undone in the volume columns.
 pub fn analyze_agg(key: char, scale: f64, agg: &ScopeFamilyAgg) -> ResidenceAnalysis {
     let days = agg.num_days();
     let scope_stats = |scope: Scope| {
@@ -139,8 +127,8 @@ pub enum Metric {
 
 /// Streaming per-hour accumulator for one scope over a day range — the
 /// MSTL figures' input, O(hours) memory. Feed it as a [`FlowSink`] during
-/// synthesis (or via [`drain_into`] from records), then read either
-/// metric's series: one aggregate serves both Fig 2 and Fig 13.
+/// synthesis, then read either metric's series: one aggregate serves both
+/// Fig 2 and Fig 13.
 #[derive(Debug, Clone)]
 pub struct HourlyAgg {
     scope: Scope,
@@ -195,19 +183,6 @@ impl FlowSink for HourlyAgg {
             self.acc[hour].add(f);
         }
     }
-}
-
-/// Hourly IPv6-fraction series for MSTL (Fig 2/13) from a materialized
-/// dataset — record-scanning wrapper around [`HourlyAgg`].
-pub fn hourly_fraction_series(
-    ds: &ResidenceDataset,
-    scope: Scope,
-    metric: Metric,
-    day_range: std::ops::Range<u32>,
-) -> Vec<f64> {
-    let mut agg = HourlyAgg::new(scope, day_range);
-    drain_into(&ds.flows, &mut agg);
-    agg.series(metric)
 }
 
 /// Daily IPv6 byte-fraction series (Fig 14/15 input).
@@ -388,26 +363,6 @@ impl FlowSink for AsAgg<'_> {
     }
 }
 
-/// Compute per-AS IPv6 byte fractions at each residence, keeping only ASes
-/// carrying **at least** `min_share` of the residence's external bytes
-/// (paper: 0.01%, inclusive at the boundary). Record-scanning wrapper
-/// around [`AsAgg`]; rows come out grouped by residence (dataset order)
-/// and sorted by ASN within one.
-pub fn as_fractions(
-    datasets: &[ResidenceDataset],
-    rib: &Rib,
-    registry: &Registry,
-    min_share: f64,
-) -> Vec<AsFraction> {
-    let mut out = Vec::new();
-    for ds in datasets {
-        let mut agg = AsAgg::new(rib, registry);
-        drain_into(&ds.flows, &mut agg);
-        out.extend(agg.fractions(ds.profile.key, min_share));
-    }
-    out
-}
-
 /// Group AS fractions by AS, keeping only ASes observed at `min_residences`
 /// or more residences (the paper's 35-AS population uses 3).
 pub fn common_ases(
@@ -531,49 +486,46 @@ pub fn domain_fractions_from(
     out
 }
 
-/// Per-(domain, residence) IPv6 byte fractions via reverse DNS (Fig 17).
-/// Record-scanning wrapper around [`DomainAgg`]/[`domain_fractions_from`].
-pub fn domain_fractions(
-    datasets: &[ResidenceDataset],
-    zone: &dnssim::ZoneDb,
-    psl: &Psl,
-    min_bytes: u64,
-    min_residences: usize,
-) -> Vec<(Name, Vec<f64>)> {
-    let aggs: Vec<DomainAgg<'_>> = datasets
-        .iter()
-        .map(|ds| {
-            let mut agg = DomainAgg::new(zone, psl);
-            drain_into(&ds.flows, &mut agg);
-            agg
-        })
-        .collect();
-    domain_fractions_from(&aggs, min_bytes, min_residences)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trafficgen::{synthesize_all, TrafficConfig};
+    use trafficgen::{
+        paper_residences, synthesize_long_tail_into, synthesize_profiles_with,
+        synthesize_residence_into, LongTailTrafficConfig, ResidenceProfile, ResidenceSummary,
+        TrafficConfig,
+    };
     use worldgen::{World, WorldConfig};
 
-    fn datasets() -> (World, Vec<ResidenceDataset>) {
-        let world = World::generate(&WorldConfig::small());
-        let ds = synthesize_all(&world, &TrafficConfig::fast());
-        (world, ds)
+    /// Stream every paper residence into the sink `make_sink` builds.
+    fn stream<S: FlowSink>(
+        world: &World,
+        make_sink: impl FnMut(usize, &ResidenceProfile) -> S,
+    ) -> Vec<(ResidenceSummary, S)> {
+        synthesize_profiles_with(world, paper_residences(), &TrafficConfig::fast(), make_sink)
+    }
+
+    /// Stream residence A into `sink`.
+    fn stream_residence_a<S: FlowSink>(world: &World, sink: &mut S) -> ResidenceSummary {
+        let profile = paper_residences().remove(0);
+        synthesize_residence_into(world, profile, &TrafficConfig::fast(), 0, sink)
     }
 
     #[test]
     fn table1_shape() {
-        let (_, ds) = datasets();
-        let analyses: Vec<ResidenceAnalysis> = ds.iter().map(analyze_residence).collect();
+        let world = World::generate(&WorldConfig::small());
+        let days = TrafficConfig::fast().num_days;
+        let runs = stream(&world, |_, _| ScopeFamilyAgg::new(days));
+        let analyses: Vec<ResidenceAnalysis> = runs
+            .iter()
+            .map(|(summary, agg)| analyze_agg(summary.profile.key, summary.scale, agg))
+            .collect();
         assert_eq!(analyses.len(), 5);
         // Measured v6 byte fractions should land near the paper's overall
         // Table 1 values. D/E are volatile by design (rare event days
         // dominate their totals, exactly like the paper's E: 6.6% overall
         // vs 45.9% daily mean), so their bands are wide.
-        for (a, d) in analyses.iter().zip(&ds) {
-            let paper = d.profile.paper_ext_v6_bytes;
+        for (a, (summary, _)) in analyses.iter().zip(&runs) {
+            let paper = summary.profile.paper_ext_v6_bytes;
             let tol = if a.key == 'E' || a.key == 'D' {
                 0.35
             } else {
@@ -601,8 +553,10 @@ mod tests {
 
     #[test]
     fn daily_fractions_vary() {
-        let (_, ds) = datasets();
-        let a = analyze_residence(&ds[0]);
+        let world = World::generate(&WorldConfig::small());
+        let mut agg = ScopeFamilyAgg::new(TrafficConfig::fast().num_days);
+        let summary = stream_residence_a(&world, &mut agg);
+        let a = analyze_agg(summary.profile.key, summary.scale, &agg);
         assert!(
             a.external.daily_byte_sd > 0.02,
             "sd {}",
@@ -614,16 +568,22 @@ mod tests {
 
     #[test]
     fn hourly_series_is_complete() {
-        let (_, ds) = datasets();
-        let s = hourly_fraction_series(&ds[0], Scope::External, Metric::Bytes, 0..30);
+        let world = World::generate(&WorldConfig::small());
+        let mut agg = HourlyAgg::new(Scope::External, 0..30);
+        stream_residence_a(&world, &mut agg);
+        let s = agg.series(Metric::Bytes);
         assert_eq!(s.len(), 30 * 24);
         assert!(s.iter().all(|v| (0.0..=1.0).contains(v)));
     }
 
     #[test]
     fn as_analysis_matches_catalog_shape() {
-        let (world, ds) = datasets();
-        let fr = as_fractions(&ds, &world.rib, &world.registry, 0.0001);
+        let world = World::generate(&WorldConfig::small());
+        let runs = stream(&world, |_, _| AsAgg::new(&world.rib, &world.registry));
+        let fr: Vec<AsFraction> = runs
+            .iter()
+            .flat_map(|(summary, agg)| agg.fractions(summary.profile.key, 0.0001))
+            .collect();
         assert!(!fr.is_empty());
         let common = common_ases(&fr, 3);
         assert!(common.len() >= 20, "only {} common ASes", common.len());
@@ -698,8 +658,12 @@ mod tests {
 
     #[test]
     fn domain_analysis_finds_laggards() {
-        let (world, ds) = datasets();
-        let domains = domain_fractions(&ds, &world.client_zone, &world.psl, 10_000, 3);
+        let world = World::generate(&WorldConfig::small());
+        let runs = stream(&world, |_, _| {
+            DomainAgg::new(&world.client_zone, &world.psl)
+        });
+        let aggs: Vec<DomainAgg<'_>> = runs.into_iter().map(|(_, agg)| agg).collect();
+        let domains = domain_fractions_from(&aggs, 10_000, 3);
         assert!(domains.len() >= 10, "only {} domains", domains.len());
         // Zoom and Twitch (justin.tv) must appear with zero IPv6.
         for lagging in ["zoom.us", "justin.tv"] {
@@ -710,6 +674,60 @@ mod tests {
                     "{lagging} should be IPv4-only"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn as_agg_batch_matches_per_record_accept() {
+        // `AsAgg::accept_batch` resolves a whole batch in one RIB call; it
+        // must leave exactly the state the per-record `accept` loop leaves,
+        // whatever the batch shape.
+        let world = World::generate(
+            &WorldConfig {
+                num_sites: 200,
+                ..WorldConfig::small()
+            }
+            .with_long_tail(2_000),
+        );
+        let mut residence = flowmon::CollectSink::new();
+        stream_residence_a(&world, &mut residence);
+        let mut long_tail = flowmon::CollectSink::new();
+        let cfg = LongTailTrafficConfig {
+            seed: 7,
+            num_days: 3,
+            flows_per_day: 2_000,
+            threads: 1,
+        };
+        synthesize_long_tail_into(&world, &cfg, &mut long_tail);
+        let residence = residence.into_records();
+        assert!(residence.iter().any(|f| f.scope == Scope::Internal));
+        assert!(residence.iter().any(|f| f.scope == Scope::External));
+
+        let state = |agg: &AsAgg<'_>| {
+            let rows = format!("{:?}", agg.fractions('T', 0.0));
+            (agg.total_bytes(), agg.observed_as_count(), rows)
+        };
+        for records in [residence, long_tail.into_records()] {
+            let mut per_record = AsAgg::new(&world.rib, &world.registry);
+            for f in &records {
+                per_record.accept(f);
+            }
+            let expected = state(&per_record);
+            assert!(expected.0 > 0 && expected.1 > 0);
+
+            let mut whole = AsAgg::new(&world.rib, &world.registry);
+            whole.accept_batch(&records);
+            assert_eq!(state(&whole), expected, "one whole batch");
+
+            let days: Vec<&[FlowRecord]> = records
+                .chunk_by(|a, b| a.start / DAY_US == b.start / DAY_US)
+                .collect();
+            assert!(days.len() > 1, "day batches must split the stream");
+            let mut by_day = AsAgg::new(&world.rib, &world.registry);
+            for day in days {
+                by_day.accept_batch(day);
+            }
+            assert_eq!(state(&by_day), expected, "day-sized batches");
         }
     }
 }

@@ -50,5 +50,5 @@ pub mod whatif;
 pub use classify::{classify_site, ClassCounts, SiteClass};
 pub use influence::{DomainInfluence, InfluenceReport};
 pub use readiness::ReadinessBuckets;
-pub use tiers::{analyze_transition, AdoptionTier, TransitionAnalysis};
+pub use tiers::{analyze_transition_agg, AdoptionTier, TransitionAnalysis};
 pub use whatif::WhatIfCurve;

@@ -99,9 +99,9 @@ pub fn daily_peak_hour(fit: &Mstl) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{hourly_fraction_series, Metric};
-    use flowmon::Scope;
-    use trafficgen::{paper_residences, synthesize_residence, TrafficConfig};
+    use crate::client::{analyze_agg, daily_fraction_series, HourlyAgg, Metric};
+    use flowmon::{Scope, ScopeFamilyAgg};
+    use trafficgen::{paper_residences, synthesize_residence_into, TrafficConfig};
     use worldgen::{World, WorldConfig};
 
     #[test]
@@ -116,8 +116,9 @@ mod tests {
             scale: 1.0 / 10.0,
             ..TrafficConfig::fast()
         };
-        let ds = synthesize_residence(&world, profiles[0].clone(), &cfg, 0);
-        let series = hourly_fraction_series(&ds, Scope::External, Metric::Bytes, 0..35);
+        let mut hourly = HourlyAgg::new(Scope::External, 0..35);
+        synthesize_residence_into(&world, profiles[0].clone(), &cfg, 0, &mut hourly);
+        let series = hourly.series(Metric::Bytes);
         let fit = decompose_hourly(&series).expect("decomposition");
         let strengths = seasonal_strengths(&fit);
         let daily = strengths.iter().find(|s| s.period == 24).unwrap();
@@ -178,9 +179,11 @@ mod tests {
     fn daily_series_decomposes() {
         let world = World::generate(&WorldConfig::small());
         let profiles = paper_residences();
-        let ds = synthesize_residence(&world, profiles[1].clone(), &TrafficConfig::fast(), 1);
-        let analysis = crate::client::analyze_residence(&ds);
-        let series = crate::client::daily_fraction_series(&analysis);
+        let cfg = TrafficConfig::fast();
+        let mut agg = ScopeFamilyAgg::new(cfg.num_days);
+        let summary = synthesize_residence_into(&world, profiles[1].clone(), &cfg, 1, &mut agg);
+        let analysis = analyze_agg(summary.profile.key, summary.scale, &agg);
+        let series = daily_fraction_series(&analysis);
         let fit = decompose_daily(&series).expect("decomposition");
         assert_eq!(fit.trend.len(), series.len());
         // Additivity sanity.

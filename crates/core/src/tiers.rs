@@ -9,16 +9,16 @@
 //! end of the spectrum — even traffic to IPv4-only services crosses the
 //! access wire as IPv6, visible only by its RFC 6052 destination prefix.
 //!
-//! Classification is measurement-only: it reads flow records plus the two
-//! facts a router operator genuinely has — the (well-known) NAT64
-//! translation prefix, and whether the CPE itself is provisioned as a
-//! DS-Lite B4. No generation ground truth is consulted.
+//! Classification is measurement-only: it reads the flow stream, through a
+//! [`TranslationAgg`] sink, plus the two facts a router operator genuinely
+//! has — the (well-known) NAT64 translation prefix, and whether the CPE
+//! itself is provisioned as a DS-Lite B4. No generation ground truth is
+//! consulted.
 
-use flowmon::sink::{drain_into, TranslationAgg};
+use flowmon::sink::TranslationAgg;
 use flowmon::TranslationMap;
 use iputil::prefix::Prefix6;
 use serde::Serialize;
-use trafficgen::ResidenceDataset;
 use transition::{AccessTech, GatewayStats};
 
 /// Graded adoption of one access line, ordered from no IPv6 to IPv6-only.
@@ -88,26 +88,10 @@ pub fn residence_translation_map(tech: AccessTech, nat64_prefix: Prefix6) -> Tra
     map
 }
 
-/// Grade one residence dataset (record-scanning wrapper around
-/// [`analyze_transition_agg`]).
-pub fn analyze_transition(ds: &ResidenceDataset, nat64_prefix: Prefix6) -> TransitionAnalysis {
-    let mut agg = TranslationAgg::new(residence_translation_map(
-        ds.profile.access_tech,
-        nat64_prefix,
-    ));
-    drain_into(&ds.flows, &mut agg);
-    analyze_transition_agg(
-        ds.profile.key,
-        ds.profile.access_tech,
-        ds.scale,
-        &agg,
-        ds.gateway,
-    )
-}
-
-/// Grade a residence from a streamed [`TranslationAgg`] — the paper-scale
-/// path: tallies were accumulated while synthesis ran, no record was ever
-/// held. Produces exactly what [`analyze_transition`] produces.
+/// Grade residence `key` from the [`TranslationAgg`] its stream filled:
+/// tallies were accumulated while synthesis ran, no record was ever held.
+/// `scale` is the stream's sampling factor and `gateway` the line's
+/// binding counters, passed through to the report.
 pub fn analyze_transition_agg(
     key: char,
     tech: AccessTech,
@@ -157,7 +141,8 @@ pub fn analyze_transition_agg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trafficgen::{synthesize_profiles, transition_residences, TrafficConfig};
+    use flowmon::CollectSink;
+    use trafficgen::{synthesize_profiles_with, transition_residences, TrafficConfig};
     use worldgen::{World, WorldConfig};
 
     #[test]
@@ -167,11 +152,17 @@ mod tests {
             num_days: 30,
             ..TrafficConfig::fast()
         };
-        let datasets = synthesize_profiles(&world, transition_residences(), &cfg);
         let nat64 = world.transition.nat64_prefix.prefix();
-        let analyses: Vec<TransitionAnalysis> = datasets
+        let runs = synthesize_profiles_with(&world, transition_residences(), &cfg, |_, p| {
+            let map = residence_translation_map(p.access_tech, nat64);
+            (TranslationAgg::new(map), CollectSink::new())
+        });
+        let analyses: Vec<TransitionAnalysis> = runs
             .iter()
-            .map(|ds| analyze_transition(ds, nat64))
+            .map(|(summary, (agg, _))| {
+                let p = &summary.profile;
+                analyze_transition_agg(p.key, p.access_tech, summary.scale, agg, summary.gateway)
+            })
             .collect();
         let by_key = |k: char| analyses.iter().find(|a| a.key == k).unwrap();
 
@@ -201,9 +192,10 @@ mod tests {
         // dual-stack services. (Comparing aggregate shares between the two
         // residences would race their independent day-mix jitter.)
         let translated_to_dual_stack = |key: char| {
-            let ds = datasets.iter().find(|d| d.profile.key == key).unwrap();
+            let (_, (_, records)) = runs.iter().find(|(s, _)| s.profile.key == key).unwrap();
             let prefix = world.transition.nat64_prefix;
-            ds.flows
+            records
+                .records
                 .iter()
                 .filter(|f| f.scope == flowmon::Scope::External)
                 .filter_map(|f| match f.key.dst {

@@ -11,9 +11,10 @@
 
 use crate::scenario::registry;
 use crate::session::Session;
-use flowmon::AnonymizingExporter;
+use flowmon::{AnonymizingExporter, CollectSink, ScopeFamilyAgg};
 use iputil::anon::{Anonymizer, AnonymizerConfig};
 use ipv6view_core::classify::{classify_site, ClassCounts};
+use ipv6view_core::client::analyze_agg;
 use ipv6view_core::cloud::{hosted_fqdns, org_readiness, service_adoption};
 use ipv6view_core::influence::InfluenceReport;
 use serde::Serialize;
@@ -102,9 +103,10 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
     // 5. Client-side: per-residence aggregates plus ANONYMIZED daily logs
     //    (CryptoPAN'd addresses, like the paper's upload pipeline; the raw
     //    logs are deliberately not exported). The anonymized logs are the
-    //    one dataset that genuinely needs materialized records, so the
-    //    residences are synthesized, analysed and written one at a time:
-    //    peak memory is one residence's records, with or without `--spill`.
+    //    one dataset that genuinely needs the records, so each residence
+    //    streams into a record buffer beside its Table 1 aggregate and is
+    //    analysed and written before the next: peak memory is one
+    //    residence's records, with or without `--spill`.
     let exporter = AnonymizingExporter::new(Anonymizer::new(
         *b"dataset-release!",
         AnonymizerConfig::paper(),
@@ -112,16 +114,24 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
     let cfg = session.traffic_config();
     let mut analyses = Vec::new();
     for (i, profile) in trafficgen::paper_residences().into_iter().enumerate() {
-        let ds = trafficgen::synthesize_residence(&session.world, profile, &cfg, i as u64);
-        analyses.push(ipv6view_core::client::analyze_residence(&ds));
-        let logs = exporter.export(&ds.flows);
+        let mut sink = (CollectSink::new(), ScopeFamilyAgg::new(cfg.num_days));
+        let summary = trafficgen::synthesize_residence_into(
+            &session.world,
+            profile,
+            &cfg,
+            i as u64,
+            &mut sink,
+        );
+        let (records, agg) = sink;
+        analyses.push(analyze_agg(summary.profile.key, summary.scale, &agg));
+        let logs = exporter.export(&records.records);
         let sample: Vec<_> = logs
             .iter()
             .flat_map(|l| l.records.iter())
             .take(10_000)
             .collect();
         write(
-            &format!("residence_{}_flows_anonymized.json", ds.profile.key),
+            &format!("residence_{}_flows_anonymized.json", summary.profile.key),
             &sample,
         )?;
     }

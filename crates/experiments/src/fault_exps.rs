@@ -22,12 +22,14 @@ use crate::report::Report;
 use crate::session::Session;
 use bgpsim::AsId;
 use faults::{ChurnOp, DnsFailure, FaultPlan, PoolTarget, Window};
-use flowmon::{DropCause, DropCounters};
+use flowmon::{DropCause, DropCounters, NullSink};
 use iputil::Family;
 use ipv6view_core::report::TextTable;
 use ipv6view_core::tiers::{analyze_transition_agg, residence_translation_map, TransitionAnalysis};
 use serde::Serialize;
-use trafficgen::{synthesize_profiles_with, transition_residences, TrafficConfig};
+use trafficgen::{
+    synthesize_profiles_with, synthesize_residence_into, transition_residences, TrafficConfig,
+};
 use transition::{AccessTech, GatewayConfig};
 
 /// The combined stress timeline both scenarios derive theirs from: DNS
@@ -52,7 +54,7 @@ pub struct FaultClassRow {
     /// Fault class label (`clean`, `dns-burst`, ...).
     pub class: String,
     /// Sampled flow records that survived to the log.
-    pub flows: usize,
+    pub flows: u64,
     /// Gateway bindings granted over the run.
     pub granted: u64,
     /// Gateway rejections (pool exhausted or shrunk).
@@ -108,14 +110,15 @@ pub fn faults_sweep_rows(s: &Session, days: u32) -> Vec<FaultClassRow> {
                 faults: plan,
                 ..s.traffic_config()
             };
-            let ds = trafficgen::synthesize_residence(&s.world, profile.clone(), &cfg, 0);
-            let gw = ds.gateway.unwrap_or_default();
+            let mut sink = NullSink::default();
+            let summary = synthesize_residence_into(&s.world, profile.clone(), &cfg, 0, &mut sink);
+            let gw = summary.gateway.unwrap_or_default();
             FaultClassRow {
                 class: class.to_string(),
-                flows: ds.flows.len(),
+                flows: sink.flows,
                 granted: gw.granted,
                 rejected: gw.rejected,
-                drops: ds.drops,
+                drops: summary.drops,
             }
         })
         .collect()

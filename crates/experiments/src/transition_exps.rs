@@ -10,13 +10,14 @@
 
 use crate::report::Report;
 use crate::session::Session;
+use flowmon::NullSink;
 use ipv6view_core::report::{render_cdf, TextTable};
 use ipv6view_core::tiers::{analyze_transition_agg, residence_translation_map, TransitionAnalysis};
 use netstats::Ecdf;
 use serde::Serialize;
 use trafficgen::{
-    isp_cohort, synthesize_isps, synthesize_profiles_with, transition_residences, IspSpec,
-    TrafficConfig,
+    isp_cohort, synthesize_isps, synthesize_profiles_with, synthesize_residence_into,
+    transition_residences, IspSpec, TrafficConfig,
 };
 use transition::GatewayConfig;
 
@@ -148,8 +149,9 @@ pub fn nat64_exhaustion(s: &mut Session) -> Report {
             },
             ..s.traffic_config()
         };
-        let ds = trafficgen::synthesize_residence(&s.world, profile.clone(), &cfg, 0);
-        let gw = ds.gateway.expect("NAT64 line reports stats");
+        let summary =
+            synthesize_residence_into(&s.world, profile.clone(), &cfg, 0, &mut NullSink::default());
+        let gw = summary.gateway.expect("NAT64 line reports stats");
         t.row(vec![
             capacity.to_string(),
             gw.granted.to_string(),

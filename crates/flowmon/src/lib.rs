@@ -29,9 +29,8 @@
 //! * [`sink`] — the streaming flow pipeline: [`FlowSink`] consumers that
 //!   aggregate the record stream (counters, distribution sketches,
 //!   translation tallies) without materializing it, the
-//!   [`sink::CollectSink`] compatibility buffer, and the composition
-//!   combinators (sink tuples, [`sink::Tee`], [`sink::Fanout`]) that feed
-//!   one stream to many aggregators in a single pass.
+//!   [`sink::CollectSink`] record buffer, and sink tuples that feed one
+//!   stream to several aggregators in a single pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,9 +47,7 @@ pub use drops::{DropCause, DropCounters};
 pub use export::{AnonymizingExporter, DailyLog};
 pub use flow::{Direction, FlowKey, FlowRecord, IcmpMeta, Proto, Scope};
 pub use router::RouterMonitor;
-pub use sink::{
-    CollectSink, Fanout, FlowSink, FlowStatsAgg, NullSink, ScopeFamilyAgg, Tee, TranslationAgg,
-};
+pub use sink::{CollectSink, FlowSink, FlowStatsAgg, NullSink, ScopeFamilyAgg, TranslationAgg};
 pub use table::FlowTable;
 pub use xlat::{Translation, TranslationMap};
 

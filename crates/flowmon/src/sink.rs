@@ -9,12 +9,12 @@
 //!
 //! [`FlowSink`] inverts that: synthesis *pushes* each completed record into
 //! a sink the moment it is observed, in a deterministic order — records of
-//! one (residence, day) arrive contiguously, days in ascending order (the
-//! same order the materialized `Vec` used to have). Sinks choose what to
-//! keep:
+//! one (residence, day) arrive contiguously, days in ascending order. Sinks
+//! choose what to keep:
 //!
-//! * [`CollectSink`] — the compatibility sink: buffers every record,
-//!   reproducing the pre-streaming `Vec<FlowRecord>` byte-for-byte.
+//! * [`CollectSink`] — buffers every record, for the few consumers that
+//!   genuinely need them (the anonymized log export, tests) and for
+//!   producers' day buffers.
 //! * [`ScopeFamilyAgg`] — per-(scope, family) byte/flow counters, overall
 //!   and per-day: everything Table 1 and the daily-fraction figures read,
 //!   in O(days) memory.
@@ -26,11 +26,10 @@
 //!   sweeps that only need the translator's counters).
 //!
 //! Sinks compose without per-experiment structs: tuples of up to four sinks
-//! are sinks (each member sees every record), [`Tee`] fans one stream into
-//! two named halves, [`Fanout`] broadcasts into a homogeneous collection,
-//! and `&mut S` is a sink — so one pass over the synthesis can feed any
-//! number of aggregators. Aggregators with a `merge` operation combine
-//! exactly, so per-worker instances can be folded in deterministic order.
+//! are sinks (each member sees every record, in tuple order), and `&mut S`
+//! is a sink — so one pass over the synthesis can feed every aggregator an
+//! analysis reads. A caller that already holds records feeds them through
+//! [`FlowSink::accept_batch`].
 
 use crate::day_of;
 use crate::flow::{FlowRecord, Scope};
@@ -94,84 +93,9 @@ impl_sink_tuple! {
     (A: 0, B: 1, C: 2, D: 3)
 }
 
-/// Two sinks fed from one stream, with named halves — the heterogeneous
-/// combinator for call sites that outgrow positional tuple indexing.
-///
-/// `Tee::new(a, b)` is behaviorally identical to the tuple `(a, b)`; it
-/// exists so composed pipelines read as `tee.first` / `tee.second` instead
-/// of `.0` / `.1`, and so both halves can be recovered via
-/// [`Tee::into_inner`]. Nest `Tee`s (or use wider tuples) for more than two.
-#[derive(Debug, Clone, Default)]
-pub struct Tee<A, B> {
-    /// The first sink; sees every record before `second`.
-    pub first: A,
-    /// The second sink.
-    pub second: B,
-}
-
-impl<A: FlowSink, B: FlowSink> Tee<A, B> {
-    /// Combine two sinks into one.
-    pub fn new(first: A, second: B) -> Tee<A, B> {
-        Tee { first, second }
-    }
-
-    /// Consume the tee, returning both sinks.
-    pub fn into_inner(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A: FlowSink, B: FlowSink> FlowSink for Tee<A, B> {
-    fn accept(&mut self, record: &FlowRecord) {
-        self.first.accept(record);
-        self.second.accept(record);
-    }
-
-    fn accept_batch(&mut self, records: &[FlowRecord]) {
-        self.first.accept_batch(records);
-        self.second.accept_batch(records);
-    }
-}
-
-/// Broadcast into a homogeneous collection of sinks: every record reaches
-/// every member, in index order. The dynamic-width counterpart of the tuple
-/// impls — e.g. one aggregator per capacity step of a sweep, built at
-/// runtime.
-#[derive(Debug, Clone, Default)]
-pub struct Fanout<S> {
-    /// Member sinks, broadcast order.
-    pub sinks: Vec<S>,
-}
-
-impl<S: FlowSink> Fanout<S> {
-    /// A fanout over `sinks`.
-    pub fn new(sinks: Vec<S>) -> Fanout<S> {
-        Fanout { sinks }
-    }
-
-    /// Consume the fanout, returning the member sinks.
-    pub fn into_inner(self) -> Vec<S> {
-        self.sinks
-    }
-}
-
-impl<S: FlowSink> FlowSink for Fanout<S> {
-    fn accept(&mut self, record: &FlowRecord) {
-        for sink in &mut self.sinks {
-            sink.accept(record);
-        }
-    }
-
-    fn accept_batch(&mut self, records: &[FlowRecord]) {
-        for sink in &mut self.sinks {
-            sink.accept_batch(records);
-        }
-    }
-}
-
-/// Buffers every record — the compatibility sink behind the materializing
-/// APIs. Streaming through a `CollectSink` yields the exact `Vec` the
-/// pre-streaming pipeline produced.
+/// Buffers every record, in acceptance order — for consumers that need the
+/// records themselves (the anonymized log export, tests) and for producers
+/// that buffer a day before delivering it.
 #[derive(Debug, Clone, Default)]
 pub struct CollectSink {
     /// Collected records, in acceptance order.
@@ -271,13 +195,11 @@ impl ScopeCell {
     }
 }
 
-/// Per-(scope, family) byte/flow counters, overall and per day — the
-/// streaming replacement for scanning a materialized dataset in the
-/// Table 1 / Fig 1 family of analyses.
+/// Per-(scope, family) byte/flow counters, overall and per day — the input
+/// of the Table 1 / Fig 1 family of analyses.
 ///
 /// Days are binned by each record's *end* timestamp, clamped to the last
-/// configured day — the identical rule the record-scanning analysis used,
-/// so streamed and recomputed aggregates agree exactly.
+/// configured day.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScopeFamilyAgg {
     num_days: u32,
@@ -319,28 +241,6 @@ impl ScopeFamilyAgg {
     pub fn day(&self, day: u32, scope: Scope) -> &ScopeCell {
         &self.per_day[day.min(self.num_days - 1) as usize][scope_idx(scope)]
     }
-
-    /// Fold another aggregate (same `num_days`) into this one.
-    ///
-    /// # Panics
-    /// Panics when day counts differ — merged aggregates must share binning.
-    pub fn merge(&mut self, other: &ScopeFamilyAgg) {
-        assert_eq!(self.num_days, other.num_days, "mismatched day binning");
-        fn add(mine: &mut ScopeCell, theirs: &ScopeCell) {
-            mine.v4.bytes += theirs.v4.bytes;
-            mine.v4.flows += theirs.v4.flows;
-            mine.v6.bytes += theirs.v6.bytes;
-            mine.v6.flows += theirs.v6.flows;
-        }
-        for cell in 0..2 {
-            add(&mut self.overall[cell], &other.overall[cell]);
-        }
-        for (mine, theirs) in self.per_day.iter_mut().zip(&other.per_day) {
-            for cell in 0..2 {
-                add(&mut mine[cell], &theirs[cell]);
-            }
-        }
-    }
 }
 
 impl FlowSink for ScopeFamilyAgg {
@@ -365,12 +265,6 @@ impl FlowStatsAgg {
     /// An empty aggregate.
     pub fn new() -> FlowStatsAgg {
         FlowStatsAgg::default()
-    }
-
-    /// Fold another aggregate into this one.
-    pub fn merge(&mut self, other: &FlowStatsAgg) {
-        self.duration_us.merge(&other.duration_us);
-        self.size_bytes.merge(&other.size_bytes);
     }
 }
 
@@ -451,12 +345,6 @@ impl FlowSink for TranslationAgg {
     }
 }
 
-/// Feed a slice of records through any sink (adapter for record-based
-/// call sites and tests).
-pub fn drain_into<S: FlowSink>(records: &[FlowRecord], sink: &mut S) {
-    sink.accept_batch(records);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,22 +380,19 @@ mod tests {
             rec(7, 30, 300, true, Scope::External),
         ];
         let mut sink = CollectSink::new();
-        drain_into(&records, &mut sink);
+        sink.accept_batch(&records);
         assert_eq!(sink.into_records(), records);
     }
 
     #[test]
     fn scope_family_agg_counts_and_bins() {
         let mut agg = ScopeFamilyAgg::new(3);
-        drain_into(
-            &[
-                rec(0, 10, 1_000, true, Scope::External),
-                rec(0, DAY + 5, 500, false, Scope::External),
-                rec(0, 10 * DAY, 200, true, Scope::External), // clamps to day 2
-                rec(0, 10, 50, true, Scope::Internal),
-            ],
-            &mut agg,
-        );
+        agg.accept_batch(&[
+            rec(0, 10, 1_000, true, Scope::External),
+            rec(0, DAY + 5, 500, false, Scope::External),
+            rec(0, 10 * DAY, 200, true, Scope::External), // clamps to day 2
+            rec(0, 10, 50, true, Scope::Internal),
+        ]);
         let ext = agg.overall(Scope::External);
         assert_eq!(ext.v6.bytes, 1_200);
         assert_eq!(ext.v4.bytes, 500);
@@ -520,36 +405,9 @@ mod tests {
     }
 
     #[test]
-    fn scope_family_agg_merge_is_exact() {
-        let records: Vec<FlowRecord> = (0..100)
-            .map(|i| {
-                rec(
-                    i * 1_000,
-                    i * 1_000 + 500,
-                    100 + i,
-                    i % 3 == 0,
-                    if i % 4 == 0 {
-                        Scope::Internal
-                    } else {
-                        Scope::External
-                    },
-                )
-            })
-            .collect();
-        let mut whole = ScopeFamilyAgg::new(5);
-        drain_into(&records, &mut whole);
-        let mut a = ScopeFamilyAgg::new(5);
-        let mut b = ScopeFamilyAgg::new(5);
-        drain_into(&records[..40], &mut a);
-        drain_into(&records[40..], &mut b);
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
     fn tuple_sink_feeds_both() {
         let mut pair = (CollectSink::new(), NullSink::default());
-        drain_into(&[rec(0, 1, 100, true, Scope::External)], &mut pair);
+        pair.accept_batch(&[rec(0, 1, 100, true, Scope::External)]);
         assert_eq!(pair.0.records.len(), 1);
         assert_eq!(pair.1.flows, 1);
         assert_eq!(pair.1.bytes, 100);
@@ -563,49 +421,14 @@ mod tests {
             FlowStatsAgg::new(),
             ScopeFamilyAgg::new(1),
         );
-        drain_into(
-            &[
-                rec(0, 1, 100, true, Scope::External),
-                rec(0, 2, 50, false, Scope::Internal),
-            ],
-            &mut quad,
-        );
+        quad.accept_batch(&[
+            rec(0, 1, 100, true, Scope::External),
+            rec(0, 2, 50, false, Scope::Internal),
+        ]);
         assert_eq!(quad.0.records.len(), 2);
         assert_eq!(quad.1.flows, 2);
         assert_eq!(quad.2.size_bytes.count(), 2);
         assert_eq!(quad.3.overall(Scope::External).total_flows(), 1);
-    }
-
-    #[test]
-    fn tee_matches_tuple_and_returns_both_halves() {
-        let records = vec![
-            rec(0, 10, 100, true, Scope::External),
-            rec(5, 20, 200, false, Scope::Internal),
-        ];
-        let mut tee = Tee::new(CollectSink::new(), NullSink::default());
-        let mut tuple = (CollectSink::new(), NullSink::default());
-        drain_into(&records, &mut tee);
-        drain_into(&records, &mut tuple);
-        let (collected, counted) = tee.into_inner();
-        assert_eq!(collected.records, tuple.0.records);
-        assert_eq!(counted.flows, tuple.1.flows);
-        assert_eq!(counted.bytes, tuple.1.bytes);
-    }
-
-    #[test]
-    fn fanout_broadcasts_to_every_member() {
-        let mut fan = Fanout::new(vec![NullSink::default(); 3]);
-        drain_into(
-            &[
-                rec(0, 1, 100, true, Scope::External),
-                rec(0, 2, 23, false, Scope::External),
-            ],
-            &mut fan,
-        );
-        for sink in fan.into_inner() {
-            assert_eq!(sink.flows, 2);
-            assert_eq!(sink.bytes, 123);
-        }
     }
 
     #[test]
@@ -622,15 +445,12 @@ mod tests {
             ),
             ..rec(0, 10, 400, true, Scope::External)
         };
-        drain_into(
-            &[
-                translated,
-                rec(0, 10, 100, true, Scope::External),
-                rec(0, 10, 200, false, Scope::External),
-                rec(0, 10, 999, true, Scope::Internal), // ignored
-            ],
-            &mut agg,
-        );
+        agg.accept_batch(&[
+            translated,
+            rec(0, 10, 100, true, Scope::External),
+            rec(0, 10, 200, false, Scope::External),
+            rec(0, 10, 999, true, Scope::Internal), // ignored
+        ]);
         assert_eq!(agg.bytes, [100, 400, 0, 200]);
         assert_eq!(agg.total_flows(), 3);
         assert!((agg.byte_share(1) - 400.0 / 700.0).abs() < 1e-12);

@@ -25,11 +25,13 @@
 //! Everything is recorded through the real [`flowmon`] router monitor, so
 //! the analysis layer consumes exactly what the paper's pipeline consumed:
 //! anonymizable flow records with byte counts and timestamps. Records are
-//! *streamed* — synthesis pushes each completed flow into a caller-chosen
-//! [`flowmon::FlowSink`] ([`synth::synthesize_profiles_with`]), so
-//! paper-scale runs aggregate in place instead of materializing months of
-//! records; [`provider`] layers the ISP-shared CGN gateway over the same
-//! stream.
+//! *streamed*, and a caller-chosen [`flowmon::FlowSink`] is the only way to
+//! consume them: synthesis pushes each completed flow into the sink
+//! ([`synth::synthesize_residence_into`] for one residence,
+//! [`synth::synthesize_profiles_with`] for a cohort), so paper-scale runs
+//! aggregate in place instead of materializing months of records, and a
+//! caller that needs the records passes a [`flowmon::CollectSink`].
+//! [`provider`] layers the ISP-shared CGN gateway over the same stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +53,6 @@ pub use subs::{
     synthesize_subscribers_into, SubscriberTrafficConfig,
 };
 pub use synth::{
-    synthesize_all, synthesize_profiles, synthesize_profiles_with, synthesize_residence,
-    synthesize_residence_into, ResidenceDataset, ResidenceSummary, SportAlloc, TrafficConfig,
+    synthesize_profiles_with, synthesize_residence_into, ResidenceSummary, SportAlloc,
+    TrafficConfig,
 };

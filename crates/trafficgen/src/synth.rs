@@ -4,7 +4,7 @@
 //! Synthesis is organized around *days*: each (residence, day) pair derives
 //! its own RNG stream from the master seed, so days are mutually independent
 //! and can run on any number of worker threads with byte-identical output
-//! (the same determinism contract `synthesize_all` gives across residences).
+//! (the same determinism contract a cohort run gives across residences).
 //! Per-residence state that must be stable across days (LAN addressing, the
 //! device population) comes from a residence-level stream seeded without a
 //! day component.
@@ -12,10 +12,10 @@
 //! Records are *pushed*, not materialized: every completed flow goes
 //! straight into the caller's [`FlowSink`] in a deterministic order —
 //! records of one (residence, day) contiguously and in emission order, days
-//! ascending. [`synthesize_residence`] wraps the streaming core with a
-//! [`CollectSink`], reproducing the historical `Vec<FlowRecord>` dataset
-//! byte-for-byte; aggregate sinks run the same synthesis in O(aggregator)
-//! memory however many days are simulated.
+//! ascending. The sink is the only way to consume the stream: aggregate
+//! sinks run a synthesis in O(aggregator) memory however many days are
+//! simulated, and a caller that needs the records themselves passes a
+//! [`CollectSink`].
 //!
 //! Residences whose [`ResidenceProfile::access_tech`] is not native
 //! dual-stack route their legacy traffic through the world's transition
@@ -33,7 +33,7 @@ use crate::profile::ResidenceProfile;
 use dnssim::{Name, ResolveAddrs, Resolver};
 use faults::{DayPathFault, FaultPlan, FaultyResolver, PoolTarget, DNS_STREAM, FLOW_DROP_STREAM};
 use flowmon::sink::{CollectSink, FlowSink};
-use flowmon::{DropCause, DropCounters, FlowKey, FlowRecord, RouterMonitor, TranslationMap};
+use flowmon::{DropCause, DropCounters, FlowKey, RouterMonitor, TranslationMap};
 use happyeyeballs::{HappyEyeballs, HappyEyeballsConfig};
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::Family;
@@ -87,14 +87,6 @@ pub struct TrafficConfig {
     /// without the fault plane; a non-empty plan perturbs only what it
     /// schedules, from dedicated `(fault, residence, day)` RNG streams.
     pub faults: FaultPlan,
-    /// Derive a dedicated RNG stream per `(day, service)` for each
-    /// service's external emission (hour grid + day-end flush) instead of
-    /// letting every service share the day stream. With the flag on, one
-    /// service's draw count no longer shifts any other service's draws —
-    /// the isolation the service×hour analysis grid needs. Off by default:
-    /// enabling it changes the stream layout and therefore the output
-    /// bytes, but output stays byte-identical across `threads` either way.
-    pub service_streams: bool,
 }
 
 impl Default for TrafficConfig {
@@ -108,7 +100,6 @@ impl Default for TrafficConfig {
             threads: obs::par::default_threads(),
             gateway: GatewayConfig::default(),
             faults: FaultPlan::default(),
-            service_streams: false,
         }
     }
 }
@@ -124,29 +115,8 @@ impl TrafficConfig {
     }
 }
 
-/// The synthesized dataset of one residence (the materializing API:
-/// [`ResidenceSummary`] plus every flow record, collected via
-/// [`CollectSink`]).
-#[derive(Debug)]
-pub struct ResidenceDataset {
-    /// The generating profile.
-    pub profile: ResidenceProfile,
-    /// All flow records (external + internal), in generation order.
-    pub flows: Vec<FlowRecord>,
-    /// The sampling factor that produced `flows`.
-    pub scale: f64,
-    /// Days simulated.
-    pub num_days: u32,
-    /// Binding-table counters of the residence's translator (NAT64 for the
-    /// IPv6-only techs, the AFTR's NAT44 for DS-Lite); `None` on lines that
-    /// use no stateful gateway.
-    pub gateway: Option<GatewayStats>,
-    /// Flows lost to the fault plane, by cause (all-zero without a plan).
-    pub drops: DropCounters,
-}
-
-/// What a streaming synthesis returns: everything [`ResidenceDataset`]
-/// carries except the records themselves (those went to the sink).
+/// What a synthesis returns besides the records it streamed into the sink:
+/// the profile, the sampling scale and the run's gateway and fault counters.
 #[derive(Debug, Clone)]
 pub struct ResidenceSummary {
     /// The generating profile.
@@ -198,45 +168,16 @@ fn day_seed(seed: u64, residence_index: u64, day: u32) -> u64 {
         .wrapping_add((day as u64 + 1).wrapping_mul(0xd134_2543_de82_ef95))
 }
 
-/// Service-level RNG seed: a third independent stream per
-/// (residence, day, service), used only under
-/// [`TrafficConfig::service_streams`].
-fn service_seed(seed: u64, residence_index: u64, day: u32, service_index: usize) -> u64 {
-    day_seed(seed, residence_index, day)
-        .wrapping_add((service_index as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d))
-}
-
-/// Synthesize every paper residence over `config.threads` workers.
-pub fn synthesize_all(world: &World, config: &TrafficConfig) -> Vec<ResidenceDataset> {
-    synthesize_profiles(world, crate::profile::paper_residences(), config)
-}
-
-/// Synthesize an arbitrary cohort of residences (the transition-technology
-/// cohort, ablations) over `config.threads` workers, materializing every
-/// record.
-///
-/// Residence `i` derives all randomness from `(seed, i)` and, inside,
-/// `(seed, i, day)` alone, so output is byte-identical at any `threads`.
-pub fn synthesize_profiles(
-    world: &World,
-    profiles: Vec<ResidenceProfile>,
-    config: &TrafficConfig,
-) -> Vec<ResidenceDataset> {
-    synthesize_profiles_with(world, profiles, config, |_, _| CollectSink::new())
-        .into_iter()
-        .map(|(summary, sink)| ResidenceDataset::new(summary, sink))
-        .collect()
-}
-
-/// Streaming cohort synthesis: every residence gets its own sink (built by
+/// Cohort synthesis: every residence gets its own sink (built by
 /// `make_sink` from the residence's index and profile) and receives its
 /// days in order while `(residence, day)` tasks run over `config.threads`
 /// workers. Sinks are fed on the calling thread. Returns summaries and the
 /// filled sinks in input order.
 ///
-/// This is the paper-scale entry point: with aggregator sinks the whole run
-/// completes in O(residences × aggregator) memory — no flow record outlives
-/// its push.
+/// Residence `i` derives all randomness from `(seed, i)` and, inside,
+/// `(seed, i, day)` alone, so output is byte-identical at any `threads`.
+/// With aggregator sinks the whole run completes in
+/// O(residences × aggregator) memory — no flow record outlives its push.
 pub fn synthesize_profiles_with<S, F>(
     world: &World,
     profiles: Vec<ResidenceProfile>,
@@ -272,12 +213,13 @@ impl ResidenceSummary {
 /// The one synthesis driver: every day of every `(residence_index,
 /// profile)` into `sinks`, one sink per residence, days ascending.
 ///
-/// At one thread each day streams straight into its sink. Otherwise the
-/// flattened `(residence, day)` task list runs on [`obs::par::ordered`]:
-/// each worker buffers one day, and the calling thread routes it to its
-/// residence's sink in task order — so a cohort's slowest residence no
-/// longer sets the critical path, and the record sequence every sink sees
-/// is the sequential one.
+/// At one thread each day streams straight into its sink, so no day is
+/// ever buffered. Otherwise the flattened `(residence, day)` task list runs
+/// on [`obs::par::ordered`]: each worker buffers one day, and the calling
+/// thread hands it to its residence's sink as one
+/// [`FlowSink::accept_batch`] in task order — so a cohort's slowest
+/// residence no longer sets the critical path, and the record sequence
+/// every sink sees is the sequential one.
 fn synthesize_cohort<S: FlowSink>(
     world: &World,
     config: &TrafficConfig,
@@ -321,9 +263,7 @@ fn synthesize_cohort<S: FlowSink>(
                 (r, buf.into_records(), outcome)
             },
             |_, (r, records, outcome)| {
-                for record in &records {
-                    sinks[r].accept(record);
-                }
+                sinks[r].accept_batch(&records);
                 summaries[r].absorb(outcome);
             },
         );
@@ -468,26 +408,12 @@ pub(crate) enum GatewayMode {
     Provider,
 }
 
-/// Synthesize one residence's dataset, materializing every record
-/// (streaming core + [`CollectSink`]).
-pub fn synthesize_residence(
-    world: &World,
-    profile: ResidenceProfile,
-    config: &TrafficConfig,
-    residence_index: u64,
-) -> ResidenceDataset {
-    let mut sink = CollectSink::new();
-    let summary = synthesize_residence_into(world, profile, config, residence_index, &mut sink);
-    ResidenceDataset::new(summary, sink)
-}
-
 /// Synthesize one residence, streaming every record into `sink`; its days
 /// run over `config.threads` workers.
 ///
 /// Emission order is deterministic — days ascending, records within a day
 /// in generation order — and independent of `config.threads` (day workers
-/// buffer their day and it is flushed in order). A [`CollectSink`] here
-/// reproduces [`synthesize_residence`]'s `flows` byte-for-byte.
+/// buffer their day and it is flushed in order).
 pub fn synthesize_residence_into<S: FlowSink>(
     world: &World,
     profile: ResidenceProfile,
@@ -497,19 +423,6 @@ pub fn synthesize_residence_into<S: FlowSink>(
 ) -> ResidenceSummary {
     let residence = std::iter::once((residence_index, profile));
     synthesize_cohort(world, config, residence, std::slice::from_mut(sink)).remove(0)
-}
-
-impl ResidenceDataset {
-    fn new(summary: ResidenceSummary, sink: CollectSink) -> ResidenceDataset {
-        ResidenceDataset {
-            profile: summary.profile,
-            flows: sink.into_records(),
-            scale: summary.scale,
-            num_days: summary.num_days,
-            gateway: summary.gateway,
-            drops: summary.drops,
-        }
-    }
 }
 
 /// Ephemeral source-port allocator for one (residence, day).
@@ -1091,20 +1004,6 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
         sink,
     };
 
-    // Opt-in per-(day, service) streams: each service's external emission
-    // draws from a stream seeded by (residence, day, service), swapped into
-    // `run.rng` around that service's grid cell. Day-level randomness (HE
-    // races, day weights, ICMP, internal chatter) stays on the day stream.
-    let mut svc_rngs: Vec<SmallRng> = if config.service_streams {
-        (0..services.len())
-            .map(|si| {
-                SmallRng::seed_from_u64(service_seed(config.seed, setup.residence_index, day, si))
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     // Byte/flow-mass accumulators per (service, family bucket): hours whose
     // sampled flow expectation is below one record carry their bytes
     // forward within the day instead of dropping them (dropping would bias
@@ -1172,9 +1071,6 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
                     }
                 }
             };
-            if config.service_streams {
-                std::mem::swap(&mut run.rng, &mut svc_rngs[si]);
-            }
             for (family_v6, bytes_real) in [
                 (true, svc_hour_bytes * p_v6),
                 (false, svc_hour_bytes * (1.0 - p_v6)),
@@ -1199,9 +1095,6 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
                     let bytes = ((bytes_sampled * w / wsum).max(200.0)) as u64;
                     run.emit_external(svc, family_v6, bytes, day, hour);
                 }
-            }
-            if config.service_streams {
-                std::mem::swap(&mut run.rng, &mut svc_rngs[si]);
             }
         }
 
@@ -1330,18 +1223,12 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
     // exactly — low-volume (service, family) buckets keep their long-run
     // byte share instead of losing it at every midnight.
     for (si, svc) in services.iter().enumerate() {
-        if config.service_streams {
-            std::mem::swap(&mut run.rng, &mut svc_rngs[si]);
-        }
         for fam in 0..2 {
             let p = pending_flows[si][fam].min(1.0);
             if p > 0.0 && pending_bytes[si][fam] >= 1.0 && run.rng.gen::<f64>() < p {
                 let bytes = (pending_bytes[si][fam] / p) as u64;
                 run.emit_external(svc, fam == 1, bytes, day, 23);
             }
-        }
-        if config.service_streams {
-            std::mem::swap(&mut run.rng, &mut svc_rngs[si]);
         }
     }
 
@@ -1398,41 +1285,45 @@ fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowmon::Scope;
+    use flowmon::{FlowRecord, Scope};
     use worldgen::WorldConfig;
 
-    fn dataset() -> ResidenceDataset {
+    /// One residence's records, collected, and its summary.
+    fn collect(
+        world: &World,
+        profile: ResidenceProfile,
+        config: &TrafficConfig,
+        residence_index: u64,
+    ) -> (Vec<FlowRecord>, ResidenceSummary) {
+        let mut sink = CollectSink::new();
+        let summary = synthesize_residence_into(world, profile, config, residence_index, &mut sink);
+        (sink.into_records(), summary)
+    }
+
+    fn dataset() -> (Vec<FlowRecord>, ResidenceSummary) {
         let world = World::generate(&WorldConfig::small());
         let profiles = crate::profile::paper_residences();
-        synthesize_residence(&world, profiles[0].clone(), &TrafficConfig::fast(), 0)
+        collect(&world, profiles[0].clone(), &TrafficConfig::fast(), 0)
     }
 
     #[test]
     fn produces_flows_with_both_scopes_and_families() {
-        let ds = dataset();
-        assert!(ds.flows.len() > 1_000, "got {} flows", ds.flows.len());
-        let ext = ds
-            .flows
-            .iter()
-            .filter(|f| f.scope == Scope::External)
-            .count();
-        let int = ds
-            .flows
-            .iter()
-            .filter(|f| f.scope == Scope::Internal)
-            .count();
+        let (flows, summary) = dataset();
+        assert!(flows.len() > 1_000, "got {} flows", flows.len());
+        let ext = flows.iter().filter(|f| f.scope == Scope::External).count();
+        let int = flows.iter().filter(|f| f.scope == Scope::Internal).count();
         assert!(ext > 0 && int > 0);
-        let v6 = ds.flows.iter().filter(|f| f.family() == Family::V6).count();
-        let v4 = ds.flows.iter().filter(|f| f.family() == Family::V4).count();
+        let v6 = flows.iter().filter(|f| f.family() == Family::V6).count();
+        let v4 = flows.iter().filter(|f| f.family() == Family::V4).count();
         assert!(v6 > 0 && v4 > 0);
-        assert!(ds.gateway.is_none(), "dual-stack line uses no gateway");
+        assert!(summary.gateway.is_none(), "dual-stack line uses no gateway");
     }
 
     #[test]
     fn external_v6_byte_fraction_near_target() {
-        let ds = dataset();
+        let (flows, summary) = dataset();
         let (mut v6b, mut tot) = (0f64, 0f64);
-        for f in ds.flows.iter().filter(|f| f.scope == Scope::External) {
+        for f in flows.iter().filter(|f| f.scope == Scope::External) {
             let b = f.total_bytes() as f64;
             tot += b;
             if f.family() == Family::V6 {
@@ -1440,7 +1331,7 @@ mod tests {
             }
         }
         let frac = v6b / tot;
-        let target = ds.profile.target_ext_v6_bytes;
+        let target = summary.profile.target_ext_v6_bytes;
         assert!(
             (frac - target).abs() < 0.15,
             "v6 byte fraction {frac:.3} vs target {target:.3}"
@@ -1459,10 +1350,10 @@ mod tests {
             scale: 1.0 / 100.0,
             ..TrafficConfig::fast()
         };
-        let ds = synthesize_residence(&world, profiles[0].clone(), &cfg, 0);
+        let (flows, _) = collect(&world, profiles[0].clone(), &cfg, 0);
         // External bytes by hour-of-day: evening must beat pre-dawn.
         let mut by_hour = [0u64; 24];
-        for f in ds.flows.iter().filter(|f| f.scope == Scope::External) {
+        for f in flows.iter().filter(|f| f.scope == Scope::External) {
             let hour = (f.start % DAY_US) / HOUR_US;
             by_hour[hour as usize] += f.total_bytes();
         }
@@ -1482,9 +1373,9 @@ mod tests {
             num_days: 150,
             ..TrafficConfig::fast()
         };
-        let ds = synthesize_residence(&world, profiles[0].clone(), &cfg, 0);
+        let (flows, _) = collect(&world, profiles[0].clone(), &cfg, 0);
         let mut by_day = vec![0u64; 150];
-        for f in ds.flows.iter().filter(|f| f.scope == Scope::External) {
+        for f in flows.iter().filter(|f| f.scope == Scope::External) {
             by_day[(f.start / DAY_US) as usize] += f.total_bytes();
         }
         let absent_avg: f64 = (135..=138).map(|d| by_day[d] as f64).sum::<f64>() / 4.0;
@@ -1497,10 +1388,9 @@ mod tests {
 
     #[test]
     fn he_residue_flows_exist() {
-        let ds = dataset();
+        let (flows, _) = dataset();
         // Tiny v4 TCP flows (~600 bytes total) are the HE losing attempts.
-        let residue = ds
-            .flows
+        let residue = flows
             .iter()
             .filter(|f| {
                 f.family() == Family::V4 && f.scope == Scope::External && f.total_bytes() == 600
@@ -1513,38 +1403,34 @@ mod tests {
     fn deterministic() {
         let world = World::generate(&WorldConfig::small());
         let profiles = crate::profile::paper_residences();
-        let a = synthesize_residence(&world, profiles[1].clone(), &TrafficConfig::fast(), 1);
-        let b = synthesize_residence(&world, profiles[1].clone(), &TrafficConfig::fast(), 1);
-        assert_eq!(a.flows.len(), b.flows.len());
-        assert_eq!(a.flows.first(), b.flows.first());
-        assert_eq!(a.flows.last(), b.flows.last());
+        let (a, _) = collect(&world, profiles[1].clone(), &TrafficConfig::fast(), 1);
+        let (b, _) = collect(&world, profiles[1].clone(), &TrafficConfig::fast(), 1);
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.first(), b.first());
+        assert_eq!(a.last(), b.last());
     }
 
     #[test]
-    fn synthesize_all_identical_at_any_thread_count() {
+    fn cohort_identical_at_any_thread_count() {
         let world = World::generate(&WorldConfig::small());
-        let cfg = TrafficConfig {
-            num_days: 20,
-            ..TrafficConfig::fast()
+        let cohort = |threads: usize| {
+            let cfg = TrafficConfig {
+                num_days: 20,
+                threads,
+                ..TrafficConfig::fast()
+            };
+            let profiles = crate::profile::paper_residences();
+            synthesize_profiles_with(&world, profiles, &cfg, |_, _| CollectSink::new())
         };
-        let seq = synthesize_all(
-            &world,
-            &TrafficConfig {
-                threads: 1,
-                ..cfg.clone()
-            },
-        );
-        let par = synthesize_all(
-            &world,
-            &TrafficConfig {
-                threads: 4,
-                ..cfg.clone()
-            },
-        );
+        let (seq, par) = (cohort(1), cohort(4));
         assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
+        for ((a, a_flows), (b, b_flows)) in seq.iter().zip(&par) {
             assert_eq!(a.profile.key, b.profile.key);
-            assert_eq!(a.flows, b.flows, "residence {} differs", a.profile.key);
+            assert_eq!(
+                a_flows.records, b_flows.records,
+                "residence {} differs",
+                a.profile.key
+            );
         }
     }
 
@@ -1556,7 +1442,7 @@ mod tests {
             num_days: 20,
             ..TrafficConfig::fast()
         };
-        let seq = synthesize_residence(
+        let (seq, _) = collect(
             &world,
             profiles[0].clone(),
             &TrafficConfig {
@@ -1565,7 +1451,7 @@ mod tests {
             },
             0,
         );
-        let par = synthesize_residence(
+        let (par, _) = collect(
             &world,
             profiles[0].clone(),
             &TrafficConfig {
@@ -1574,7 +1460,7 @@ mod tests {
             },
             0,
         );
-        assert_eq!(seq.flows, par.flows, "day-parallel output differs");
+        assert_eq!(seq, par, "day-parallel output differs");
         // And a translated residence (gateway state is per-day, so its
         // stats must agree too).
         let cohort = crate::profile::transition_residences();
@@ -1582,7 +1468,7 @@ mod tests {
             .iter()
             .find(|p| p.access_tech == AccessTech::Ipv6OnlyNat64)
             .unwrap();
-        let s1 = synthesize_residence(
+        let (f1, s1) = collect(
             &world,
             nat64.clone(),
             &TrafficConfig {
@@ -1591,7 +1477,7 @@ mod tests {
             },
             2,
         );
-        let s4 = synthesize_residence(
+        let (f4, s4) = collect(
             &world,
             nat64.clone(),
             &TrafficConfig {
@@ -1600,50 +1486,11 @@ mod tests {
             },
             2,
         );
-        assert_eq!(s1.flows, s4.flows);
+        assert_eq!(f1, f4);
         let (g1, g4) = (s1.gateway.unwrap(), s4.gateway.unwrap());
         assert_eq!(g1.granted, g4.granted);
         assert_eq!(g1.rejected, g4.rejected);
         assert_eq!(g1.peak_active, g4.peak_active);
-    }
-
-    #[test]
-    fn service_streams_identical_at_any_layout() {
-        // The per-(day, service) schedule must hold the same contract the
-        // per-(residence, day) schedule does: byte-identical output at any
-        // thread count.
-        let world = World::generate(&WorldConfig::small());
-        let profiles = crate::profile::paper_residences();
-        let cfg = |threads: usize| TrafficConfig {
-            num_days: 20,
-            service_streams: true,
-            threads,
-            ..TrafficConfig::fast()
-        };
-        let seq = synthesize_residence(&world, profiles[0].clone(), &cfg(1), 0);
-        for threads in [3, 5] {
-            let par = synthesize_residence(&world, profiles[0].clone(), &cfg(threads), 0);
-            assert_eq!(
-                seq.flows, par.flows,
-                "service streams differ at threads={threads}"
-            );
-        }
-        // The dedicated streams must actually engage: the layout change is
-        // observable against the shared day stream...
-        let shared = synthesize_residence(
-            &world,
-            profiles[0].clone(),
-            &TrafficConfig {
-                num_days: 20,
-                ..TrafficConfig::fast()
-            },
-            0,
-        );
-        assert_ne!(seq.flows, shared.flows, "flag on must change the draws");
-        // ...while leaving aggregate behavior calibrated: same order of
-        // magnitude of flows either way.
-        assert!(seq.flows.len() * 2 > shared.flows.len());
-        assert!(shared.flows.len() * 2 > seq.flows.len());
     }
 
     #[test]
@@ -1654,11 +1501,11 @@ mod tests {
             .iter()
             .find(|p| p.access_tech == AccessTech::Ipv6OnlyNat64)
             .unwrap();
-        let ds = synthesize_residence(&world, nat64.clone(), &TrafficConfig::fast(), 2);
+        let (flows, summary) = collect(&world, nat64.clone(), &TrafficConfig::fast(), 2);
         let prefix = world.transition.nat64_prefix;
         let mut translated = 0usize;
         let mut native = 0usize;
-        for f in ds.flows.iter().filter(|f| f.scope == Scope::External) {
+        for f in flows.iter().filter(|f| f.scope == Scope::External) {
             assert_eq!(
                 f.family(),
                 Family::V6,
@@ -1672,7 +1519,7 @@ mod tests {
         }
         assert!(translated > 0, "v4-only services must ride the NAT64");
         assert!(native > 0, "dual-stack services stay native");
-        let gw = ds.gateway.expect("NAT64 line reports gateway stats");
+        let gw = summary.gateway.expect("NAT64 line reports gateway stats");
         assert_eq!(
             gw.granted, translated as u64,
             "every translated flow — TCP, UDP and ICMP alike — holds a binding"
@@ -1687,14 +1534,13 @@ mod tests {
             .iter()
             .find(|p| p.access_tech == AccessTech::DsLite)
             .unwrap();
-        let ds = synthesize_residence(&world, dslite.clone(), &TrafficConfig::fast(), 4);
-        let ext_v4 = ds
-            .flows
+        let (flows, summary) = collect(&world, dslite.clone(), &TrafficConfig::fast(), 4);
+        let ext_v4 = flows
             .iter()
             .filter(|f| f.scope == Scope::External && f.family() == Family::V4)
             .count();
         assert!(ext_v4 > 0, "tunneled IPv4 still appears as IPv4 flows");
-        let gw = ds.gateway.expect("AFTR stats present");
+        let gw = summary.gateway.expect("AFTR stats present");
         assert!(gw.granted > 0);
     }
 
@@ -1714,15 +1560,16 @@ mod tests {
             },
             ..TrafficConfig::fast()
         };
-        let ds = synthesize_residence(&world, nat64.clone(), &tiny_pool, 2);
-        let gw = ds.gateway.expect("gateway stats");
+        let (_, summary) = collect(&world, nat64.clone(), &tiny_pool, 2);
+        let gw = summary.gateway.expect("gateway stats");
         assert!(gw.rejected > 0, "a 2-binding pool must exhaust");
         assert_eq!(gw.peak_active, 2);
         let roomy = TrafficConfig {
             num_days: 20,
             ..TrafficConfig::fast()
         };
-        let ok = synthesize_residence(&world, nat64.clone(), &roomy, 2)
+        let ok = collect(&world, nat64.clone(), &roomy, 2)
+            .1
             .gateway
             .expect("gateway stats");
         assert!(
@@ -1754,9 +1601,9 @@ mod tests {
         }
         // And a past-the-boundary residence synthesizes end to end with
         // internal (LAN↔LAN) traffic still scoped correctly.
-        let ds = synthesize_residence(&world, profile, &cfg, 300);
-        assert!(ds.flows.iter().any(|f| f.scope == Scope::Internal));
-        assert!(ds.flows.iter().any(|f| f.scope == Scope::External));
+        let (flows, _) = collect(&world, profile, &cfg, 300);
+        assert!(flows.iter().any(|f| f.scope == Scope::Internal));
+        assert!(flows.iter().any(|f| f.scope == Scope::External));
     }
 
     #[test]
@@ -1836,19 +1683,19 @@ mod tests {
             num_days: 12,
             ..TrafficConfig::fast()
         };
-        let base = synthesize_residence(&world, nat64.clone(), &base_cfg, 2);
+        let (base, _) = collect(&world, nat64.clone(), &base_cfg, 2);
         for threads in [1usize, 4] {
             let cfg = TrafficConfig {
                 faults: faults::FaultPlan::new(0xdead_beef),
                 threads,
                 ..base_cfg.clone()
             };
-            let ds = synthesize_residence(&world, nat64.clone(), &cfg, 2);
+            let (flows, summary) = collect(&world, nat64.clone(), &cfg, 2);
             assert_eq!(
-                ds.flows, base.flows,
+                flows, base,
                 "empty plan perturbed output at threads={threads}"
             );
-            assert!(ds.drops.is_empty(), "empty plan cannot drop flows");
+            assert!(summary.drops.is_empty(), "empty plan cannot drop flows");
         }
     }
 
@@ -1877,9 +1724,9 @@ mod tests {
             threads,
             ..TrafficConfig::fast()
         };
-        let a = synthesize_residence(&world, nat64.clone(), &cfg(1), 2);
-        let b = synthesize_residence(&world, nat64.clone(), &cfg(5), 2);
-        assert_eq!(a.flows, b.flows, "faulted output differs across layouts");
+        let (a_flows, a) = collect(&world, nat64.clone(), &cfg(1), 2);
+        let (b_flows, b) = collect(&world, nat64.clone(), &cfg(5), 2);
+        assert_eq!(a_flows, b_flows, "faulted output differs across layouts");
         assert_eq!(a.drops, b.drops);
         assert!(
             a.drops.get(DropCause::GatewayOutage) > 0,
@@ -1896,7 +1743,7 @@ mod tests {
             "a 70% SERVFAIL burst must lose some races: {:?}",
             a.drops
         );
-        let clean = synthesize_residence(
+        let (clean, _) = collect(
             &world,
             nat64.clone(),
             &TrafficConfig {
@@ -1905,7 +1752,7 @@ mod tests {
             },
             2,
         );
-        assert_ne!(a.flows, clean.flows, "the stress plan must leave a mark");
+        assert_ne!(a_flows, clean, "the stress plan must leave a mark");
     }
 
     #[test]
@@ -1925,8 +1772,8 @@ mod tests {
             faults: faults::FaultPlan::new(1).pool_shrink(0.05, faults::Window::days(5, 15)),
             ..TrafficConfig::fast()
         };
-        let shrunk = synthesize_residence(&world, nat64.clone(), &cfg, 2);
-        let clean = synthesize_residence(
+        let (_, shrunk) = collect(&world, nat64.clone(), &cfg, 2);
+        let (_, clean) = collect(
             &world,
             nat64.clone(),
             &TrafficConfig {
@@ -1953,17 +1800,20 @@ mod tests {
             num_days: 15,
             ..TrafficConfig::fast()
         };
-        let ds = synthesize_residence(&world, profiles[2].clone(), &cfg, 2);
-        let mut sink = CollectSink::new();
-        let summary = synthesize_residence_into(&world, profiles[2].clone(), &cfg, 2, &mut sink);
-        assert_eq!(sink.records, ds.flows);
-        assert_eq!(summary.num_days, ds.num_days);
-        assert_eq!(summary.profile.key, ds.profile.key);
+        // One residence synthesized alone streams exactly what the same
+        // residence streams inside its cohort.
+        let (flows, summary) = collect(&world, profiles[2].clone(), &cfg, 2);
+        let mut cohort =
+            synthesize_profiles_with(&world, profiles, &cfg, |_, _| CollectSink::new());
+        let (in_cohort, cohort_flows) = cohort.remove(2);
+        assert_eq!(flows, cohort_flows.records);
+        assert_eq!(summary.num_days, in_cohort.num_days);
+        assert_eq!(summary.profile.key, in_cohort.profile.key);
     }
 
     #[test]
     fn streaming_aggregates_match_recomputed() {
-        use flowmon::sink::{drain_into, ScopeFamilyAgg};
+        use flowmon::sink::ScopeFamilyAgg;
         let world = World::generate(&WorldConfig::small());
         let profiles = crate::profile::paper_residences();
         let cfg = TrafficConfig {
@@ -1972,9 +1822,9 @@ mod tests {
         };
         let mut streamed = ScopeFamilyAgg::new(cfg.num_days);
         synthesize_residence_into(&world, profiles[0].clone(), &cfg, 0, &mut streamed);
-        let ds = synthesize_residence(&world, profiles[0].clone(), &cfg, 0);
+        let (flows, _) = collect(&world, profiles[0].clone(), &cfg, 0);
         let mut recomputed = ScopeFamilyAgg::new(cfg.num_days);
-        drain_into(&ds.flows, &mut recomputed);
+        recomputed.accept_batch(&flows);
         assert_eq!(streamed, recomputed);
         assert!(streamed.overall(Scope::External).total_flows() > 0);
     }

@@ -1,19 +1,18 @@
-//! Property tests of the streaming flow pipeline: the [`CollectSink`] path
-//! must reproduce the materialized dataset byte-for-byte, and streamed
-//! aggregates must equal aggregates recomputed from the collected records,
-//! at every `threads` count — the refactor's two load-bearing guarantees.
+//! Property tests of the streaming flow pipeline: a [`CollectSink`] sees
+//! the same record sequence at every `threads` count, and streamed
+//! aggregates equal aggregates recomputed from the collected records — the
+//! two guarantees every sink-based analysis rests on.
 //! The single-residence cases keep day-level parallelism exercised: one
 //! residence's days are the whole task list there.
 
-use flowmon::sink::{drain_into, CollectSink, FlowStatsAgg, TranslationAgg};
-use flowmon::{Direction, FlowTable, ScopeFamilyAgg, TranslationMap};
+use flowmon::sink::{CollectSink, FlowStatsAgg, TranslationAgg};
+use flowmon::{Direction, FlowSink, FlowTable, ScopeFamilyAgg, TranslationMap};
 use ipv6view_core::client::AsAgg;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use trafficgen::{
-    paper_residences, synthesize_long_tail_into, synthesize_profiles, synthesize_profiles_with,
-    synthesize_residence, synthesize_residence_into, transition_residences, LongTailTrafficConfig,
-    TrafficConfig,
+    paper_residences, synthesize_long_tail_into, synthesize_profiles_with,
+    synthesize_residence_into, transition_residences, LongTailTrafficConfig, TrafficConfig,
 };
 use worldgen::{World, WorldConfig};
 
@@ -53,8 +52,8 @@ fn cfg(seed: u64, threads: usize) -> TrafficConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Streaming into a `CollectSink` is byte-identical to the
-    /// materializing API, whatever the worker layout, for both an
+    /// Streaming into a `CollectSink` collects the sequential record
+    /// sequence and summary whatever the worker layout, for both an
     /// untranslated and a gateway-using residence.
     #[test]
     fn collect_sink_is_byte_identical(
@@ -69,13 +68,15 @@ proptest! {
             (paper_residences()[0].clone(), 0u64),
             (transition_residences()[2].clone(), 2u64),
         ] {
-            let ds = synthesize_residence(world, profile.clone(), &baseline_cfg, idx);
+            let mut baseline = CollectSink::new();
+            let base =
+                synthesize_residence_into(world, profile.clone(), &baseline_cfg, idx, &mut baseline);
             let mut sink = CollectSink::new();
             let summary =
                 synthesize_residence_into(world, profile, &par_cfg, idx, &mut sink);
-            prop_assert_eq!(&sink.records, &ds.flows);
-            prop_assert_eq!(summary.num_days, ds.num_days);
-            match (summary.gateway, ds.gateway) {
+            prop_assert_eq!(&sink.records, &baseline.records);
+            prop_assert_eq!(summary.num_days, base.num_days);
+            match (summary.gateway, base.gateway) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
                     prop_assert_eq!(a.granted, b.granted);
@@ -118,9 +119,9 @@ proptest! {
             prop_assert_eq!(x.flows, y.flows);
             prop_assert_eq!(x.fraction, y.fraction);
         }
-        // ...and equal to a recomputation from the materialized stream.
+        // ...and equal to a recomputation from the collected stream.
         let mut recomputed = AsAgg::new(&world.rib, &world.registry);
-        drain_into(&records, &mut recomputed);
+        recomputed.accept_batch(&records);
         prop_assert_eq!(recomputed.total_bytes(), seq_agg.total_bytes());
         prop_assert_eq!(
             recomputed.fractions('T', 0.0).len(),
@@ -173,9 +174,9 @@ proptest! {
         // the evicted stream must always equal the original stream's.
         prop_assert!(d1.len() <= records.len());
         let mut from_evicted = AsAgg::new(&world.rib, &world.registry);
-        drain_into(&d1, &mut from_evicted);
+        from_evicted.accept_batch(&d1);
         let mut from_stream = AsAgg::new(&world.rib, &world.registry);
-        drain_into(&records, &mut from_stream);
+        from_stream.accept_batch(&records);
         prop_assert_eq!(from_evicted.total_bytes(), from_stream.total_bytes());
         let (a, b) = (from_evicted.fractions('T', 0.0), from_stream.fractions('T', 0.0));
         prop_assert_eq!(a.len(), b.len());
@@ -211,17 +212,20 @@ proptest! {
                 (FlowStatsAgg::new(), TranslationAgg::new(make_map())),
             ),
         );
-        // ...and recompute the same aggregates from materialized records.
-        let datasets = synthesize_profiles(world, transition_residences(), &cfg(seed, 1));
-        prop_assert_eq!(streamed.len(), datasets.len());
-        for ((summary, (scope, (stats, xlat))), ds) in streamed.iter().zip(&datasets) {
-            prop_assert_eq!(summary.profile.key, ds.profile.key);
+        // ...and recompute the same aggregates from collected records.
+        let collected = synthesize_profiles_with(
+            world,
+            transition_residences(),
+            &cfg(seed, 1),
+            |_, _| CollectSink::new(),
+        );
+        prop_assert_eq!(streamed.len(), collected.len());
+        for ((summary, (scope, (stats, xlat))), (base, records)) in streamed.iter().zip(&collected) {
+            prop_assert_eq!(summary.profile.key, base.profile.key);
             let mut scope2 = ScopeFamilyAgg::new(par_cfg.num_days);
             let mut stats2 = FlowStatsAgg::new();
             let mut xlat2 = TranslationAgg::new(make_map());
-            drain_into(&ds.flows, &mut scope2);
-            drain_into(&ds.flows, &mut stats2);
-            drain_into(&ds.flows, &mut xlat2);
+            (&mut scope2, &mut stats2, &mut xlat2).accept_batch(&records.records);
             prop_assert_eq!(scope, &scope2);
             prop_assert_eq!(stats, &stats2);
             prop_assert_eq!(&xlat.bytes, &xlat2.bytes);

@@ -7,11 +7,11 @@
 //! cargo run --release --example residence_monitor
 //! ```
 
-use ipv6view::core::client::analyze_residence;
-use ipv6view::flowmon::{AnonymizingExporter, Scope};
+use ipv6view::core::client::analyze_agg;
+use ipv6view::flowmon::{AnonymizingExporter, CollectSink, ScopeFamilyAgg};
 use ipv6view::iputil::anon::{Anonymizer, AnonymizerConfig};
 use ipv6view::prelude::{TrafficConfig, World, WorldConfig};
-use ipv6view::trafficgen::{paper_residences, synthesize_residence};
+use ipv6view::trafficgen::{paper_residences, synthesize_residence_into};
 
 fn main() {
     let world = World::generate(&WorldConfig::small());
@@ -28,11 +28,15 @@ fn main() {
         scale: 1.0 / 500.0,
         ..TrafficConfig::default()
     };
-    let ds = synthesize_residence(&world, profile, &cfg, 0);
+    // One pass: the records for the export below, and the per-day
+    // counters the analysis reads.
+    let mut sink = (CollectSink::new(), ScopeFamilyAgg::new(cfg.num_days));
+    let summary = synthesize_residence_into(&world, profile, &cfg, 0, &mut sink);
+    let (records, counters) = sink;
     println!(
         "{} sampled flow records over {} days",
-        ds.flows.len(),
-        ds.num_days
+        records.records.len(),
+        summary.num_days
     );
 
     // The privacy pipeline from the paper's appendix A: scramble the low 8
@@ -42,7 +46,7 @@ fn main() {
         *b"residence-a-key!",
         AnonymizerConfig::paper(),
     ));
-    let logs = exporter.export(&ds.flows);
+    let logs = exporter.export(&records.records);
     println!("rotated into {} daily logs (anonymized)", logs.len());
     let sample = &logs[0].records[0];
     println!(
@@ -53,9 +57,9 @@ fn main() {
         sample.total_bytes()
     );
 
-    // The analysis still works on anonymized data because CryptoPAN
-    // preserves prefixes (AS attribution needs only the upper bits).
-    let analysis = analyze_residence(&ds);
+    // Anonymization keeps every byte count, family and scope, so the
+    // Table 1 numbers are the same on the raw and the anonymized log.
+    let analysis = analyze_agg(summary.profile.key, summary.scale, &counters);
     println!(
         "\nexternal: {:.1} GB, IPv6 {:.1}% of bytes / {:.1}% of flows",
         analysis.external.total_gb,
@@ -80,5 +84,4 @@ fn main() {
             println!("  day {:>2}: {f:.3} {bar}", d.day);
         }
     }
-    let _ = Scope::External; // silence unused import on some feature sets
 }

@@ -228,7 +228,7 @@ pub mod prelude {
         Session,
     };
     pub use faults::{DnsFailure, FaultKind, FaultPlan, PoolTarget, Window};
-    pub use flowmon::sink::{Fanout, FlowSink, Tee};
+    pub use flowmon::sink::FlowSink;
     pub use flowmon::{DropCause, DropCounters};
     pub use flowstore::{DigestSink, PartSet, SpillSink};
     pub use obs::MetricsReport;

@@ -40,17 +40,19 @@ fn different_seeds_different_worlds_same_findings() {
 
 #[test]
 fn traffic_is_deterministic_per_seed() {
-    use ipv6view::trafficgen::{synthesize_all, TrafficConfig};
+    use ipv6view::flowmon::CollectSink;
+    use ipv6view::trafficgen::{paper_residences, synthesize_profiles_with, TrafficConfig};
     let world = World::generate(&WorldConfig::small());
     let cfg = TrafficConfig {
         num_days: 10,
         ..TrafficConfig::fast()
     };
-    let a = synthesize_all(&world, &cfg);
-    let b = synthesize_all(&world, &cfg);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.flows.len(), y.flows.len());
-        assert_eq!(x.flows.first(), y.flows.first());
-        assert_eq!(x.flows.last(), y.flows.last());
+    let run =
+        || synthesize_profiles_with(&world, paper_residences(), &cfg, |_, _| CollectSink::new());
+    let (a, b) = (run(), run());
+    assert_eq!(a.len(), b.len());
+    for ((_, x), (_, y)) in a.iter().zip(&b) {
+        assert!(!x.records.is_empty());
+        assert_eq!(x.records, y.records);
     }
 }

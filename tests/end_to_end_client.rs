@@ -2,20 +2,35 @@
 //! → anonymizing export → Table 1 analysis → AS/domain attribution → MSTL —
 //! spanning trafficgen, flowmon, iputil, bgpsim, dnssim and ipv6view-core.
 
-use ipv6view::core::client::{analyze_residence, as_fractions, common_ases, domain_fractions};
-use ipv6view::flowmon::{AnonymizingExporter, Scope};
+use ipv6view::core::client::{
+    analyze_agg, common_ases, domain_fractions_from, AsAgg, DomainAgg, HourlyAgg, Metric,
+};
+use ipv6view::flowmon::{AnonymizingExporter, CollectSink, Scope, ScopeFamilyAgg};
 use ipv6view::iputil::anon::{Anonymizer, AnonymizerConfig};
-use ipv6view::trafficgen::{synthesize_all, TrafficConfig};
+use ipv6view::trafficgen::{
+    paper_residences, synthesize_profiles_with, synthesize_residence_into, TrafficConfig,
+};
 use ipv6view::worldgen::{World, WorldConfig};
 
 #[test]
 fn full_client_pipeline() {
     let world = World::generate(&WorldConfig::small());
-    let datasets = synthesize_all(&world, &TrafficConfig::fast());
-    assert_eq!(datasets.len(), 5);
+    let cfg = TrafficConfig::fast();
+    // One pass feeds every analysis's aggregator.
+    let runs = synthesize_profiles_with(&world, paper_residences(), &cfg, |_, _| {
+        (
+            ScopeFamilyAgg::new(cfg.num_days),
+            AsAgg::new(&world.rib, &world.registry),
+            DomainAgg::new(&world.client_zone, &world.psl),
+        )
+    });
+    assert_eq!(runs.len(), 5);
 
     // Table 1 per-residence shape.
-    let analyses: Vec<_> = datasets.iter().map(analyze_residence).collect();
+    let analyses: Vec<_> = runs
+        .iter()
+        .map(|(summary, (agg, ..))| analyze_agg(summary.profile.key, summary.scale, agg))
+        .collect();
     let frac = |k: char| {
         analyses
             .iter()
@@ -31,33 +46,36 @@ fn full_client_pipeline() {
     assert!(frac('C') < frac('A') && frac('C') < frac('B'));
 
     // AS attribution finds the catalog's common ASes.
-    let fr = as_fractions(&datasets, &world.rib, &world.registry, 0.0001);
+    let fr: Vec<_> = runs
+        .iter()
+        .flat_map(|(summary, (_, agg, _))| agg.fractions(summary.profile.key, 0.0001))
+        .collect();
     let common = common_ases(&fr, 3);
     assert!(common.len() >= 20);
 
     // Domain attribution via reverse DNS sees the known IPv4-only laggards.
-    let domains = domain_fractions(&datasets, &world.client_zone, &world.psl, 1_000, 3);
+    let domain_aggs: Vec<_> = runs.into_iter().map(|(_, (_, _, agg))| agg).collect();
+    let domains = domain_fractions_from(&domain_aggs, 1_000, 3);
     assert!(domains.iter().any(|(d, _)| d.as_str() == "zoom.us"));
 }
 
 #[test]
 fn anonymized_export_preserves_every_analysis_input() {
     let world = World::generate(&WorldConfig::small());
-    let datasets = synthesize_all(
-        &world,
-        &TrafficConfig {
-            num_days: 20,
-            ..TrafficConfig::fast()
-        },
-    );
-    let ds = &datasets[0];
+    let cfg = TrafficConfig {
+        num_days: 20,
+        ..TrafficConfig::fast()
+    };
+    let mut sink = CollectSink::new();
+    synthesize_residence_into(&world, paper_residences().remove(0), &cfg, 0, &mut sink);
+    let flows = sink.into_records();
     let exporter = AnonymizingExporter::new(Anonymizer::new(
         *b"integration-key!",
         AnonymizerConfig::paper(),
     ));
-    let logs = exporter.export(&ds.flows);
+    let logs = exporter.export(&flows);
     let anon_flows: Vec<_> = logs.into_iter().flat_map(|l| l.records).collect();
-    assert_eq!(anon_flows.len(), ds.flows.len());
+    assert_eq!(anon_flows.len(), flows.len());
 
     // Byte totals, family fractions and scopes are invariant.
     let stats = |flows: &[ipv6view::flowmon::FlowRecord]| {
@@ -71,7 +89,7 @@ fn anonymized_export_preserves_every_analysis_input() {
         (total, v6, internal)
     };
     // Sort-insensitive comparison (export reorders by day).
-    let (t1, v1, i1) = stats(&ds.flows);
+    let (t1, v1, i1) = stats(&flows);
     let (t2, v2, i2) = stats(&anon_flows);
     assert_eq!(t1, t2);
     assert_eq!(v1, v2);
@@ -98,20 +116,14 @@ fn anonymized_export_preserves_every_analysis_input() {
 #[test]
 fn seasonal_pipeline_decomposes_dense_traffic() {
     let world = World::generate(&WorldConfig::small());
-    let datasets = synthesize_all(
-        &world,
-        &TrafficConfig {
-            num_days: 21,
-            scale: 1.0 / 50.0,
-            ..TrafficConfig::default()
-        },
-    );
-    let series = ipv6view::core::client::hourly_fraction_series(
-        &datasets[0],
-        Scope::External,
-        ipv6view::core::client::Metric::Bytes,
-        0..21,
-    );
+    let cfg = TrafficConfig {
+        num_days: 21,
+        scale: 1.0 / 50.0,
+        ..TrafficConfig::default()
+    };
+    let mut hourly = HourlyAgg::new(Scope::External, 0..21);
+    synthesize_residence_into(&world, paper_residences().remove(0), &cfg, 0, &mut hourly);
+    let series = hourly.series(Metric::Bytes);
     assert_eq!(series.len(), 21 * 24);
     let fit = ipv6view::core::seasonal::decompose_hourly(&series).expect("decomposes");
     // Exact additivity across crates.
