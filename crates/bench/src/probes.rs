@@ -11,7 +11,7 @@
 use bgpsim::AsId;
 use flowmon::sink::{CollectSink, FlowStatsAgg, ScopeCell};
 use flowmon::{FlowRecord, FlowSink, Scope, ScopeFamilyAgg};
-use flowstore::{DigestSink, PartSet, SpillSink};
+use flowstore::{part_file_name, write_part, DigestSink, PartSet};
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::sym::SymVec;
 use iputil::{Lpm, Lpm4, Lpm6, LpmAddr};
@@ -213,6 +213,8 @@ pub fn pipeline() -> Vec<Probe> {
     let spill_dir =
         std::env::temp_dir().join(format!("ipv6view-probe-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&spill_dir);
+    // A directory that cannot be made fails the spill probe's first write.
+    let _ = std::fs::create_dir_all(&spill_dir);
     let tail = Rc::new(LongTail {
         world,
         records,
@@ -321,7 +323,7 @@ pub fn pipeline() -> Vec<Probe> {
             |t| {
                 // Spill on first use, so replay never depends on the spill
                 // probe having run before it.
-                if !t.spill_dir.exists() {
+                if !t.spill_dir.join(part_file_name(0, 0, 0)).exists() {
                     spill(t)?;
                 }
                 let mut digest = DigestSink::new();
@@ -332,9 +334,9 @@ pub fn pipeline() -> Vec<Probe> {
     ]
 }
 
-/// Seal the long-tail records as one columnar part per day.
-fn spill(t: &LongTail) -> flowstore::Result<usize> {
-    let mut sink = SpillSink::new(&t.spill_dir, 0)?;
-    sink.accept_batch(&t.records);
-    Ok(sink.finish()?.len())
+/// Seal the long-tail day as one columnar part, exactly what a
+/// `flowstore::spill_through` worker runs for one task.
+fn spill(t: &LongTail) -> flowstore::Result<u64> {
+    let path = t.spill_dir.join(part_file_name(0, 0, 0));
+    Ok(write_part(path, 0, 0, 0, &t.records)?.rows)
 }

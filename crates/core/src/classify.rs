@@ -1,7 +1,6 @@
 //! Graded website classification (Fig 5).
 
 use crawlsim::{CrawlReport, PageFailure, SiteCrawl};
-use iputil::Family;
 use serde::Serialize;
 
 /// The paper's graded classes for a crawled website.
@@ -167,12 +166,6 @@ impl ClassCounts {
     pub fn binary_adoption_pct(&self) -> f64 {
         self.pct_of_connected(self.aaaa_enabled)
     }
-}
-
-/// Classify the winning family actually used by the browser, for quick
-/// Fig 5 style summaries.
-pub fn used_family(crawl: &SiteCrawl) -> Option<Family> {
-    crawl.outcome.as_ref().ok().map(|s| s.main_used)
 }
 
 #[cfg(test)]

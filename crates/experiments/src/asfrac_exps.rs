@@ -162,9 +162,9 @@ fn as_fractions_report_for(params: &AsFractionsParams) -> Report {
 pub fn as_fractions(s: &mut Session) -> Report {
     // `--sites` doubles as the tail-scale knob (100k sites = the paper's
     // crawl scale = a full routing table's origin-AS count).
-    let ases = s.world.web.sites.len();
+    let ases = s.config.sites;
     let params = AsFractionsParams {
-        seed: s.world.config.seed,
+        seed: s.config.seed,
         ases,
         days: s.config.days.min(30),
         flows_per_day: (ases * 10).clamp(20_000, 600_000),
@@ -177,7 +177,7 @@ pub fn as_fractions(s: &mut Session) -> Report {
 /// matching the published dataset's parameters).
 pub fn as_fractions_export_report(s: &mut Session) -> Report {
     let params = AsFractionsParams {
-        seed: s.world.config.seed,
+        seed: s.config.seed,
         ases: 300,
         days: s.config.days.min(3),
         flows_per_day: 10_000,

@@ -271,8 +271,8 @@ fn million_subs_report_for(params: &MillionSubsParams) -> Report {
 pub fn million_subs(s: &mut Session) -> Report {
     let threads = s.config.threads.unwrap_or_else(obs::par::default_threads);
     let params = MillionSubsParams {
-        seed: s.world.config.seed,
-        subscribers: s.world.web.sites.len() * 50,
+        seed: s.config.seed,
+        subscribers: s.config.sites * 50,
         days: s.config.days.min(5),
         threads,
         spill: s.config.spill.clone(),

@@ -11,12 +11,14 @@
 //! This crate is that monitor:
 //!
 //! * [`flow`] — flow keys (5-tuple + ICMP metadata), records and scopes.
-//! * [`table`] — the connection-tracking table: `NEW`/packet/`DESTROY`
-//!   event API with idle timeout eviction, plus a whole-flow injection path
-//!   used by the traffic synthesizer.
-//! * [`router`] — the router pipeline: classifies flows as internal
+//! * [`table`] — the connection-tracking event model: `NEW`/packet/`DESTROY`
+//!   events with idle timeout eviction, draining completed records in a
+//!   deterministic order. It has no injection path: whole flows never pass
+//!   through it.
+//! * [`router`] — the router's scoping: classifies flows as internal
 //!   (LAN↔LAN) or external (LAN↔WAN) from configured LAN prefixes, exactly
-//!   the split of Table 1.
+//!   the split of Table 1, and builds the record of each observed whole
+//!   flow, which the synthesizer hands straight to a [`FlowSink`].
 //! * [`export`] — daily log rotation and the anonymizing exporter
 //!   (prefix-preserving scrambling of the low bits, per the paper's IRB
 //!   protocol).

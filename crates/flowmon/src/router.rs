@@ -1,8 +1,6 @@
-//! The router-side monitor: scope classification plus the flow table.
+//! The router-side monitor: scope classification of observed flows.
 
 use crate::flow::{FlowKey, FlowRecord, Scope};
-use crate::table::FlowTable;
-use crate::xlat::{Translation, TranslationMap};
 use crate::Timestamp;
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::{Lpm4, Lpm6};
@@ -15,7 +13,7 @@ use std::net::IpAddr;
 /// [`Scope::Internal`] when *both* endpoints are inside the LAN, otherwise
 /// [`Scope::External`] — the exact split reported per-residence in Table 1.
 ///
-/// Scoping runs once per injected flow against the LAN sets, which never
+/// Scoping runs once per observed flow against the LAN sets, which never
 /// change over a monitor's lifetime: they compile once, on the first
 /// lookup, and a handful of LAN prefixes compiles to the engine's
 /// linear-scan representation — no `2^16` root table per residence.
@@ -23,8 +21,6 @@ use std::net::IpAddr;
 pub struct RouterMonitor {
     lan4: Lpm4<()>,
     lan6: Lpm6<()>,
-    xlat: TranslationMap,
-    table: FlowTable,
 }
 
 impl RouterMonitor {
@@ -41,22 +37,7 @@ impl RouterMonitor {
         RouterMonitor {
             lan4: lan4_lpm,
             lan6: lan6_lpm,
-            xlat: TranslationMap::new(),
-            table: FlowTable::new(),
         }
-    }
-
-    /// Install the translation knowledge this router classifies against
-    /// (NAT64 prefixes; whether external v4 rides a DS-Lite softwire).
-    pub fn set_translation_map(&mut self, xlat: TranslationMap) {
-        self.xlat = xlat;
-    }
-
-    /// Translation provenance of a flow: native, NAT64-translated, or
-    /// DS-Lite tunneled. Purely address-derived — usable on live keys and on
-    /// drained records alike.
-    pub fn translation_of(&self, key: &FlowKey) -> Translation {
-        self.xlat.classify(key, self.scope_of(key.src, key.dst))
     }
 
     /// Is an address inside this residence's LAN?
@@ -76,22 +57,10 @@ impl RouterMonitor {
         }
     }
 
-    /// Conntrack `NEW` with automatic scoping.
-    pub fn on_new(&mut self, key: FlowKey, ts: Timestamp) {
-        let scope = self.scope_of(key.src, key.dst);
-        self.table.on_new(key, ts, scope);
-    }
-
-    /// Access the underlying table (packet accounting, destroy, eviction).
-    pub fn table(&mut self) -> &mut FlowTable {
-        &mut self.table
-    }
-
-    /// Build the completed record `inject` would log — scope classification
-    /// plus the packet estimate — without buffering it. The streaming
-    /// pipeline observes flows this way and pushes them straight into a
-    /// [`crate::sink::FlowSink`]; `inject` remains for call sites that
-    /// want the table to hold the record until [`RouterMonitor::drain`].
+    /// Build the completed record the router logs for a whole flow — scope
+    /// classification plus the packet estimate. The streaming pipeline
+    /// observes flows this way and pushes them straight into a
+    /// [`crate::sink::FlowSink`].
     pub fn observe(
         &self,
         key: FlowKey,
@@ -115,33 +84,6 @@ impl RouterMonitor {
             packets_reply: pkts(bytes_reply),
             scope,
         }
-    }
-
-    /// Inject a whole flow with automatic scoping (synthesis fast path).
-    pub fn inject(
-        &mut self,
-        key: FlowKey,
-        start: Timestamp,
-        end: Timestamp,
-        bytes_orig: u64,
-        bytes_reply: u64,
-    ) {
-        let r = self.observe(key, start, end, bytes_orig, bytes_reply);
-        self.table.inject(
-            r.key,
-            r.start,
-            r.end,
-            r.bytes_orig,
-            r.bytes_reply,
-            r.packets_orig,
-            r.packets_reply,
-            r.scope,
-        );
-    }
-
-    /// Drain completed flow records.
-    pub fn drain(&mut self) -> Vec<FlowRecord> {
-        self.table.drain()
     }
 }
 
@@ -174,57 +116,16 @@ mod tests {
 
     #[test]
     fn inject_applies_scope_and_packets() {
-        let mut r = router();
+        let r = router();
         let key = FlowKey::tcp(
             "192.168.1.5".parse().unwrap(),
             40000,
             "192.168.1.6".parse().unwrap(),
             445,
         );
-        r.inject(key, 0, 100, 2400, 120_000);
-        let recs = r.drain();
-        assert_eq!(recs[0].scope, Scope::Internal);
-        assert_eq!(recs[0].packets_orig, 2);
-        assert_eq!(recs[0].packets_reply, 100);
-    }
-
-    #[test]
-    fn translation_classification_through_router() {
-        let mut r = router();
-        let mut xlat = TranslationMap::new();
-        xlat.add_nat64_prefix("64:ff9b::/96".parse().unwrap());
-        r.set_translation_map(xlat);
-        let translated = FlowKey::tcp(
-            "2001:db8:1000::5".parse().unwrap(),
-            40000,
-            "64:ff9b::c633:6407".parse().unwrap(),
-            443,
-        );
-        assert_eq!(r.translation_of(&translated), Translation::Nat64);
-        let native = FlowKey::tcp(
-            "2001:db8:1000::5".parse().unwrap(),
-            40001,
-            "2600::1".parse().unwrap(),
-            443,
-        );
-        assert_eq!(r.translation_of(&native), Translation::Native);
-    }
-
-    #[test]
-    fn event_path_with_scope() {
-        let mut r = router();
-        let key = FlowKey::udp(
-            "192.168.1.5".parse().unwrap(),
-            5000,
-            "8.8.8.8".parse().unwrap(),
-            53,
-        );
-        r.on_new(key, 10);
-        r.table()
-            .on_packet(&key, 20, crate::flow::Direction::Original, 64);
-        r.table().on_destroy(&key, 30);
-        let recs = r.drain();
-        assert_eq!(recs[0].scope, Scope::External);
-        assert_eq!(recs[0].bytes_orig, 64);
+        let rec = r.observe(key, 0, 100, 2400, 120_000);
+        assert_eq!(rec.scope, Scope::Internal);
+        assert_eq!(rec.packets_orig, 2);
+        assert_eq!(rec.packets_reply, 100);
     }
 }

@@ -25,7 +25,7 @@ struct ActiveFlow {
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     active: HashMap<FlowKey, ActiveFlow>,
-    /// Completed flows waiting to be drained by the router/exporter.
+    /// Completed flows waiting for [`FlowTable::drain`].
     completed: Vec<FlowRecord>,
 }
 
@@ -129,34 +129,6 @@ impl FlowTable {
             });
         }
         n
-    }
-
-    /// Inject a whole flow in one call — the synthesis fast path used by
-    /// `trafficgen` for aggregate traffic where per-packet simulation would
-    /// be pointless.
-    #[allow(clippy::too_many_arguments)]
-    pub fn inject(
-        &mut self,
-        key: FlowKey,
-        start: Timestamp,
-        end: Timestamp,
-        bytes_orig: u64,
-        bytes_reply: u64,
-        packets_orig: u64,
-        packets_reply: u64,
-        scope: Scope,
-    ) {
-        debug_assert!(end >= start);
-        self.completed.push(FlowRecord {
-            key,
-            start,
-            end,
-            bytes_orig,
-            bytes_reply,
-            packets_orig,
-            packets_reply,
-            scope,
-        });
     }
 
     /// Drain completed flow records.
@@ -270,16 +242,6 @@ mod tests {
         let mut sorted = ra.clone();
         sorted.sort_by_key(|r| (r.end, r.start, r.key));
         assert_eq!(ra, sorted);
-    }
-
-    #[test]
-    fn inject_fast_path() {
-        let mut t = FlowTable::new();
-        t.inject(key(5), 0, 1000, 42, 4200, 3, 5, Scope::Internal);
-        let recs = t.drain();
-        assert_eq!(recs[0].total_bytes(), 4242);
-        assert_eq!(recs[0].scope, Scope::Internal);
-        assert_eq!(t.completed_count(), 0, "drain empties the buffer");
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! # flowstore — a spillable, deterministic, columnar flow store
 //!
-//! `CollectSink` fidelity without `CollectSink` memory: sinks write the
-//! record stream into sorted immutable **day-parts** (one file per
+//! `CollectSink` fidelity without `CollectSink` memory: a record stream is
+//! written into sorted immutable **day-parts** (one file per
 //! `(stream, day, seq)`, one compressed column per [`flowmon::FlowRecord`]
-//! field) and replay them **byte-identically** later. [`spill_through`] is
-//! the one spill path of the experiment engine: it runs a task-parallel
-//! producer, writes one part per task on the workers, replays the parts
-//! into any sink and proves the replay is the live stream by digest, with
-//! every failure returned as an [`Error`] value.
+//! field) and replayed **byte-identically** later. There is one way in and
+//! one way out:
+//!
+//! * [`spill_through`] is the only code that turns a stream into parts. It
+//!   runs a task-parallel producer, writes one part per task on the
+//!   workers, replays the parts into any sink and proves the replay is the
+//!   live stream by digest, with every failure returned as an [`Error`]
+//!   value.
+//! * [`write_part`] is the only encoder, and [`PartSet::replay_into`] the
+//!   only replay; [`PartSet::open`] reopens a spill directory.
 //!
 //! ## Part layout
 //!
@@ -31,17 +36,14 @@
 //!
 //! * A sealed part's bytes are a **pure function** of its identity and
 //!   rows — no wall clock, no ambient RNG, no hash-order iteration.
-//! * [`spill_through`] names each part by its task's `(stream, day)` and
-//!   [`SpillSink`] seals at day boundaries of the producer stream, so the
-//!   set of parts a run writes depends only on `(sites, seed, days)`,
+//! * [`spill_through`] names each part by its task's `(stream, day)`, so
+//!   the set of parts a run writes depends only on `(sites, seed, days)`,
 //!   never on the thread layout.
 //! * [`PartSet::replay_into`] delivers parts in canonical
 //!   `(day, stream, seq)` order — the emission order of every producer —
 //!   so replay through `flowmon::CollectSink` reproduces the in-memory
 //!   `Vec<FlowRecord>` exactly. Tier-1 tests compare digests
 //!   ([`records_digest`] / [`DigestSink`]) on both sides.
-//! * Compacting K parts yields the same bytes as writing their
-//!   concatenated rows as one part.
 //!
 //! ## Quick start
 //!
@@ -76,5 +78,5 @@ pub use part::{
     parse_part_file_name, part_bytes, part_file_name, read_part, write_part, ColumnMeta, Footer,
     PartMeta, COLUMNS, COLUMN_NAMES,
 };
-pub use spill::{spill_through, SpillSink, SpillStats};
+pub use spill::{spill_through, SpillStats};
 pub use store::{PartSet, ReplayStats};

@@ -1,5 +1,6 @@
-//! [`PartSet`]: an ordered collection of sealed parts, with merged replay
-//! and compaction.
+//! [`PartSet`]: an ordered collection of sealed parts and their merged
+//! replay. Parts come from [`crate::spill_through`] (or [`crate::write_part`]
+//! directly), and [`PartSet::open`] reopens a directory of them.
 //!
 //! Replay order is canonical — `(day, stream, seq)` — which matches the
 //! day-major emission order of every producer in the workspace: the
@@ -10,8 +11,8 @@
 //! the tier-1 tests assert this by digest.
 
 use crate::error::{Error, Result};
-use crate::part::{parse_part_file_name, read_part, write_part, PartMeta};
-use flowmon::{FlowRecord, FlowSink};
+use crate::part::{parse_part_file_name, read_part, PartMeta};
+use flowmon::FlowSink;
 use std::path::Path;
 
 /// Summary of a completed replay.
@@ -61,8 +62,8 @@ impl PartSet {
         Ok(PartSet::from_metas(parts))
     }
 
-    /// Build a set from known metas (e.g. the return of
-    /// [`crate::SpillSink::finish`]), sorting canonically.
+    /// Build a set from known metas (e.g. the returns of
+    /// [`crate::write_part`]), sorting canonically.
     #[must_use]
     pub fn from_metas(mut parts: Vec<PartMeta>) -> PartSet {
         parts.sort_by_key(PartMeta::canonical_key);
@@ -112,33 +113,13 @@ impl PartSet {
         obs::counter_add("flowstore.replay.rows", stats.rows);
         Ok(stats)
     }
-
-    /// Compact every part in the set into one part at `path`, preserving
-    /// canonical row order. The compacted part is byte-identical to a part
-    /// written directly from the concatenated rows (the proptests assert
-    /// this), so compaction never perturbs replay. Returns the new meta;
-    /// the input parts are left in place for the caller to retire.
-    pub fn compact(
-        &self,
-        path: impl AsRef<Path>,
-        stream: u64,
-        day: u64,
-        seq: u32,
-    ) -> Result<PartMeta> {
-        let mut rows: Vec<FlowRecord> = Vec::new();
-        for meta in &self.parts {
-            let (_, records) = read_part(&meta.path)?;
-            rows.extend_from_slice(&records);
-        }
-        write_part(path, stream, day, seq, &rows)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::part::part_file_name;
-    use flowmon::{CollectSink, FlowKey, Scope, DAY};
+    use crate::part::{part_file_name, write_part};
+    use flowmon::{CollectSink, FlowKey, FlowRecord, Scope, DAY};
 
     fn rec(day: u64, stream: u64, i: u64) -> FlowRecord {
         FlowRecord {
@@ -189,34 +170,6 @@ mod tests {
         let stats = set.replay_into(&mut collect).unwrap();
         assert_eq!(stats.rows, 30);
         assert_eq!(collect.into_records(), expect);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compaction_equals_direct_write() {
-        let dir = std::env::temp_dir().join("flowstore-compact-test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let mut all = Vec::new();
-        let mut metas = Vec::new();
-        for seq in 0..4u32 {
-            let rows: Vec<_> = (0..25)
-                .map(|i| rec(2, 5, u64::from(seq) * 100 + i))
-                .collect();
-            all.extend_from_slice(&rows);
-            metas.push(write_part(dir.join(part_file_name(5, 2, seq)), 5, 2, seq, &rows).unwrap());
-        }
-        let set = PartSet::from_metas(metas);
-        let compacted = set.compact(dir.join("compacted.fsp"), 5, 2, 0).unwrap();
-        assert_eq!(compacted.rows, 100);
-
-        let direct = dir.join("direct.fsp");
-        write_part(&direct, 5, 2, 0, &all).unwrap();
-        assert_eq!(
-            std::fs::read(&compacted.path).unwrap(),
-            std::fs::read(&direct).unwrap()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,13 +1,13 @@
 //! Property tests for the flow store: codec round-trip identity over the
-//! full value domain, part encode/decode identity for arbitrary records,
-//! compaction equivalence, and footer min/max consistency.
+//! full value domain, part encode/decode identity and determinism for
+//! arbitrary records, and footer min/max consistency.
 
 use flowmon::{FlowKey, FlowRecord, IcmpMeta, Proto, Scope};
 use flowstore::codec::{
     decode_delta, decode_delta2, decode_dict, decode_rle, decode_varint, encode_delta,
     encode_delta2, encode_dict, encode_rle, encode_varint,
 };
-use flowstore::{part_bytes, part_file_name, records_digest, write_part, PartSet};
+use flowstore::{part_bytes, records_digest, write_part};
 use proptest::prelude::*;
 use std::net::IpAddr;
 
@@ -128,31 +128,6 @@ proptest! {
     #[test]
     fn part_bytes_deterministic(records in arb_records()) {
         prop_assert_eq!(part_bytes(3, 9, 1, &records), part_bytes(3, 9, 1, &records));
-    }
-
-    /// Compacting K parts produces byte-identical output to writing the
-    /// concatenated rows as one part directly.
-    #[test]
-    fn compaction_equals_one_big_part(records in arb_records(), k in 1usize..6) {
-        let dir = std::env::temp_dir().join("flowstore-prop-compact");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let chunk = (records.len() / k).max(1);
-        let mut metas = Vec::new();
-        for (seq, rows) in records.chunks(chunk).enumerate() {
-            let seq = seq as u32;
-            metas.push(write_part(dir.join(part_file_name(0, 0, seq)), 0, 0, seq, rows).unwrap());
-        }
-        let compacted = PartSet::from_metas(metas)
-            .compact(dir.join("compacted.fsp"), 0, 0, 0)
-            .unwrap();
-        let direct = dir.join("direct.fsp");
-        write_part(&direct, 0, 0, 0, &records).unwrap();
-        prop_assert_eq!(
-            std::fs::read(&compacted.path).unwrap(),
-            std::fs::read(&direct).unwrap()
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Footer min/max matches the semantic min/max of the decoded values

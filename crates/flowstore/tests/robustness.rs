@@ -2,7 +2,10 @@
 //! flipped byte, a deleted part, a task list out of canonical order, two
 //! tasks with one identity and an unusable directory each make
 //! `spill_through` (and, for damaged files, `PartSet::replay_into`) return
-//! an `Err`.
+//! an `Err`. So does a failing writer: `write_part` to a device that
+//! refuses the bytes is an I/O error, and a part path a directory occupies
+//! fails its task, with `spill_through` returning the first such failure in
+//! task order before any row reaches the sink.
 
 use flowmon::{CollectSink, FlowKey, FlowRecord, Scope, DAY};
 use flowstore::{
@@ -223,4 +226,42 @@ fn a_dir_under_a_regular_file_is_an_io_error() {
     assert!(matches!(result, Err(Error::Io { .. })));
     assert!(sink.records.is_empty(), "no rows reach the sink");
     std::fs::remove_file(&file).ok();
+}
+
+/// `/dev/full` opens for writing and refuses every byte with `ENOSPC`.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_write_the_device_refuses_is_an_io_error() {
+    let result = write_part("/dev/full", 0, 0, 0, &records(0, 0));
+    assert!(matches!(
+        result,
+        Err(Error::Io { ref path, .. }) if path == Path::new("/dev/full")
+    ));
+}
+
+#[test]
+fn a_part_path_occupied_by_a_directory_fails_its_task_in_task_order() {
+    // Tasks 1 and 2 each find their part path taken by a directory; on two
+    // workers either may fail first, but the error is task 1's.
+    let dir = fresh_dir("occupied");
+    let part = |day: u64| dir.join(part_file_name(0, day, 0));
+    let mut sink = CollectSink::new();
+    let result = spill_through(
+        &dir,
+        vec![0u64, 1, 2],
+        2,
+        |day| {
+            if day > 0 {
+                std::fs::create_dir(part(day)).unwrap();
+            }
+            (0, day, records(day, 0))
+        },
+        &mut sink,
+    );
+    assert!(
+        matches!(result, Err(Error::Io { ref path, .. }) if *path == part(1)),
+        "{result:?}"
+    );
+    assert!(sink.records.is_empty(), "no rows reach the sink");
+    std::fs::remove_dir_all(&dir).ok();
 }

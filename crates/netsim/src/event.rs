@@ -106,11 +106,6 @@ impl<E> EventQueue<E> {
         Some((e.at, e.event))
     }
 
-    /// Peek at the next event's timestamp without advancing the clock.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Drain and drop all pending events (keeps the clock).
     pub fn clear(&mut self) {
         self.heap.clear();

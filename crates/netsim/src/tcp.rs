@@ -41,14 +41,6 @@ pub enum ConnectOutcome {
 }
 
 impl ConnectOutcome {
-    /// The completion time if connected.
-    pub fn connected_at(&self) -> Option<Time> {
-        match self {
-            ConnectOutcome::Connected { at, .. } => Some(*at),
-            ConnectOutcome::Failed { .. } => None,
-        }
-    }
-
     /// The absolute time the attempt resolved either way.
     pub fn resolved_at(&self) -> Time {
         match self {

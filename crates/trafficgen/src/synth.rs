@@ -33,7 +33,7 @@ use crate::profile::ResidenceProfile;
 use dnssim::{Name, ResolveAddrs, Resolver};
 use faults::{DayPathFault, FaultPlan, FaultyResolver, PoolTarget, DNS_STREAM, FLOW_DROP_STREAM};
 use flowmon::sink::{CollectSink, FlowSink};
-use flowmon::{DropCause, DropCounters, FlowKey, RouterMonitor, TranslationMap};
+use flowmon::{DropCause, DropCounters, FlowKey, RouterMonitor};
 use happyeyeballs::{HappyEyeballs, HappyEyeballsConfig};
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::Family;
@@ -577,8 +577,7 @@ impl DayFaults {
 }
 
 impl<S: FlowSink> DayRun<'_, S> {
-    /// Classify, finalize and push one record to the sink (the streaming
-    /// replacement for buffering in the router's flow table).
+    /// Scope, finalize and push one record to the sink.
     fn emit(&mut self, key: FlowKey, start: u64, end: u64, bytes_orig: u64, bytes_reply: u64) {
         // The single logical emission point: day-buffered layouts replay
         // these records into the outer sink mechanically, so counting the
@@ -806,13 +805,7 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
     obs::counter_add("synth.day_streams", 1);
     let mut rng = SmallRng::seed_from_u64(day_seed(config.seed, setup.residence_index, day));
 
-    let mut router = RouterMonitor::new(vec![setup.lan4], vec![setup.lan6]);
-    let mut xlat = TranslationMap::new();
-    if tech.v6_only_wire() {
-        xlat.add_nat64_prefix(nat64_prefix.prefix());
-    }
-    xlat.set_dslite_b4(tech == AccessTech::DsLite);
-    router.set_translation_map(xlat);
+    let router = RouterMonitor::new(vec![setup.lan4], vec![setup.lan6]);
 
     let weekday = day % 7;
     let absent = profile.absences.iter().any(|&(a, b)| day >= a && day <= b);

@@ -50,22 +50,6 @@ impl WorldConfig {
         }
     }
 
-    /// A mid-size world for the default experiment runs (20k sites).
-    pub fn default_scale() -> WorldConfig {
-        WorldConfig {
-            num_sites: 20_000,
-            ..WorldConfig::small()
-        }
-    }
-
-    /// The paper's full scale (100k sites). Slower; used by `repro --full`.
-    pub fn paper_scale() -> WorldConfig {
-        WorldConfig {
-            num_sites: 100_000,
-            ..WorldConfig::small()
-        }
-    }
-
     /// Override the seed (for multi-seed robustness runs).
     pub fn with_seed(mut self, seed: u64) -> WorldConfig {
         self.seed = seed;

@@ -95,14 +95,16 @@
 //!
 //! ## Spilling flow streams to disk
 //!
-//! The `flowstore` crate spills any [`prelude::FlowSink`] stream into
-//! sorted, immutable, columnar **day-parts** (delta/dictionary/RLE-compressed,
-//! one file per stream-day with a digest-bearing footer) and replays them
-//! back in canonical order, reproducing the stream byte for byte:
+//! The `flowstore` crate spills a record stream into sorted, immutable,
+//! columnar **day-parts** (delta/dictionary/RLE-compressed, one file per
+//! stream-day with a digest-bearing footer) and replays them back in
+//! canonical order into any [`prelude::FlowSink`], reproducing the stream
+//! byte for byte. `spill_through` runs one producer task per part on a
+//! worker pool and checks the replay against the live stream by digest:
 //!
 //! ```
-//! use ipv6view::flowmon::{CollectSink, FlowKey, FlowRecord, FlowSink, Scope, DAY};
-//! use ipv6view::flowstore::{PartSet, SpillSink};
+//! use ipv6view::flowmon::{CollectSink, FlowKey, FlowRecord, Scope, DAY};
+//! use ipv6view::flowstore::{records_digest, spill_through};
 //!
 //! # fn main() -> Result<(), ipv6view::flowstore::Error> {
 //! # use std::net::{Ipv4Addr, Ipv6Addr};
@@ -115,26 +117,25 @@
 //!     packets_orig: 1, packets_reply: 1,
 //!     scope: Scope::External,
 //! };
-//! let records: Vec<FlowRecord> =
-//!     (0..2).flat_map(|d| (0..100).map(move |i| rec(d, i))).collect();
+//! let day = |d: u64| (0..100).map(move |i| rec(d, i));
+//! let records: Vec<FlowRecord> = (0..2).flat_map(day).collect();
 //!
+//! // One task per day of stream 0, in canonical order, on two workers.
 //! let dir = std::env::temp_dir().join("ipv6view-facade-spill");
-//! let mut spill = SpillSink::new(&dir, 0)?;   // one part sealed per day
-//! spill.accept_batch(&records);
-//! let parts = spill.finish()?;
-//!
 //! let mut replay = CollectSink::new();
-//! PartSet::from_metas(parts).replay_into(&mut replay)?;
+//! let stats = spill_through(&dir, vec![0, 1], 2, |d| (0, d, day(d).collect()), &mut replay)?;
+//! assert_eq!(stats.parts, 2);                 // one part sealed per day
+//! assert_eq!(stats.digest, records_digest(&records));
 //! assert_eq!(replay.records, records);        // byte-identical round trip
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! The experiment engine has one spill path, `flowstore::spill_through`,
-//! and one caller: with [`prelude::RunConfig::spill`] (the CLI's
-//! `--spill DIR`) the `million-subs` scenario writes one day-part per
-//! `(day, shard)` task on the workers, replays the parts into its
+//! In the experiment engine `spill_through` has one caller: with
+//! [`prelude::RunConfig::spill`] (the CLI's `--spill DIR`) the
+//! `million-subs` scenario writes one day-part per `(day, shard)` task
+//! on the workers, replays the parts into its
 //! aggregate and checks the replay digest against the live stream. Its
 //! report is byte-identical to the in-memory run; every other scenario
 //! and `repro export` ignore the flag. A failed spill is a typed
@@ -230,7 +231,7 @@ pub mod prelude {
     pub use faults::{DnsFailure, FaultKind, FaultPlan, PoolTarget, Window};
     pub use flowmon::sink::FlowSink;
     pub use flowmon::{DropCause, DropCounters};
-    pub use flowstore::{DigestSink, PartSet, SpillSink};
+    pub use flowstore::{DigestSink, PartSet};
     pub use obs::MetricsReport;
     pub use trafficgen::TrafficConfig;
     pub use worldgen::{World, WorldConfig};
