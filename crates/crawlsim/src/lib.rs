@@ -28,7 +28,7 @@
 #![warn(missing_docs)]
 
 use dnssim::{LookupOutcome, Name, Resolver};
-use happyeyeballs::{HappyEyeballs, HappyEyeballsConfig};
+use happyeyeballs::HappyEyeballs;
 use iputil::Family;
 use netsim::{Network, PathProfile, MILLIS};
 use rand::rngs::SmallRng;
@@ -128,21 +128,17 @@ pub struct CrawlReport {
     pub sites: Vec<SiteCrawl>,
 }
 
-/// Crawler configuration.
+/// Crawler configuration: the two knobs the ablations vary, plus the
+/// worker count. The methodology itself (five link clicks, one RFC 8305
+/// race per page load, the per-site seed) is fixed.
 #[derive(Debug, Clone)]
 pub struct CrawlConfig {
-    /// Seed mixed with each site's rank for per-site determinism.
-    pub seed: u64,
-    /// Number of same-site links to click (paper: 5).
-    pub link_clicks: usize,
     /// Set false for the Bajpai-style main-page-only ablation.
     pub click_links: bool,
     /// Probability that a page-load's IPv6 path is degraded enough for IPv4
     /// to win the Happy Eyeballs race (calibrated to Fig 5's
     /// "Browser Used IPv4" ≈ 11.6%).
     pub v6_degraded_rate: f64,
-    /// Happy Eyeballs parameters.
-    pub he: HappyEyeballsConfig,
     /// Number of worker threads (1 = sequential; results are identical
     /// either way). Defaults to [`obs::par::default_threads`].
     pub threads: usize,
@@ -151,15 +147,18 @@ pub struct CrawlConfig {
 impl Default for CrawlConfig {
     fn default() -> Self {
         CrawlConfig {
-            seed: 0xc4a71,
-            link_clicks: 5,
             click_links: true,
             v6_degraded_rate: 0.116,
-            he: HappyEyeballsConfig::default(),
             threads: obs::par::default_threads(),
         }
     }
 }
+
+/// Seed mixed with each site's rank for per-site determinism.
+const SEED: u64 = 0xc4a71;
+
+/// Number of same-site links clicked per site (paper: 5).
+const LINK_CLICKS: usize = 5;
 
 /// Maximum redirect hops before declaring a loop.
 const MAX_REDIRECTS: usize = 5;
@@ -186,7 +185,7 @@ fn crawl_site(
 ) -> SiteCrawl {
     let site = &world.web.sites[index];
     let mut rng =
-        SmallRng::seed_from_u64(config.seed ^ (site.rank as u64).wrapping_mul(0x9e3779b97f4a7c15));
+        SmallRng::seed_from_u64(SEED ^ (site.rank as u64).wrapping_mul(0x9e3779b97f4a7c15));
     let resolver = Resolver::new(&state.zone);
 
     // --- Follow HTTP redirects from the listed domain. ---
@@ -196,7 +195,9 @@ fn crawl_site(
         match state.redirects.get(&current) {
             Some(next) if hops < MAX_REDIRECTS => {
                 // The redirecting server itself must resolve.
-                if let Some(fail) = resolution_failure(&resolver, &current) {
+                let v4 = resolver.resolve(&current, Family::V4);
+                let v6 = resolver.resolve(&current, Family::V6);
+                if let Some(fail) = resolution_failure(&v4, &v6) {
                     return SiteCrawl {
                         rank: site.rank,
                         domain: site.domain.clone(),
@@ -217,16 +218,18 @@ fn crawl_site(
         }
     };
 
-    // --- Resolve the final page name. ---
-    if let Some(fail) = resolution_failure(&resolver, &final_fqdn) {
+    // --- Resolve the final page name, once per family. ---
+    let main_v4 = resolver.resolve(&final_fqdn, Family::V4);
+    let main_v6 = resolver.resolve(&final_fqdn, Family::V6);
+    if let Some(fail) = resolution_failure(&main_v4, &main_v6) {
         return SiteCrawl {
             rank: site.rank,
             domain: site.domain.clone(),
             outcome: Err(fail),
         };
     }
-    let (main_has_a, main_v4_addr, main_chain_a) = probe(&resolver, &final_fqdn, Family::V4);
-    let (main_has_aaaa, main_v6_addr, main_chain_aaaa) = probe(&resolver, &final_fqdn, Family::V6);
+    let (main_has_a, main_v4_addr, main_chain_a) = probe(main_v4, &final_fqdn);
+    let (main_has_aaaa, main_v6_addr, main_chain_aaaa) = probe(main_v6, &final_fqdn);
     let main_chain = if main_chain_aaaa.len() > main_chain_a.len() {
         main_chain_aaaa
     } else {
@@ -267,8 +270,7 @@ fn crawl_site(
             },
         );
     }
-    let he = HappyEyeballs::new(config.he);
-    let race = he.connect(&net, &resolver, &mut rng, &final_fqdn, 0);
+    let race = HappyEyeballs::default().connect(&net, &resolver, &mut rng, &final_fqdn, 0);
     let main_used = match race.winning_family() {
         Some(f) => f,
         None => {
@@ -285,12 +287,12 @@ fn crawl_site(
     let mut visited = vec![0usize];
     if config.click_links {
         let mut links = site.pages[0].links.clone();
-        // Fisher-Yates shuffle, then take the first `link_clicks`.
+        // Fisher-Yates shuffle, then take the first `LINK_CLICKS`.
         for i in (1..links.len()).rev() {
             let j = rng.gen_range(0..=i);
             links.swap(i, j);
         }
-        visited.extend(links.into_iter().take(config.link_clicks));
+        visited.extend(links.into_iter().take(LINK_CLICKS));
     }
 
     // --- Resource fetches (deduplicated by FQDN). ---
@@ -302,8 +304,9 @@ fn crawl_site(
             if !seen.insert(r.fqdn.clone()) {
                 continue;
             }
-            let (has_a, v4_addr, chain_a) = probe(&resolver, &r.fqdn, Family::V4);
-            let (has_aaaa, v6_addr, chain_aaaa) = probe(&resolver, &r.fqdn, Family::V6);
+            let (has_a, v4_addr, chain_a) = probe(resolver.resolve(&r.fqdn, Family::V4), &r.fqdn);
+            let (has_aaaa, v6_addr, chain_aaaa) =
+                probe(resolver.resolve(&r.fqdn, Family::V6), &r.fqdn);
             let chain = if chain_aaaa.len() > chain_a.len() {
                 chain_aaaa
             } else {
@@ -357,11 +360,9 @@ fn crawl_site(
     }
 }
 
-/// Resolve a name in both families and map hard failures.
-fn resolution_failure(resolver: &Resolver<'_>, name: &Name) -> Option<PageFailure> {
-    let v4 = resolver.resolve(name, Family::V4);
-    let v6 = resolver.resolve(name, Family::V6);
-    match (&v4, &v6) {
+/// Map a name's `A` and `AAAA` outcomes to the hard failure they imply.
+fn resolution_failure(v4: &LookupOutcome, v6: &LookupOutcome) -> Option<PageFailure> {
+    match (v4, v6) {
         (LookupOutcome::NxDomain, LookupOutcome::NxDomain) => Some(PageFailure::NxDomain),
         (LookupOutcome::ServFail, _) | (_, LookupOutcome::ServFail) => Some(PageFailure::DnsError),
         (LookupOutcome::Timeout, _) | (_, LookupOutcome::Timeout) => Some(PageFailure::Timeout),
@@ -375,13 +376,10 @@ fn resolution_failure(resolver: &Resolver<'_>, name: &Name) -> Option<PageFailur
     }
 }
 
-/// Probe one family: presence, an address, and the CNAME chain.
-fn probe(
-    resolver: &Resolver<'_>,
-    name: &Name,
-    family: Family,
-) -> (bool, Option<IpAddr>, Vec<Name>) {
-    match resolver.resolve(name, family) {
+/// Probe one family's lookup of `name`: presence, an address, and the
+/// CNAME chain.
+fn probe(outcome: LookupOutcome, name: &Name) -> (bool, Option<IpAddr>, Vec<Name>) {
+    match outcome {
         LookupOutcome::Answers(a) => {
             let addr = a.addresses.first().copied();
             (true, addr, a.chain)

@@ -30,7 +30,5 @@ pub mod zone;
 
 pub use name::{Name, NameId, NameTable};
 pub use record::{QueryType, Record, RecordData};
-pub use resolver::{
-    AddrAnswer, AddrsOutcome, LookupOutcome, ResolveAddrs, Resolver, ResolverConfig,
-};
+pub use resolver::{AddrAnswer, AddrsOutcome, LookupOutcome, ResolveAddrs, Resolver};
 pub use zone::{FailureMode, ZoneDb};

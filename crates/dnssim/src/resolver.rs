@@ -98,90 +98,23 @@ impl AddrsOutcome {
     }
 }
 
-/// Timing and retry parameters of a stub resolver.
-///
-/// Historically the "a timed-out query takes 5 s to come back" constant was
-/// hard-coded inside the Happy Eyeballs race; moving it here gives fault
-/// schedules and Happy Eyeballs a single shared source of truth. The default
-/// reproduces the historical behaviour exactly: a 5 s timeout and a single
-/// attempt (no retries).
-///
-/// All durations are microseconds, matching the `netsim`/`flowmon` clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResolverConfig {
-    /// How long a [`AddrsOutcome::Timeout`] answer takes to "arrive".
-    pub timeout: u64,
-    /// Total query attempts (1 = no retries, the historical behaviour).
-    /// Only failure-aware resolvers (the fault plane's retrying wrapper)
-    /// make more than one attempt; the default timed path reports the
-    /// outcome of a single query.
-    pub attempts: u32,
-    /// Delay before the first retry; doubles on each further retry
-    /// (exponential backoff).
-    pub backoff_base: u64,
-    /// Upper bound on the deterministic jitter a retrying resolver may add
-    /// to each backoff delay.
-    pub backoff_jitter: u64,
-}
-
-impl Default for ResolverConfig {
-    fn default() -> Self {
-        ResolverConfig {
-            timeout: 5_000_000,
-            attempts: 1,
-            backoff_base: 250_000,
-            backoff_jitter: 50_000,
-        }
-    }
-}
-
 /// Anything that can resolve a name to addresses of one family.
 ///
-/// The plain [`Resolver`] implements this over a [`ZoneDb`]; translation
-/// layers (a DNS64 recursive resolver synthesizing `AAAA` answers from `A`
-/// records) implement it by wrapping another resolver. Consumers that only
-/// need addresses — Happy Eyeballs, traffic synthesis — take
-/// `&impl ResolveAddrs` so they work unchanged behind any resolution path.
+/// The plain [`Resolver`] implements this over a [`ZoneDb`]; wrappers
+/// implement it around another resolver: a DNS64 recursive resolver
+/// synthesizing `AAAA` answers from `A` records, or the fault plane's
+/// failure-injecting resolver. Consumers that only need addresses — Happy
+/// Eyeballs, traffic synthesis — take `&impl ResolveAddrs` so they work
+/// unchanged behind any resolution path. A resolver answers names only;
+/// how long an answer takes to arrive is the caller's model.
 pub trait ResolveAddrs {
     /// Resolve `name` to addresses of `family` (chainless fast path).
     fn resolve_addrs(&self, name: &Name, family: Family) -> AddrsOutcome;
-
-    /// Resolve `name` and report how long the answer took to arrive.
-    ///
-    /// `base_latency` is the round-trip a healthy answer takes; a
-    /// [`AddrsOutcome::Timeout`] instead takes [`ResolverConfig::timeout`].
-    /// The default implementation performs a single query; failure-aware
-    /// wrappers (the fault plane's retrying resolver) override this to model
-    /// bounded retries with backoff, accumulating the elapsed time.
-    fn resolve_addrs_timed(
-        &self,
-        name: &Name,
-        family: Family,
-        base_latency: u64,
-        config: &ResolverConfig,
-    ) -> (AddrsOutcome, u64) {
-        let outcome = self.resolve_addrs(name, family);
-        let latency = match outcome {
-            AddrsOutcome::Timeout => config.timeout,
-            _ => base_latency,
-        };
-        (outcome, latency)
-    }
 }
 
 impl<T: ResolveAddrs + ?Sized> ResolveAddrs for &T {
     fn resolve_addrs(&self, name: &Name, family: Family) -> AddrsOutcome {
         (**self).resolve_addrs(name, family)
-    }
-
-    fn resolve_addrs_timed(
-        &self,
-        name: &Name,
-        family: Family,
-        base_latency: u64,
-        config: &ResolverConfig,
-    ) -> (AddrsOutcome, u64) {
-        (**self).resolve_addrs_timed(name, family, base_latency, config)
     }
 }
 
@@ -319,24 +252,6 @@ impl<'a> Resolver<'a> {
         self.resolve_addrs(name, family).is_success()
     }
 
-    /// Follow the CNAME chain without resolving addresses; returns every
-    /// name traversed including the query name. Used by the cloud service
-    /// identifier (He et al. style CNAME analysis).
-    pub fn cname_chain(&self, name: &Name) -> Vec<Name> {
-        let mut chain = vec![name.clone()];
-        let mut current = name.clone();
-        for _ in 0..MAX_CNAME_DEPTH {
-            match self.db.cname_target(&current) {
-                Some(target) if !chain.contains(&target) => {
-                    chain.push(target.clone());
-                    current = target;
-                }
-                _ => break,
-            }
-        }
-        chain
-    }
-
     /// Reverse (PTR) lookup.
     pub fn reverse(&self, addr: IpAddr) -> Option<Name> {
         self.db.reverse_lookup(addr).cloned()
@@ -460,10 +375,12 @@ mod tests {
         assert!(!r.has_family(&"v4only.test".into(), Family::V6));
         assert!(r.has_family(&"v6only.test".into(), Family::V6));
         assert!(!r.has_family(&"v6only.test".into(), Family::V4));
-        let chain = r.cname_chain(&"cdn.site.test".into());
-        assert_eq!(chain.len(), 3);
-        let no_chain = r.cname_chain(&"dual.test".into());
-        assert_eq!(no_chain.len(), 1);
+        let chain_len = |name: &str| match r.resolve(&name.into(), Family::V4) {
+            LookupOutcome::Answers(a) => a.chain.len(),
+            other => panic!("expected answers, got {other:?}"),
+        };
+        assert_eq!(chain_len("cdn.site.test"), 3);
+        assert_eq!(chain_len("dual.test"), 1);
     }
 
     #[test]
@@ -503,29 +420,6 @@ mod tests {
                 assert!(same_kind, "{name} {family}: {full:?} vs {fast:?}");
             }
         }
-    }
-
-    #[test]
-    fn timed_default_single_query_uses_config_timeout() {
-        let mut db = db();
-        db.inject_failure("slow.test".into(), FailureMode::Timeout);
-        let r = Resolver::new(&db);
-        let cfg = ResolverConfig::default();
-        let (ok, lat) = r.resolve_addrs_timed(&"dual.test".into(), Family::V4, 20_000, &cfg);
-        assert!(ok.is_success());
-        assert_eq!(lat, 20_000, "healthy answers arrive at base latency");
-        let (to, lat) = r.resolve_addrs_timed(&"slow.test".into(), Family::V4, 20_000, &cfg);
-        assert_eq!(to, AddrsOutcome::Timeout);
-        assert_eq!(
-            lat, cfg.timeout,
-            "timeouts arrive after the configured timeout"
-        );
-        let short = ResolverConfig {
-            timeout: 123,
-            ..ResolverConfig::default()
-        };
-        let (_, lat) = r.resolve_addrs_timed(&"slow.test".into(), Family::V4, 20_000, &short);
-        assert_eq!(lat, 123);
     }
 
     #[test]

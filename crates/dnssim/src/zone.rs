@@ -79,11 +79,6 @@ impl ZoneDb {
         self.failures.insert(name, mode);
     }
 
-    /// Remove an injected failure.
-    pub fn clear_failure(&mut self, name: &Name) {
-        self.failures.remove(name);
-    }
-
     /// The injected failure mode for a name, if any.
     pub fn failure_for(&self, name: &Name) -> Option<FailureMode> {
         self.failures.get(name).copied()
@@ -129,12 +124,6 @@ impl ZoneDb {
         let mut names: Vec<&Name> = self.records.keys().collect(); // tidy:allow(nondeterministic-iteration): collected and sorted on the next line
         names.sort();
         names.into_iter()
-    }
-
-    /// Remove every record at a name (used by epoch evolution when a domain
-    /// goes NXDOMAIN between snapshots).
-    pub fn remove_name(&mut self, name: &Name) {
-        self.records.remove(name);
     }
 }
 
@@ -202,15 +191,6 @@ mod tests {
             db.failure_for(&"broken.test".into()),
             Some(FailureMode::ServFail)
         );
-        db.clear_failure(&"broken.test".into());
-        assert_eq!(db.failure_for(&"broken.test".into()), None);
-    }
-
-    #[test]
-    fn remove_name() {
-        let mut db = ZoneDb::new();
-        db.add_a("gone.test".into(), "192.0.2.1".parse().unwrap());
-        db.remove_name(&"gone.test".into());
-        assert!(!db.exists(&"gone.test".into()));
+        assert_eq!(db.failure_for(&"fine.test".into()), None);
     }
 }

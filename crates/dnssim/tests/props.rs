@@ -68,16 +68,24 @@ proptest! {
         }
     }
 
-    /// CNAME chains never exceed the depth limit plus the query name.
+    /// The CNAME chains `resolve` reports start with the query name and
+    /// never exceed the depth limit plus the query name.
     #[test]
     fn chains_are_bounded((db, names) in arb_zone()) {
         let r = Resolver::new(&db);
         for n in &names {
-            let chain = r.cname_chain(n);
-            prop_assert!(chain.len() <= dnssim::resolver::MAX_CNAME_DEPTH + 1);
-            // The chain is loop-free.
-            let set: std::collections::HashSet<_> = chain.iter().collect();
-            prop_assert_eq!(set.len(), chain.len());
+            for family in [Family::V4, Family::V6] {
+                let chain = match r.resolve(n, family) {
+                    LookupOutcome::Answers(a) => a.chain,
+                    LookupOutcome::NoData { chain, .. } => chain,
+                    _ => continue,
+                };
+                prop_assert_eq!(&chain[0], n);
+                prop_assert!(chain.len() <= dnssim::resolver::MAX_CNAME_DEPTH + 1);
+                // The chain is loop-free.
+                let set: std::collections::HashSet<_> = chain.iter().collect();
+                prop_assert_eq!(set.len(), chain.len());
+            }
         }
     }
 

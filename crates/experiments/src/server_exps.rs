@@ -84,7 +84,7 @@ pub fn fig5(s: &mut Session) -> Report {
     // paper's full list (popular sites adopt more — Fig 6), so the fair
     // paper target integrates the Fig 6 rank profile over this crawl size.
     let (paper_v4, paper_full) = {
-        let cal = &s.world.config.calibration;
+        let cal = worldgen::Calibration::default();
         let n = s.world.web.sites.len();
         let (mut v4, mut full) = (0.0, 0.0);
         for rank in 1..=n {
@@ -461,10 +461,8 @@ pub fn robustness(s: &mut Session) -> Report {
         let cfg = WorldConfig {
             seed: base_seed ^ (i.wrapping_mul(0x9e3779b97f4a7c15)),
             num_sites: sites,
-            num_epochs: 3,
             long_tail_ases: 0,
             subscribers: 0,
-            calibration: worldgen::Calibration::default(),
         };
         let world = World::generate(&cfg);
         let report = crawlsim::crawl_epoch(&world, world.latest_epoch(), &s.crawl_config());

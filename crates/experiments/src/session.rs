@@ -174,10 +174,8 @@ impl Session {
         let world_config = WorldConfig {
             seed,
             num_sites: sites,
-            num_epochs: 3,
             long_tail_ases: 0,
             subscribers: 0,
-            calibration: worldgen::Calibration::default(),
         };
         let world = {
             let _span = obs::span!("world-gen");

@@ -46,7 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dnssim::{AddrsOutcome, Name, ResolveAddrs, ResolverConfig};
+use dnssim::{AddrsOutcome, Name, ResolveAddrs};
 use iputil::{Family, Prefix, Prefix4, Prefix6};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -114,8 +114,8 @@ impl Window {
 pub enum DnsFailure {
     /// The resolver answers SERVFAIL immediately.
     ServFail,
-    /// The query never comes back; the answer "arrives" after the
-    /// resolver's configured timeout.
+    /// The query never comes back; the answer "arrives" after the Happy
+    /// Eyeballs race's DNS timeout.
     Timeout,
 }
 
@@ -504,15 +504,15 @@ fn churn_batch(plan: &FaultPlan, event_idx: usize, day: u32, count: u32) -> Vec<
     batch
 }
 
-/// A failure-injecting, retrying resolver wrapper.
+/// A failure-injecting resolver wrapper.
 ///
 /// Wraps any [`ResolveAddrs`] and applies the day's DNS bursts to each
-/// query attempt, drawing from a dedicated fault stream (interior-mutable:
-/// resolution is `&self` throughout the suite). The timed path models
-/// bounded retries with exponential backoff and deterministic jitter: a
-/// failed attempt costs its latency (the timeout for [`DnsFailure::Timeout`],
-/// the base round-trip for [`DnsFailure::ServFail`]) plus the backoff delay
-/// before the next attempt.
+/// query, drawing from a dedicated fault stream (interior-mutable:
+/// resolution is `&self` throughout the suite). Every query is one attempt
+/// with its own draws: an injected failure replaces the inner answer, and
+/// the caller decides how long it takes to arrive (Happy Eyeballs: the
+/// DNS timeout for [`DnsFailure::Timeout`], the family's DNS latency for
+/// [`DnsFailure::ServFail`]).
 #[derive(Debug)]
 pub struct FaultyResolver<R> {
     inner: R,
@@ -531,7 +531,7 @@ impl<R: ResolveAddrs> FaultyResolver<R> {
         }
     }
 
-    /// Decide whether this attempt is injected to fail. One draw per
+    /// Decide whether this query is injected to fail. One draw per
     /// scheduled burst, in plan order; the first hit wins.
     fn inject(&self) -> Option<DnsFailure> {
         let mut rng = self.rng.borrow_mut();
@@ -555,53 +555,14 @@ impl<R: ResolveAddrs> ResolveAddrs for FaultyResolver<R> {
             None => self.inner.resolve_addrs(name, family),
         }
     }
-
-    fn resolve_addrs_timed(
-        &self,
-        name: &Name,
-        family: Family,
-        base_latency: u64,
-        config: &ResolverConfig,
-    ) -> (AddrsOutcome, u64) {
-        let attempts = config.attempts.max(1);
-        let mut elapsed: u64 = 0;
-        let mut last = AddrsOutcome::ServFail;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                obs::counter_add("dns.retries", 1);
-                let backoff = config.backoff_base << (attempt - 1).min(16);
-                let jitter = if config.backoff_jitter > 0 {
-                    self.rng.borrow_mut().gen_range(0..config.backoff_jitter)
-                } else {
-                    0
-                };
-                elapsed = elapsed.saturating_add(backoff).saturating_add(jitter);
-            }
-            match self.inject() {
-                Some(DnsFailure::Timeout) => {
-                    elapsed = elapsed.saturating_add(config.timeout);
-                    last = AddrsOutcome::Timeout;
-                }
-                Some(DnsFailure::ServFail) => {
-                    elapsed = elapsed.saturating_add(base_latency);
-                    last = AddrsOutcome::ServFail;
-                }
-                None => {
-                    let (outcome, latency) =
-                        self.inner
-                            .resolve_addrs_timed(name, family, base_latency, config);
-                    return (outcome, elapsed.saturating_add(latency));
-                }
-            }
-        }
-        (last, elapsed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dnssim::ZoneDb;
+    use happyeyeballs::{HappyEyeballs, HappyEyeballsConfig, RaceReport};
+    use netsim::{Network, MILLIS};
 
     #[test]
     fn window_coverage() {
@@ -718,74 +679,129 @@ mod tests {
         assert_eq!(plan.churn_for_day(2), plan.churn_for_day(2), "replayable");
     }
 
-    #[test]
-    fn faulty_resolver_injects_and_retries() {
+    /// Race `site.test` (A and AAAA) under `config` through resolvers that
+    /// inject `failure` at rate 0.5, one fresh fault stream per try, and
+    /// return the first race whose AAAA query was injected and whose A
+    /// query passed.
+    fn race_with_aaaa_injected(failure: DnsFailure, config: HappyEyeballsConfig) -> RaceReport {
+        let db = site_zone();
+        let net = Network::dual_stack_ms(10);
+        let plan = FaultPlan::new(3);
+        (0..64)
+            .map(|day| {
+                let resolver = FaultyResolver::new(
+                    dnssim::Resolver::new(&db),
+                    vec![DayDnsFault { failure, rate: 0.5 }],
+                    plan.stream(0, 0, day),
+                );
+                HappyEyeballs::new(config).connect(
+                    &net,
+                    &resolver,
+                    &mut SmallRng::seed_from_u64(1),
+                    &"site.test".into(),
+                    0,
+                )
+            })
+            .find(|r| r.v6_resolution == failure.outcome() && r.v4_resolution.is_success())
+            .expect("some stream injects the AAAA query only")
+    }
+
+    fn site_zone() -> ZoneDb {
         let mut db = ZoneDb::new();
         db.add_a("site.test".into(), "192.0.2.1".parse().unwrap());
-        let resolver = dnssim::Resolver::new(&db);
-        let plan = FaultPlan::new(1);
+        db.add_aaaa("site.test".into(), "2001:db8::1".parse().unwrap());
+        db
+    }
 
-        // rate 1.0: every attempt fails; timed path exhausts its retries.
+    #[test]
+    fn faulty_resolver_injects_and_retries() {
+        let db = site_zone();
+        let net = Network::dual_stack_ms(10);
+        let he = HappyEyeballs::default();
+        let plan = FaultPlan::new(1);
+        let burst = |failure, rate| vec![DayDnsFault { failure, rate }];
+
+        // rate 1.0: both queries of the race are injected.
         let always = FaultyResolver::new(
-            resolver,
-            vec![DayDnsFault {
-                failure: DnsFailure::ServFail,
-                rate: 1.0,
-            }],
+            dnssim::Resolver::new(&db),
+            burst(DnsFailure::ServFail, 1.0),
             plan.stream(0, 0, 0),
         );
-        assert_eq!(
-            always.resolve_addrs(&"site.test".into(), Family::V4),
-            AddrsOutcome::ServFail
+        let report = he.connect(
+            &net,
+            &always,
+            &mut SmallRng::seed_from_u64(1),
+            &"site.test".into(),
+            0,
         );
-        let cfg = ResolverConfig {
-            attempts: 3,
-            backoff_jitter: 0,
-            ..ResolverConfig::default()
-        };
-        let (outcome, latency) =
-            always.resolve_addrs_timed(&"site.test".into(), Family::V4, 20_000, &cfg);
-        assert_eq!(outcome, AddrsOutcome::ServFail);
-        // 3 failed attempts at base latency + backoff 250ms + 500ms.
-        assert_eq!(latency, 3 * 20_000 + 250_000 + 500_000);
+        assert_eq!(report.v6_resolution, AddrsOutcome::ServFail);
+        assert_eq!(report.v4_resolution, AddrsOutcome::ServFail);
+        assert!(report.attempts.is_empty());
 
-        // rate 0.0 with an empty burst list is not constructed at all in
-        // consumers; rate 0.0 here proves pass-through still resolves.
+        // A ServFail arrives at the DNS latency: with A answered at the same
+        // 20 ms, the IPv4 attempt starts at once instead of waiting out the
+        // 50 ms resolution delay.
+        let report = race_with_aaaa_injected(DnsFailure::ServFail, HappyEyeballsConfig::default());
+        assert_eq!(report.winning_family(), Some(Family::V4));
+        assert_eq!(report.attempts[0].started_at, he.config.dns_latency_v4);
+
+        // No retry loop: a retry is the caller's next query, which draws
+        // afresh and can pass.
+        let half = FaultyResolver::new(
+            dnssim::Resolver::new(&db),
+            burst(DnsFailure::ServFail, 0.5),
+            plan.stream(0, 0, 2),
+        );
+        let outcomes: Vec<bool> = (0..32)
+            .map(|_| {
+                half.resolve_addrs(&"site.test".into(), Family::V4)
+                    .is_success()
+            })
+            .collect();
+        assert!(outcomes.contains(&true) && outcomes.contains(&false));
+
+        // rate 0.0 passes every query through to the inner resolver.
         let never = FaultyResolver::new(
-            resolver,
-            vec![DayDnsFault {
-                failure: DnsFailure::Timeout,
-                rate: 0.0,
-            }],
+            dnssim::Resolver::new(&db),
+            burst(DnsFailure::Timeout, 0.0),
             plan.stream(0, 0, 1),
         );
-        let (outcome, latency) =
-            never.resolve_addrs_timed(&"site.test".into(), Family::V4, 20_000, &cfg);
-        assert!(outcome.is_success());
-        assert_eq!(latency, 20_000);
+        let report = he.connect(
+            &net,
+            &never,
+            &mut SmallRng::seed_from_u64(1),
+            &"site.test".into(),
+            0,
+        );
+        assert!(report.v6_resolution.is_success() && report.v4_resolution.is_success());
+        assert_eq!(report.winning_family(), Some(Family::V6));
+        assert_eq!(report.attempts[0].started_at, he.config.dns_latency_v6);
     }
 
     #[test]
     fn faulty_resolver_timeout_costs_config_timeout() {
-        let mut db = ZoneDb::new();
-        db.add_a("site.test".into(), "192.0.2.1".parse().unwrap());
-        let resolver = dnssim::Resolver::new(&db);
+        let db = site_zone();
         let always = FaultyResolver::new(
-            resolver,
+            dnssim::Resolver::new(&db),
             vec![DayDnsFault {
                 failure: DnsFailure::Timeout,
                 rate: 1.0,
             }],
             FaultPlan::new(2).stream(0, 0, 0),
         );
-        let cfg = ResolverConfig {
-            timeout: 1_000_000,
-            attempts: 1,
-            ..ResolverConfig::default()
+        assert_eq!(
+            always.resolve_addrs(&"site.test".into(), Family::V4),
+            AddrsOutcome::Timeout
+        );
+        // An injected AAAA timeout arrives at `dns_timeout`: 40 ms, after
+        // the A answer (20 ms) but before the resolution delay expires
+        // (70 ms), so that is when the IPv4 attempt starts.
+        let config = HappyEyeballsConfig {
+            dns_timeout: 40 * MILLIS,
+            ..HappyEyeballsConfig::default()
         };
-        let (outcome, latency) =
-            always.resolve_addrs_timed(&"site.test".into(), Family::V4, 20_000, &cfg);
-        assert_eq!(outcome, AddrsOutcome::Timeout);
-        assert_eq!(latency, 1_000_000);
+        let report = race_with_aaaa_injected(DnsFailure::Timeout, config);
+        assert_eq!(report.winning_family(), Some(Family::V4));
+        assert_eq!(report.attempts[0].started_at, 40 * MILLIS);
     }
 }

@@ -62,11 +62,6 @@ impl TranslationMap {
         self.dslite_b4 = enabled;
     }
 
-    /// Any NAT64 prefixes registered?
-    pub fn has_nat64(&self) -> bool {
-        !self.nat64.is_empty()
-    }
-
     /// Classify one flow (scope from the router's LAN view).
     pub fn classify(&self, key: &FlowKey, scope: Scope) -> Translation {
         if scope == Scope::Internal {
@@ -137,7 +132,6 @@ mod tests {
     #[test]
     fn default_map_is_all_native() {
         let m = TranslationMap::new();
-        assert!(!m.has_nat64());
         // Even a would-be NAT64 destination is native without configuration.
         let key6 = FlowKey::tcp(
             "2001:db8::1".parse().unwrap(),

@@ -25,7 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dnssim::{AddrsOutcome, Name, ResolveAddrs, ResolverConfig};
+use dnssim::{AddrsOutcome, Name, ResolveAddrs};
 use iputil::Family;
 use netsim::{ConnectOutcome, EventQueue, Network, TcpConnector, Time, MILLIS};
 use rand::Rng;
@@ -48,10 +48,9 @@ pub struct HappyEyeballsConfig {
     pub preferred: Family,
     /// TCP model used for each attempt.
     pub connector: TcpConnector,
-    /// Resolver timing/retry parameters. Shared with the fault plane so a
-    /// fault schedule and the race agree on how long a timed-out query
-    /// takes to come back (historically a constant buried in this crate).
-    pub resolver: ResolverConfig,
+    /// How long a query that times out takes to come back: the stub
+    /// resolver's timeout.
+    pub dns_timeout: Time,
 }
 
 impl Default for HappyEyeballsConfig {
@@ -63,7 +62,7 @@ impl Default for HappyEyeballsConfig {
             connection_attempt_delay: 250 * MILLIS,
             preferred: Family::V6,
             connector: TcpConnector::default(),
-            resolver: ResolverConfig::default(),
+            dns_timeout: 5_000 * MILLIS,
         }
     }
 }
@@ -155,10 +154,11 @@ impl HappyEyeballs {
     ///
     /// Deterministic given the RNG state. The per-attempt TCP outcomes are
     /// drawn through [`TcpConnector`]; DNS outcomes come from any
-    /// [`ResolveAddrs`] implementation with fixed per-family latency — the
-    /// plain stub resolver, or a DNS64 layer whose synthesized `AAAA`
-    /// answers make an IPv4-only service race (and win) over IPv6 through a
-    /// NAT64 gateway.
+    /// [`ResolveAddrs`] implementation — the plain stub resolver, a DNS64
+    /// layer whose synthesized `AAAA` answers make an IPv4-only service race
+    /// (and win) over IPv6 through a NAT64 gateway, or the fault plane's
+    /// failure-injecting wrapper. Answers arrive after the per-family
+    /// `dns_latency_*`, timeouts after `dns_timeout`.
     pub fn connect<R: Rng + ?Sized, S: ResolveAddrs>(
         &self,
         net: &Network,
@@ -170,14 +170,17 @@ impl HappyEyeballs {
         let cfg = &self.config;
         // Chainless resolution: one Vec<Name> allocation avoided per query,
         // and the race runs once per (day, service) pair in trafficgen and
-        // once per page load in crawlsim. The timed path lets the resolver
-        // decide how long each answer takes: a timeout "arrives" after
-        // `cfg.resolver.timeout`, and failure-aware wrappers (the fault
-        // plane's retrying resolver) fold retry and backoff time in here.
-        let (v6_res, v6_latency) =
-            resolver.resolve_addrs_timed(name, Family::V6, cfg.dns_latency_v6, &cfg.resolver);
-        let (v4_res, v4_latency) =
-            resolver.resolve_addrs_timed(name, Family::V4, cfg.dns_latency_v4, &cfg.resolver);
+        // once per page load in crawlsim. The resolver only answers; the
+        // race decides when each answer arrives: a timeout after
+        // `cfg.dns_timeout`, anything else after the family's DNS latency.
+        let v6_res = resolver.resolve_addrs(name, Family::V6);
+        let v4_res = resolver.resolve_addrs(name, Family::V4);
+        let arrival = |res: &AddrsOutcome, latency: Time| match res {
+            AddrsOutcome::Timeout => cfg.dns_timeout,
+            _ => latency,
+        };
+        let v6_latency = arrival(&v6_res, cfg.dns_latency_v6);
+        let v4_latency = arrival(&v4_res, cfg.dns_latency_v4);
 
         let mut queue: EventQueue<Event> = EventQueue::new();
         queue.schedule_at(start + v6_latency, Event::DnsAnswer(Family::V6));
@@ -530,8 +533,8 @@ mod tests {
         assert_eq!(v4.started_at, 20 * MILLIS + SECONDS);
     }
 
-    /// AAAA times out, A answers: the time the timeout "arrives" now comes
-    /// from `ResolverConfig::timeout` instead of a constant in this crate.
+    /// AAAA times out, A answers: the timeout "arrives" after the race's
+    /// `dns_timeout`, a healthy answer after its family's DNS latency.
     #[test]
     fn dns_timeout_latency_comes_from_resolver_config() {
         struct V6TimesOut;
@@ -544,11 +547,11 @@ mod tests {
             }
         }
         let net = Network::dual_stack_ms(10);
-        // Default config reproduces the historical 5 s constant: A arrives
-        // at 20 ms, the preferred family is still pending, so attempts wait
-        // out the 50 ms resolution delay and start at 70 ms.
+        // Default 5 s timeout: A arrives at 20 ms, the preferred family is
+        // still pending, so attempts wait out the 50 ms resolution delay and
+        // start at 70 ms.
         let he = HappyEyeballs::default();
-        assert_eq!(he.config.resolver.timeout, 5_000 * MILLIS);
+        assert_eq!(he.config.dns_timeout, 5_000 * MILLIS);
         let report = he.connect(&net, &V6TimesOut, &mut rng(), &"mixed.test".into(), 0);
         assert_eq!(report.winning_family(), Some(Family::V4));
         assert_eq!(report.attempts[0].started_at, 70 * MILLIS);
@@ -556,16 +559,25 @@ mod tests {
         // answer: both families are answered at 20 ms and attempts start
         // immediately — the knob is honoured end-to-end.
         let short = HappyEyeballsConfig {
-            resolver: ResolverConfig {
-                timeout: 10 * MILLIS,
-                ..ResolverConfig::default()
-            },
+            dns_timeout: 10 * MILLIS,
             ..HappyEyeballsConfig::default()
         };
         let he_short = HappyEyeballs::new(short);
         let report = he_short.connect(&net, &V6TimesOut, &mut rng(), &"mixed.test".into(), 0);
         assert_eq!(report.winning_family(), Some(Family::V4));
         assert_eq!(report.attempts[0].started_at, 20 * MILLIS);
+        // Over the stub resolver: a healthy name answers at its family's DNS
+        // latency whatever the timeout, and a zone-injected timeout reaches
+        // the race as `Timeout` in both families.
+        let mut db = zone();
+        db.inject_failure("slow.test".into(), dnssim::FailureMode::Timeout);
+        let resolver = Resolver::new(&db);
+        let report = he_short.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        assert_eq!(report.attempts[0].started_at, 20 * MILLIS);
+        let report = he_short.connect(&net, &resolver, &mut rng(), &"slow.test".into(), 0);
+        assert_eq!(report.v6_resolution, AddrsOutcome::Timeout);
+        assert_eq!(report.v4_resolution, AddrsOutcome::Timeout);
+        assert!(report.attempts.is_empty());
     }
 
     #[test]

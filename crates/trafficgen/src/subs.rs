@@ -35,7 +35,13 @@ const DAY_US: u64 = 24 * HOUR_US;
 const SRC4_BASE: u32 = 0x0a00_0000;
 const SRC6_BASE: u128 = 0x2a0c << 112;
 
-/// Configuration of a subscriber-population synthesis run.
+/// Mean flows per subscriber-day (scaled by the subscriber's volume
+/// weight).
+const FLOWS_PER_SUBSCRIBER_DAY: f64 = 3.0;
+
+/// Configuration of a subscriber-population synthesis run. The mean flow
+/// rate (three flows per subscriber-day, scaled by each subscriber's volume
+/// weight) is fixed.
 #[derive(Debug, Clone)]
 pub struct SubscriberTrafficConfig {
     /// Master seed (per-(day, shard) RNGs derive from it).
@@ -44,9 +50,6 @@ pub struct SubscriberTrafficConfig {
     pub num_days: u32,
     /// Subscribers per shard (one shard = one task = one day-part).
     pub shard_size: usize,
-    /// Mean flows per subscriber-day (scaled by the subscriber's volume
-    /// weight).
-    pub flows_per_subscriber_day: f64,
     /// Worker threads over the task list (1 = sequential; output identical
     /// at any count).
     pub threads: usize,
@@ -58,7 +61,6 @@ impl Default for SubscriberTrafficConfig {
             seed: 0x5ab5_c21b_e12d,
             num_days: 2,
             shard_size: 4_096,
-            flows_per_subscriber_day: 3.0,
             threads: 1,
         }
     }
@@ -134,13 +136,10 @@ pub fn shard_day_records(
             .wrapping_add((shard as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
     );
     let day_base = u64::from(day) * DAY_US;
-    let mut out = Vec::with_capacity(((hi - lo) as f64 * config.flows_per_subscriber_day) as usize);
+    let mut out = Vec::with_capacity(((hi - lo) as f64 * FLOWS_PER_SUBSCRIBER_DAY) as usize);
     for i in lo..hi {
         let profile = subs.profile(i);
-        let n = poisson(
-            &mut rng,
-            config.flows_per_subscriber_day * profile.volume_weight,
-        );
+        let n = poisson(&mut rng, FLOWS_PER_SUBSCRIBER_DAY * profile.volume_weight);
         for _ in 0..n {
             let asx = &tail.ases[tail.sample_index(&mut rng)];
             let v6 =

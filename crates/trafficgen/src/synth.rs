@@ -34,7 +34,7 @@ use dnssim::{Name, ResolveAddrs, Resolver};
 use faults::{DayPathFault, FaultPlan, FaultyResolver, PoolTarget, DNS_STREAM, FLOW_DROP_STREAM};
 use flowmon::sink::{CollectSink, FlowSink};
 use flowmon::{DropCause, DropCounters, FlowKey, RouterMonitor};
-use happyeyeballs::{HappyEyeballs, HappyEyeballsConfig};
+use happyeyeballs::HappyEyeballs;
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::Family;
 use netsim::{Network, PathProfile, MILLIS};
@@ -55,7 +55,14 @@ const DAY_US: u64 = 24 * HOUR_US;
 /// exists exactly for them).
 const CLAT_LITERAL_SHARE: f64 = 0.05;
 
-/// Traffic synthesis configuration.
+/// Probability that a winning IPv6 connection leaves a losing IPv4
+/// SYN-flow in the log (the Happy Eyeballs both-families effect behind the
+/// paper's flow-versus-byte gap).
+const HE_BOTH_FLOW_RATE: f64 = 0.13;
+
+/// Traffic synthesis configuration. The per-(day, service) health race is
+/// always [`HappyEyeballs::default`] (RFC 8305 timings), and its losing-IPv4
+/// residue rate is fixed.
 #[derive(Debug, Clone)]
 pub struct TrafficConfig {
     /// Master seed (per-(residence, day) RNGs derive from it).
@@ -67,11 +74,6 @@ pub struct TrafficConfig {
     /// materialize; fractions are scale-invariant and absolute totals are
     /// rescaled by 1/scale in reports.
     pub scale: f64,
-    /// Probability that a winning IPv6 connection leaves a losing IPv4
-    /// SYN-flow in the log (Happy Eyeballs both-families effect).
-    pub he_both_flow_rate: f64,
-    /// Happy Eyeballs parameters for the per-(day, service) health race.
-    pub he: HappyEyeballsConfig,
     /// Worker threads over the flattened `(residence, day)` task list
     /// (1 = sequential: every day streams straight into its sink). Days
     /// derive independent RNGs from `(seed, residence, day)`, so output is
@@ -95,8 +97,6 @@ impl Default for TrafficConfig {
             seed: 0x7e51de9ce,
             num_days: 273,
             scale: 1.0 / 1000.0,
-            he_both_flow_rate: 0.13,
-            he: HappyEyeballsConfig::default(),
             threads: obs::par::default_threads(),
             gateway: GatewayConfig::default(),
             faults: FaultPlan::default(),
@@ -731,7 +731,7 @@ impl<S: FlowSink> DayRun<'_, S> {
         // attempt as a tiny flow.
         if family_v6
             && matches!(tech, AccessTech::NativeDualStack | AccessTech::DsLite)
-            && self.rng.gen::<f64>() < self.ctx.config.he_both_flow_rate
+            && self.rng.gen::<f64>() < HE_BOTH_FLOW_RATE
         {
             let residue_ok = match tech {
                 AccessTech::DsLite => match self.mode {
@@ -789,7 +789,7 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
     let resolver = Resolver::new(&ctx.world.client_zone);
     let nat64_prefix = ctx.world.transition.nat64_prefix;
     let dns64 = Dns64::new(resolver, nat64_prefix);
-    let he = HappyEyeballs::new(config.he);
+    let he = HappyEyeballs::default();
     let plan = &config.faults;
     // Scheduled pool shrink: the day-local gateways are built with today's
     // effective capacity (restored automatically on uncovered days).

@@ -26,8 +26,8 @@
 //!   race through the gateway.
 //! * [`nat64`] — the stateful elements: [`nat64::Nat64Gateway`] (RFC 6146)
 //!   with a capacity- and timeout-bounded binding table whose exhaustion is
-//!   an experiment scenario, the stateless [`nat64::Clat`] of 464XLAT, and
-//!   the DS-Lite [`nat64::Aftr`] running NAT44 on tunneled flows.
+//!   an experiment scenario, and the DS-Lite [`nat64::Aftr`] running NAT44
+//!   on tunneled flows.
 //! * [`provider`] — the provider-shared deployment of those elements:
 //!   [`provider::ProviderGateway`] holds one NAT64 + AFTR pool pair per
 //!   ISP, persistent across days and shared by all subscribers, replayed
@@ -61,7 +61,7 @@ pub mod rfc6052;
 pub mod tech;
 
 pub use dns64::Dns64;
-pub use nat64::{Aftr, BindError, BindingTable, Clat, GatewayConfig, GatewayStats, Nat64Gateway};
+pub use nat64::{Aftr, BindError, BindingTable, GatewayConfig, GatewayStats, Nat64Gateway};
 pub use provider::{Admission, OutageStats, ProviderDayStats, ProviderGateway, ProviderPool};
 pub use rfc6052::{Nat64Prefix, PrefixError, WELL_KNOWN_PREFIX};
 pub use tech::AccessTech;

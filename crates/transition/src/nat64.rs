@@ -1,7 +1,7 @@
-//! Stateful translators and tunnel concentrators: NAT64, the 464XLAT CLAT,
-//! and the DS-Lite AFTR.
+//! Stateful translators and tunnel concentrators: NAT64 and the DS-Lite
+//! AFTR.
 //!
-//! All three carrier-side elements share one scarce resource: a pool of
+//! Both carrier-side elements share one scarce resource: a pool of
 //! IPv4 addresses × ports from which per-flow **bindings** are allocated.
 //! When the binding table is full, new flows are rejected until old bindings
 //! time out — the exhaustion scenario studied in the transition-technology
@@ -195,11 +195,6 @@ impl Nat64Gateway {
         Ok(self.prefix.embed(dst4))
     }
 
-    /// Reverse mapping for return traffic / flow classification.
-    pub fn untranslate(&self, dst6: Ipv6Addr) -> Option<Ipv4Addr> {
-        self.prefix.extract(dst6)
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> GatewayStats {
         self.table.stats()
@@ -208,33 +203,6 @@ impl Nat64Gateway {
     /// Currently active bindings.
     pub fn active_count(&self) -> usize {
         self.table.active_count()
-    }
-}
-
-/// The customer-side translator of 464XLAT (RFC 6877): a stateless NAT46 in
-/// the CPE/host that lets IPv4-only applications open IPv4 sockets over an
-/// IPv6-only access network. The CLAT maps the app's IPv4 destination to the
-/// provider-side translator's (PLAT = NAT64) prefix; state lives only in the
-/// PLAT, so the CLAT itself cannot exhaust.
-#[derive(Debug, Clone, Copy)]
-pub struct Clat {
-    plat_prefix: Nat64Prefix,
-}
-
-impl Clat {
-    /// A CLAT forwarding to a PLAT that translates under `plat_prefix`.
-    pub fn new(plat_prefix: Nat64Prefix) -> Clat {
-        Clat { plat_prefix }
-    }
-
-    /// The destination the CLAT rewrites an IPv4 packet towards.
-    pub fn to_plat(&self, dst4: Ipv4Addr) -> Ipv6Addr {
-        self.plat_prefix.embed(dst4)
-    }
-
-    /// The PLAT prefix this CLAT uses.
-    pub fn plat_prefix(&self) -> Nat64Prefix {
-        self.plat_prefix
     }
 }
 
@@ -303,8 +271,7 @@ mod tests {
         let dst4: Ipv4Addr = "198.51.100.7".parse().unwrap();
         let dst6 = g.translate(dst4, 0, 1_000_000).unwrap();
         assert!(g.prefix().contains(dst6));
-        assert_eq!(g.untranslate(dst6), Some(dst4));
-        assert_eq!(g.untranslate("2001:db8::1".parse().unwrap()), None);
+        assert_eq!(g.prefix().extract(dst6), Some(dst4));
         assert_eq!(g.stats().granted, 1);
     }
 
@@ -321,14 +288,6 @@ mod tests {
         assert_eq!(rejected, 7);
         assert!((g.stats().rejection_rate() - 0.7).abs() < 1e-12);
         assert_eq!(g.stats().peak_active, 3);
-    }
-
-    #[test]
-    fn clat_is_stateless_and_maps_to_plat() {
-        let clat = Clat::new(Nat64Prefix::well_known());
-        let dst4: Ipv4Addr = "203.0.113.5".parse().unwrap();
-        let v6 = clat.to_plat(dst4);
-        assert_eq!(clat.plat_prefix().extract(v6), Some(dst4));
     }
 
     #[test]

@@ -106,17 +106,6 @@ impl NameGenerator {
         }
     }
 
-    /// Generate a unique registrable domain under a fixed TLD.
-    pub fn registrable_in<R: Rng + ?Sized>(&mut self, rng: &mut R, tld: &str) -> Name {
-        loop {
-            let label = Self::word(rng);
-            let candidate = Name::new(&format!("{label}.{tld}"));
-            if self.used.insert(candidate.clone()) {
-                return candidate;
-            }
-        }
-    }
-
     /// A plausible subdomain label (may repeat across parents — uniqueness
     /// only matters for registrable domains).
     pub fn subdomain_label<R: Rng + ?Sized>(rng: &mut R) -> &'static str {
@@ -208,14 +197,6 @@ mod tests {
         };
         assert_eq!(gen_seq(7), gen_seq(7));
         assert_ne!(gen_seq(7), gen_seq(8));
-    }
-
-    #[test]
-    fn fixed_tld_generation() {
-        let mut g = NameGenerator::new();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let n = g.registrable_in(&mut rng, "co.uk");
-        assert!(n.as_str().ends_with(".co.uk"));
     }
 
     #[test]

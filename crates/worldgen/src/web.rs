@@ -164,6 +164,9 @@ pub struct WebWorld {
 /// Epoch labels matching the paper's snapshots.
 pub const EPOCH_LABELS: [&str; 3] = ["Oct 2024", "Apr 2025", "Jul 2025"];
 
+/// Number of measurement epochs (the paper crawls three snapshots).
+const NUM_EPOCHS: usize = EPOCH_LABELS.len();
+
 /// The Fig 18 heavy hitters: real IPv4-only third-party domains with their
 /// categories (ads dominate, per Fig 9).
 const FIG18_HEAVY_HITTERS: &[(&str, DomainCategory)] = &[
@@ -248,14 +251,12 @@ pub fn generate_web<R: Rng + ?Sized>(
     rng: &mut R,
     cal: &Calibration,
     num_sites: usize,
-    num_epochs: usize,
     namegen: &mut NameGenerator,
     clouds: &mut CloudRuntime,
 ) -> WebWorld {
     assert!(num_sites >= 100, "world too small to be meaningful");
-    assert!((1..=3).contains(&num_epochs), "1..=3 epochs supported");
 
-    let third_parties = build_third_party_pool(rng, cal, num_sites, num_epochs, namegen);
+    let third_parties = build_third_party_pool(rng, cal, num_sites, namegen);
     let heavy_v4: Vec<usize> = tier_indices(&third_parties, Tier::HeavyV4);
     let heavy_ready: Vec<usize> = tier_indices(&third_parties, Tier::HeavyReady);
     let mid: Vec<usize> = tier_indices(&third_parties, Tier::Mid);
@@ -275,7 +276,6 @@ pub fn generate_web<R: Rng + ?Sized>(
             rng,
             cal,
             rank,
-            num_epochs,
             namegen,
             &third_parties,
             (&heavy_v4, &heavy_v4_tab),
@@ -291,14 +291,14 @@ pub fn generate_web<R: Rng + ?Sized>(
     let truth: Vec<SiteClassTruth> = info
         .iter()
         .map(|si| SiteClassTruth {
-            by_epoch: (0..num_epochs)
+            by_epoch: (0..NUM_EPOCHS)
                 .map(|e| classify_truth(si, &third_parties, e))
                 .collect(),
         })
         .collect();
 
     // Per-epoch zones.
-    let epochs: Vec<EpochState> = (0..num_epochs)
+    let epochs: Vec<EpochState> = (0..NUM_EPOCHS)
         .map(|e| build_epoch(rng, e, &sites, &info, &truth, &third_parties, clouds))
         .collect();
 
@@ -323,7 +323,6 @@ fn build_third_party_pool<R: Rng + ?Sized>(
     rng: &mut R,
     cal: &Calibration,
     num_sites: usize,
-    num_epochs: usize,
     namegen: &mut NameGenerator,
 ) -> Vec<ThirdParty> {
     let mut pool = Vec::new();
@@ -373,7 +372,7 @@ fn build_third_party_pool<R: Rng + ?Sized>(
     for _ in FIG18_HEAVY_HITTERS.len()..heavy_v4_count {
         let cat = sample_heavy_category(rng);
         let ready_epoch = if rng.gen::<f64>() < cal.third_party_gain_per_epoch * 4.0 {
-            Some(1 + (rng.gen::<f64>() < 0.5) as usize).filter(|_| num_epochs > 1)
+            Some(1 + (rng.gen::<f64>() < 0.5) as usize)
         } else {
             None
         };
@@ -412,7 +411,7 @@ fn build_third_party_pool<R: Rng + ?Sized>(
         let ready = rng.gen::<f64>() < 0.5;
         let ready_epoch = if ready {
             Some(0)
-        } else if rng.gen::<f64>() < cal.third_party_gain_per_epoch * 2.0 && num_epochs > 1 {
+        } else if rng.gen::<f64>() < cal.third_party_gain_per_epoch * 2.0 {
             Some(1 + (rng.gen::<f64>() < 0.5) as usize)
         } else {
             None
@@ -433,7 +432,7 @@ fn build_third_party_pool<R: Rng + ?Sized>(
         let ready = rng.gen::<f64>() < cal.third_party_ready_rate;
         let ready_epoch = if ready {
             Some(0)
-        } else if rng.gen::<f64>() < cal.third_party_gain_per_epoch && num_epochs > 1 {
+        } else if rng.gen::<f64>() < cal.third_party_gain_per_epoch {
             Some(1 + (rng.gen::<f64>() < 0.5) as usize)
         } else {
             None
@@ -483,7 +482,6 @@ fn generate_site<R: Rng + ?Sized>(
     rng: &mut R,
     cal: &Calibration,
     rank: usize,
-    num_epochs: usize,
     namegen: &mut NameGenerator,
     pool: &[ThirdParty],
     (heavy_v4, heavy_v4_tab): (&[usize], &CumTable),
@@ -503,7 +501,7 @@ fn generate_site<R: Rng + ?Sized>(
     let death_epoch = if nx_roll < cal.nxdomain_rate {
         Some(0)
     } else {
-        (1..num_epochs).find(|_| rng.gen::<f64>() < cal.nxdomain_growth_per_epoch)
+        (1..NUM_EPOCHS).find(|_| rng.gen::<f64>() < cal.nxdomain_growth_per_epoch)
     };
     let other_failure = if rng.gen::<f64>() < cal.other_failure_rate {
         Some(match rng.gen_range(0..4) {
@@ -534,7 +532,7 @@ fn generate_site<R: Rng + ?Sized>(
     let apex_aaaa_epoch = match base_class {
         GenClass::V4Only => {
             // May gain AAAA in a later epoch.
-            (1..num_epochs).find(|_| rng.gen::<f64>() < cal.apex_aaaa_gain_per_epoch)
+            (1..NUM_EPOCHS).find(|_| rng.gen::<f64>() < cal.apex_aaaa_gain_per_epoch)
         }
         _ => Some(0),
     };
@@ -854,7 +852,7 @@ fn build_epoch<R: Rng + ?Sized>(
     }
 
     EpochState {
-        label: EPOCH_LABELS[epoch.min(2)].to_string(),
+        label: EPOCH_LABELS[epoch].to_string(),
         zone,
         redirects,
         http_failures,
@@ -883,7 +881,7 @@ mod tests {
             cal.top_cloud_share,
             cal.service_cname_rate,
         );
-        generate_web(&mut rng, &cal, 3000, 3, &mut namegen, &mut clouds)
+        generate_web(&mut rng, &cal, 3000, &mut namegen, &mut clouds)
     }
 
     #[test]

@@ -13,15 +13,16 @@ use webmodel::namegen::NameGenerator;
 use webmodel::psl::Psl;
 use webmodel::toplist::TopList;
 
-/// Configuration for world generation.
+/// Configuration for world generation: its size and seed. The epochs (the
+/// paper's three snapshots, [`crate::web::EPOCH_LABELS`]) and the calibration
+/// targets ([`Calibration::default`], taken from the paper's Figs 5–7) are
+/// fixed.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Master seed; every derived structure is a pure function of it.
     pub seed: u64,
     /// Number of top-list sites (the paper crawls 100k).
     pub num_sites: usize,
-    /// Number of measurement epochs (the paper has 3).
-    pub num_epochs: usize,
     /// Long-tail origin ASes to synthesize beyond the head catalog
     /// (0 = head-only, the historical world; ~100 000 = a routing-table-
     /// scale RIB for the per-AS flow-fraction analyses). Registration is
@@ -33,20 +34,16 @@ pub struct WorldConfig {
     /// only `(count, seed)` and profiles derive on demand — so this knob
     /// is O(1) however large it is set.
     pub subscribers: usize,
-    /// Calibration targets.
-    pub calibration: Calibration,
 }
 
 impl WorldConfig {
-    /// A small world for tests and examples (2k sites, 3 epochs).
+    /// A small world for tests and examples (2k sites).
     pub fn small() -> WorldConfig {
         WorldConfig {
             seed: 0x1f6_ad0b,
             num_sites: 2_000,
-            num_epochs: 3,
             long_tail_ases: 0,
             subscribers: 0,
-            calibration: Calibration::default(),
         }
     }
 
@@ -103,6 +100,7 @@ impl World {
     /// Generate a world from a configuration. Deterministic in
     /// `config.seed` (and the other config fields).
     pub fn generate(config: &WorldConfig) -> World {
+        let calibration = Calibration::default();
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let mut registry = Registry::new();
         let mut rib = Rib::new();
@@ -117,8 +115,8 @@ impl World {
             &mut rib,
             "24.0.0.0/6".parse().expect("static prefix"),
             "2600::/13".parse().expect("static prefix"),
-            config.calibration.top_cloud_share,
-            config.calibration.service_cname_rate,
+            calibration.top_cloud_share,
+            calibration.service_cname_rate,
         );
 
         let transition = crate::xlat::register_transition(&mut registry, &mut rib);
@@ -145,9 +143,8 @@ impl World {
 
         let web = generate_web(
             &mut rng,
-            &config.calibration,
+            &calibration,
             config.num_sites,
-            config.num_epochs,
             &mut namegen,
             &mut clouds,
         );
