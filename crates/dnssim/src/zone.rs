@@ -11,7 +11,8 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 pub enum FailureMode {
     /// The authoritative server answers SERVFAIL.
     ServFail,
-    /// Queries are dropped; the resolver gives up after its timeout.
+    /// Queries are dropped; the resolver answers `Timeout`, and the
+    /// caller decides how long that took.
     Timeout,
 }
 
