@@ -23,6 +23,17 @@
 //! Crawling is deterministic *and* parallel: each site derives its own RNG
 //! from `(seed, rank)`, so results are identical regardless of thread count.
 //! Sites run on the suite's one executor, [`obs::par`].
+//!
+//! The two crawl ablations are exact *views* of a cached full crawl rather
+//! than fresh crawls, each equal to the [`crawl_epoch`] it replaces:
+//!
+//! * [`main_page_view`] is the main-page-only crawl. Skipping the link
+//!   shuffle changes no earlier RNG draw, and fetches are deduplicated in
+//!   visit order, so the main page's fetches are a prefix of the full
+//!   crawl's;
+//! * [`recrawl_at_rate`] is the crawl at another IPv6-degradation rate. A
+//!   site's crawl depends on the rate only through `u < rate`, so only the
+//!   sites where that bit flips are crawled again.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -124,6 +135,10 @@ pub struct CrawlReport {
     pub epoch_label: String,
     /// Epoch index crawled.
     pub epoch: usize,
+    /// [`CrawlConfig::v6_degraded_rate`] the sites were crawled at.
+    pub v6_degraded_rate: f64,
+    /// [`CrawlConfig::click_links`] the sites were crawled with.
+    pub click_links: bool,
     /// Per-site results in rank order.
     pub sites: Vec<SiteCrawl>,
 }
@@ -133,7 +148,9 @@ pub struct CrawlReport {
 /// race per page load, the per-site seed) is fixed.
 #[derive(Debug, Clone)]
 pub struct CrawlConfig {
-    /// Set false for the Bajpai-style main-page-only ablation.
+    /// Set false to crawl main pages only. Only tests set it: the
+    /// Bajpai-style main-page-only ablation is [`main_page_view`] of the
+    /// full crawl.
     pub click_links: bool,
     /// Probability that a page-load's IPv6 path is degraded enough for IPv4
     /// to win the Happy Eyeballs race (calibrated to Fig 5's
@@ -170,10 +187,128 @@ pub fn crawl_epoch(world: &World, epoch: usize, config: &CrawlConfig) -> CrawlRe
     CrawlReport {
         epoch_label: state.label.clone(),
         epoch,
+        v6_degraded_rate: config.v6_degraded_rate,
+        click_links: config.click_links,
         sites: obs::par::fan_out(indices, config.threads, |_, i| {
             crawl_site(world, state, i, config)
         }),
     }
+}
+
+/// The main-page-only crawl of `full`'s epoch, derived from `full` without
+/// crawling: equal to [`crawl_epoch`] with `click_links: false` at the same
+/// rate.
+///
+/// With links off, a site makes the same RNG draws through its race and
+/// skips only the link shuffle, and fetches are deduplicated in visit
+/// order. So each loaded site keeps the first
+/// `resource_fqdns(&[0]).len()` fetches, visits page 0 only, and
+/// recomputes `any_v4_used` from what it kept. Failures copy through.
+///
+/// # Panics
+///
+/// If `full` was crawled without link clicks.
+pub fn main_page_view(world: &World, full: &CrawlReport) -> CrawlReport {
+    assert!(full.click_links, "main_page_view needs a link-click crawl");
+    let sites = full
+        .sites
+        .iter()
+        .zip(&world.web.sites)
+        .map(|(crawl, site)| {
+            let outcome = match &crawl.outcome {
+                Ok(ok) => {
+                    let resources = ok.resources[..site.resource_fqdns(&[0]).len()].to_vec();
+                    Ok(CrawlSuccess {
+                        final_fqdn: ok.final_fqdn.clone(),
+                        offsite_landing: ok.offsite_landing,
+                        main_has_a: ok.main_has_a,
+                        main_has_aaaa: ok.main_has_aaaa,
+                        main_v4_addr: ok.main_v4_addr,
+                        main_v6_addr: ok.main_v6_addr,
+                        main_chain: ok.main_chain.clone(),
+                        main_used: ok.main_used,
+                        any_v4_used: ok.main_used == Family::V4
+                            || resources.iter().any(|r| r.used == Some(Family::V4)),
+                        visited_pages: vec![0],
+                        resources,
+                    })
+                }
+                Err(fail) => Err(*fail),
+            };
+            SiteCrawl {
+                rank: crawl.rank,
+                domain: crawl.domain.clone(),
+                outcome,
+            }
+        })
+        .collect();
+    CrawlReport {
+        epoch_label: full.epoch_label.clone(),
+        epoch: full.epoch,
+        v6_degraded_rate: full.v6_degraded_rate,
+        click_links: false,
+        sites,
+    }
+}
+
+/// The crawl of `base`'s epoch at `config.v6_degraded_rate`, derived from
+/// `base`: equal to [`crawl_epoch`] at that rate.
+///
+/// A site's crawl depends on the rate only through `u < rate`, where `u`
+/// is its RNG's second draw, so the sites where that bit agrees for both
+/// rates copy their `base` record. The rest are crawled again on
+/// `config.threads` workers, and counted under `crawl.recrawled_sites`.
+///
+/// # Panics
+///
+/// If `base` was crawled with a different `click_links` than `config`.
+pub fn recrawl_at_rate(world: &World, base: &CrawlReport, config: &CrawlConfig) -> CrawlReport {
+    assert_eq!(
+        base.click_links, config.click_links,
+        "recrawl_at_rate changes the rate only"
+    );
+    let state = &world.web.epochs[base.epoch];
+    let flipped = flipped_sites(world, base.v6_degraded_rate, config.v6_degraded_rate);
+    obs::counter_add("crawl.recrawled_sites", flipped.len() as u64);
+    let mut sites = base.sites.clone();
+    let fresh = obs::par::fan_out(flipped, config.threads, |_, i| {
+        (i, crawl_site(world, state, i, config))
+    });
+    for (i, crawl) in fresh {
+        sites[i] = crawl;
+    }
+    CrawlReport {
+        epoch_label: base.epoch_label.clone(),
+        epoch: base.epoch,
+        v6_degraded_rate: config.v6_degraded_rate,
+        click_links: base.click_links,
+        sites,
+    }
+}
+
+/// Indices of the sites whose `degraded` bit differs between rates `from`
+/// and `to`, in index order.
+fn flipped_sites(world: &World, from: f64, to: f64) -> Vec<usize> {
+    world
+        .web
+        .sites
+        .iter()
+        .enumerate()
+        .filter(|(_, site)| {
+            let (_, _, u) = site_draws(site.rank);
+            (u < from) != (u < to)
+        })
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// A site's RNG after the only draws made before its Happy Eyeballs race:
+/// the base RTT in ms and the uniform `u`, with `degraded = u < rate`.
+fn site_draws(rank: usize) -> (SmallRng, u64, f64) {
+    let mut rng = SmallRng::seed_from_u64(SEED ^ (rank as u64).wrapping_mul(0x9e3779b97f4a7c15));
+    let rtt_ms = 20 + rng.gen_range(0..25);
+    let u = rng.gen::<f64>();
+    (rng, rtt_ms, u)
 }
 
 /// Crawl a single site (by 0-based index) against an epoch state.
@@ -184,8 +319,6 @@ fn crawl_site(
     config: &CrawlConfig,
 ) -> SiteCrawl {
     let site = &world.web.sites[index];
-    let mut rng =
-        SmallRng::seed_from_u64(SEED ^ (site.rank as u64).wrapping_mul(0x9e3779b97f4a7c15));
     let resolver = Resolver::new(&state.zone);
 
     // --- Follow HTTP redirects from the listed domain. ---
@@ -258,9 +391,9 @@ fn crawl_site(
     // --- Happy Eyeballs race for the page load. ---
     // Build this load's network: occasionally the IPv6 path is degraded
     // (congestion, broken tunnel, lossy peering) and IPv4 wins.
-    let mut net = Network::dual_stack_ms(20 + rng.gen_range(0..25));
-    let degraded = rng.gen::<f64>() < config.v6_degraded_rate;
-    if degraded {
+    let (mut rng, rtt_ms, u) = site_draws(site.rank);
+    let mut net = Network::dual_stack_ms(rtt_ms);
+    if u < config.v6_degraded_rate {
         net.set_family_default(
             Family::V6,
             PathProfile {
@@ -295,49 +428,43 @@ fn crawl_site(
         visited.extend(links.into_iter().take(LINK_CLICKS));
     }
 
-    // --- Resource fetches (deduplicated by FQDN). ---
-    let mut resources = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    // --- Resource fetches (deduplicated by FQDN, in visit order). ---
+    let fetches = site.resource_fqdns(&visited);
+    let mut resources = Vec::with_capacity(fetches.len());
     let mut any_v4_used = main_used == Family::V4;
-    for &pi in &visited {
-        for r in &site.pages[pi].resources {
-            if !seen.insert(r.fqdn.clone()) {
-                continue;
-            }
-            let (has_a, v4_addr, chain_a) = probe(resolver.resolve(&r.fqdn, Family::V4), &r.fqdn);
-            let (has_aaaa, v6_addr, chain_aaaa) =
-                probe(resolver.resolve(&r.fqdn, Family::V6), &r.fqdn);
-            let chain = if chain_aaaa.len() > chain_a.len() {
-                chain_aaaa
-            } else {
-                chain_a
-            };
-            // Fetch family: resources ride the same network conditions as
-            // the page load — IPv6 when available and not degraded.
-            let used = if has_aaaa && main_used == Family::V6 {
-                Some(Family::V6)
-            } else if has_a {
-                Some(Family::V4)
-            } else if has_aaaa {
-                Some(Family::V6)
-            } else {
-                None
-            };
-            if used == Some(Family::V4) {
-                any_v4_used = true;
-            }
-            resources.push(ResourceFetch {
-                fqdn: r.fqdn.clone(),
-                rtype: r.rtype,
-                first_party: world.psl.same_site(&r.fqdn, &site.domain),
-                has_a,
-                has_aaaa,
-                used,
-                chain,
-                v4_addr,
-                v6_addr,
-            });
+    for r in fetches {
+        let (has_a, v4_addr, chain_a) = probe(resolver.resolve(&r.fqdn, Family::V4), &r.fqdn);
+        let (has_aaaa, v6_addr, chain_aaaa) = probe(resolver.resolve(&r.fqdn, Family::V6), &r.fqdn);
+        let chain = if chain_aaaa.len() > chain_a.len() {
+            chain_aaaa
+        } else {
+            chain_a
+        };
+        // Fetch family: resources ride the same network conditions as
+        // the page load — IPv6 when available and not degraded.
+        let used = if has_aaaa && main_used == Family::V6 {
+            Some(Family::V6)
+        } else if has_a {
+            Some(Family::V4)
+        } else if has_aaaa {
+            Some(Family::V6)
+        } else {
+            None
+        };
+        if used == Some(Family::V4) {
+            any_v4_used = true;
         }
+        resources.push(ResourceFetch {
+            fqdn: r.fqdn.clone(),
+            rtype: r.rtype,
+            first_party: world.psl.same_site(&r.fqdn, &site.domain),
+            has_a,
+            has_aaaa,
+            used,
+            chain,
+            v4_addr,
+            v6_addr,
+        });
     }
 
     let offsite_landing = !world.psl.same_site(&final_fqdn, &site.domain);
@@ -444,14 +571,97 @@ mod tests {
                 ..CrawlConfig::default()
             },
         );
-        assert_eq!(seq.sites.len(), par.sites.len());
-        for (a, b) in seq.sites.iter().zip(&par.sites) {
+        assert_same_sites(&seq, &par, "across thread counts");
+    }
+
+    /// Assert that two reports hold the same crawl, site by site, as
+    /// `serde_json`.
+    fn assert_same_sites(a: &CrawlReport, b: &CrawlReport, what: &str) {
+        assert_eq!(a.sites.len(), b.sites.len(), "{what}: site count");
+        for (a, b) in a.sites.iter().zip(&b.sites) {
             assert_eq!(
                 serde_json::to_string(a).expect("serializable"),
                 serde_json::to_string(b).expect("serializable"),
-                "crawl of {} differs across thread counts",
+                "{what}: crawl of {} differs",
                 a.domain
             );
+        }
+    }
+
+    /// Both views of the default crawl equal the crawls they replace, at
+    /// each worker count, and the base rate itself crawls nothing again.
+    fn check_views(w: &World, rates: &[f64], threads: &[usize]) {
+        let e = w.latest_epoch();
+        let full = crawl_epoch(w, e, &CrawlConfig::default());
+        let base_rate = full.v6_degraded_rate;
+        assert!(flipped_sites(w, base_rate, base_rate).is_empty());
+
+        let main_only = crawl_epoch(
+            w,
+            e,
+            &CrawlConfig {
+                click_links: false,
+                ..CrawlConfig::default()
+            },
+        );
+        let view = main_page_view(w, &full);
+        assert!(!view.click_links);
+        assert_same_sites(&view, &main_only, "main_page_view");
+
+        for &rate in rates {
+            let crawled = crawl_epoch(
+                w,
+                e,
+                &CrawlConfig {
+                    v6_degraded_rate: rate,
+                    ..CrawlConfig::default()
+                },
+            );
+            for &threads in threads {
+                let config = CrawlConfig {
+                    v6_degraded_rate: rate,
+                    threads,
+                    ..CrawlConfig::default()
+                };
+                let view = recrawl_at_rate(w, &full, &config);
+                assert_eq!(view.v6_degraded_rate, rate);
+                assert_same_sites(
+                    &view,
+                    &crawled,
+                    &format!("recrawl_at_rate({rate}) on {threads} threads"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn views_equal_the_crawls_they_replace() {
+        check_views(&world(), &[0.0, 0.05, 0.116, 0.25, 1.0], &[1, 3]);
+    }
+
+    #[test]
+    fn recrawl_counts_only_flipped_sites() {
+        let w = world();
+        let n = w.web.sites.len();
+        let to_zero = flipped_sites(&w, 0.116, 0.0).len();
+        // Down to 0.0, exactly the sites the default rate degrades flip.
+        assert!(
+            (0.08..0.15).contains(&(to_zero as f64 / n as f64)),
+            "{to_zero} of {n} sites flip from 0.116 to 0.0"
+        );
+    }
+
+    /// The view oracle at the `repro` default scale, over three seeds. Run
+    /// with `cargo test --release -p crawlsim -- --ignored`.
+    #[test]
+    #[ignore = "20k-site worlds: release-mode sweep"]
+    fn views_equal_the_crawls_they_replace_at_20k_sites() {
+        for seed in [1, 7, 42] {
+            let w = World::generate(&WorldConfig {
+                num_sites: 20_000,
+                ..WorldConfig::small().with_seed(seed)
+            });
+            check_views(&w, &[0.0, 0.05, 0.25, 0.9], &[3]);
         }
     }
 

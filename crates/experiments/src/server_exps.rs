@@ -409,26 +409,32 @@ pub fn ablation_firstparty(s: &mut Session) -> Report {
 }
 
 /// Ablation: Happy Eyeballs parameters vs the "Browser Used IPv4" rate.
+/// The default rate's row reads the session's cached latest-epoch crawl;
+/// every other row is [`crawlsim::recrawl_at_rate`] of that crawl.
 pub fn ablation_he(s: &mut Session) -> Report {
+    use crawlsim::{recrawl_at_rate, CrawlConfig};
     let mut r = Report::new("ablation-he");
     r.heading("Ablation — Happy Eyeballs degradation vs IPv4 race wins");
-    use crawlsim::{crawl_epoch, CrawlConfig};
     let epoch = s.world.latest_epoch();
+    let base_rate = s.crawl(epoch).v6_degraded_rate;
     let mut t = TextTable::new(vec![
         "v6 degraded rate",
         "browser used IPv4 %",
         "IPv6-full %",
     ]);
     for rate in [0.0, 0.05, 0.116, 0.25] {
-        let c = if rate == CrawlConfig::default().v6_degraded_rate {
-            // The default rate is the session's cached latest-epoch crawl.
-            ClassCounts::from_report(s.latest_crawl())
+        let base = s.crawl_ref(epoch);
+        let c = if rate == base_rate {
+            ClassCounts::from_report(base)
         } else {
+            // Only the sites whose IPv6 path the rate change degrades or
+            // heals are crawled again; the rest copy the cached crawl.
+            let _span = obs::span!("recrawl", rate = rate);
             let cfg = CrawlConfig {
                 v6_degraded_rate: rate,
                 ..s.crawl_config()
             };
-            ClassCounts::from_report(&crawl_epoch(&s.world, epoch, &cfg))
+            ClassCounts::from_report(&recrawl_at_rate(&s.world, base, &cfg))
         };
         let used_v4 = 100.0 * c.browser_used_v4 as f64 / c.full.max(1) as f64;
         t.row(vec![
@@ -467,15 +473,16 @@ pub fn robustness(s: &mut Session) -> Report {
         let world = World::generate(&cfg);
         let report = crawlsim::crawl_epoch(&world, world.latest_epoch(), &s.crawl_config());
         let c = ClassCounts::from_report(&report);
-        v4.push(c.pct_of_connected(c.v4_only));
-        partial.push(c.pct_of_connected(c.partial));
-        full.push(c.pct_of_connected(c.full));
+        let (pv, pp, pf) = (
+            c.pct_of_connected(c.v4_only),
+            c.pct_of_connected(c.partial),
+            c.pct_of_connected(c.full),
+        );
+        v4.push(pv);
+        partial.push(pp);
+        full.push(pf);
         r.line(format!(
-            "seed {:>2}: v4-only {:.1}%  partial {:.1}%  full {:.1}%",
-            i,
-            v4.last().unwrap(),
-            partial.last().unwrap(),
-            full.last().unwrap()
+            "seed {i:>2}: v4-only {pv:.1}%  partial {pp:.1}%  full {pf:.1}%"
         ));
     }
     let stat = |xs: &[f64]| {

@@ -14,7 +14,7 @@
 //! export, the one artifact that *is* the records, synthesizes one
 //! residence at a time (see [`crate::export_all`]).
 
-use crawlsim::{crawl_epoch, CrawlConfig, CrawlReport};
+use crawlsim::{crawl_epoch, main_page_view, CrawlConfig, CrawlReport};
 use dnssim::Name;
 use faults::FaultPlan;
 use flowmon::sink::FlowStatsAgg;
@@ -258,16 +258,15 @@ impl Session {
             .expect("crawl(epoch) must run before crawl_ref(epoch)")
     }
 
-    /// Main-page-only ablation crawl of the latest epoch.
+    /// Main-page-only ablation crawl of the latest epoch: the
+    /// [`main_page_view`] of the cached full crawl, equal to a crawl with
+    /// `click_links: false` but crawling nothing itself.
     pub fn mainpage_crawl(&mut self) -> &CrawlReport {
         if self.crawl_mainpage_only.is_none() {
-            obs::info!("[repro] crawling latest epoch (main-page-only ablation) ...");
-            let cfg = CrawlConfig {
-                click_links: false,
-                ..self.crawl_config()
-            };
+            let e = self.world.latest_epoch();
+            self.crawl(e);
             let _span = obs::span!("crawl-mainpage");
-            let report = crawl_epoch(&self.world, self.world.latest_epoch(), &cfg);
+            let report = main_page_view(&self.world, self.crawl_ref(e));
             self.crawl_mainpage_only = Some(report);
         }
         self.crawl_mainpage_only.as_ref().expect("just filled")
@@ -381,5 +380,31 @@ impl Session {
     /// (and therefore counted) once.
     pub fn metrics(&self) -> obs::MetricsReport {
         obs::snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mainpage_crawl_equals_a_main_page_only_crawl() {
+        let mut session = Session::new(RunConfig::default().sites(300).seed(7).days(2));
+        let cfg = CrawlConfig {
+            click_links: false,
+            ..session.crawl_config()
+        };
+        let crawled = crawl_epoch(&session.world, session.world.latest_epoch(), &cfg);
+        let view = session.mainpage_crawl();
+        assert!(!view.click_links);
+        assert_eq!(view.sites.len(), crawled.sites.len());
+        for (a, b) in view.sites.iter().zip(&crawled.sites) {
+            assert_eq!(
+                serde_json::to_string(a).expect("serializable"),
+                serde_json::to_string(b).expect("serializable"),
+                "main-page crawl of {} differs",
+                a.domain
+            );
+        }
     }
 }
