@@ -9,8 +9,11 @@
 //! `--spill DIR`, [`flowstore::spill_through`] writes each task as one
 //! day-part under `DIR/million-subs` and the aggregate reads the
 //! digest-verified replay. That buys a replayable copy on disk, not memory:
-//! at `--sites 20000 --days 3` (1M subscribers) peak RSS is about 165 MB in
-//! memory and 172 MB spilled. The report is identical either way.
+//! at `--sites 20000 --days 3` (1M subscribers, 735 parts) peak RSS is
+//! about 165 MB in memory and 169 MB spilled, and on a 2-vCPU Xeon the run
+//! takes about 2.2 s in memory and 3.8 s spilled, the difference being
+//! part encode, decode and the live and replayed stream digests. The
+//! report is identical either way.
 
 use crate::report::Report;
 use crate::session::Session;

@@ -15,6 +15,7 @@
 //!   values with varint code stream, for address columns.
 
 use crate::error::{Error, Result};
+use iputil::sym::{Sym, SymbolTable};
 
 /// Append a LEB128 unsigned varint.
 pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
@@ -210,7 +211,9 @@ pub fn decode_rle(buf: &[u8], rows: usize) -> Result<Vec<u64>> {
     while out.len() < rows {
         let run_len = get_uvarint(buf, &mut pos)?;
         let value = get_uvarint(buf, &mut pos)?;
-        if run_len == 0 || out.len() + run_len as usize > rows {
+        // Compared against the rows left, which the loop guard keeps
+        // positive: a damaged run length near `u64::MAX` must not overflow.
+        if run_len == 0 || run_len > (rows - out.len()) as u64 {
             return Err(Error::corrupt("rle run exceeds row count"));
         }
         for _ in 0..run_len {
@@ -227,27 +230,19 @@ pub fn decode_rle(buf: &[u8], rows: usize) -> Result<Vec<u64>> {
 /// function of the value sequence — no hash-order dependence.
 #[must_use]
 pub fn encode_dict(values: &[u128]) -> Vec<u8> {
-    // The dictionary is built with a sorted (value -> code) map so lookups
-    // are O(log n) without hash-order iteration anywhere near the output.
-    let mut codes_by_value: std::collections::BTreeMap<u128, u64> =
-        std::collections::BTreeMap::new();
-    let mut dict: Vec<u128> = Vec::new();
-    let mut codes: Vec<u64> = Vec::with_capacity(values.len());
-    for &v in values {
-        let next = dict.len() as u64;
-        let code = *codes_by_value.entry(v).or_insert_with(|| {
-            dict.push(v);
-            next
-        });
-        codes.push(code);
-    }
+    // Interning hashes each row once (FxHash); codes are the table's dense
+    // symbols, issued in first-appearance order, and the dictionary is
+    // written from the table's symbol-ordered slice — so the hash never
+    // decides a byte of the output.
+    let mut dict: SymbolTable<u128> = SymbolTable::new();
+    let codes: Vec<Sym> = values.iter().map(|v| dict.intern(v)).collect();
     let mut out = Vec::new();
     put_uvarint(&mut out, dict.len() as u64);
-    for &v in &dict {
+    for &v in dict.as_slice() {
         put_u128(&mut out, v);
     }
-    for &c in &codes {
-        put_uvarint(&mut out, c);
+    for c in codes {
+        put_uvarint(&mut out, c.index() as u64);
     }
     out
 }
@@ -337,5 +332,8 @@ mod tests {
         assert!(decode_varint(&[0x80], 1).is_err());
         assert!(decode_rle(&[2, 1, 9, 9], 1).is_err());
         assert!(decode_dict(&encode_varint(&[1]), 1).is_err());
+        // A run length near `u64::MAX` after a valid run must not overflow
+        // the bound check (or push ~2^64 values).
+        assert!(decode_rle(&encode_varint(&[1, 7, u64::MAX, 7]), 2).is_err());
     }
 }

@@ -11,8 +11,11 @@
 //!   workers, replays the parts into any sink and proves the replay is the
 //!   live stream by digest, with every failure returned as an [`Error`]
 //!   value.
-//! * [`write_part`] is the only encoder, and [`PartSet::replay_into`] the
-//!   only replay; [`PartSet::open`] reopens a spill directory.
+//! * [`write_part`] is the only encoder, and one replay loop is the only
+//!   decoder: [`spill_through`] runs it on its workers, which read and
+//!   decode parts while the caller feeds the sink in order, and
+//!   [`PartSet::replay_into`] runs it on one thread. [`PartSet::open`]
+//!   reopens a spill directory.
 //!
 //! ## Part layout
 //!
@@ -29,7 +32,7 @@
 //! count, per-column `{offset, len, raw_bytes, min, max}` and an FNV-1a64
 //! content digest over the column region, verified on every read. Codecs:
 //! delta / delta-of-delta for timestamps and ports, first-appearance
-//! dictionaries for addresses, run-length for enum columns, varint for
+//! dictionaries (built through a hashed interner) for addresses, run-length for enum columns, varint for
 //! counters (see [`part`] for the full column table).
 //!
 //! ## Determinism contract
@@ -39,9 +42,9 @@
 //! * [`spill_through`] names each part by its task's `(stream, day)`, so
 //!   the set of parts a run writes depends only on `(sites, seed, days)`,
 //!   never on the thread layout.
-//! * [`PartSet::replay_into`] delivers parts in canonical
-//!   `(day, stream, seq)` order — the emission order of every producer —
-//!   so replay through `flowmon::CollectSink` reproduces the in-memory
+//! * Replay delivers parts in canonical `(day, stream, seq)` order — the
+//!   emission order of every producer — at any thread count, so replay
+//!   through `flowmon::CollectSink` reproduces the in-memory
 //!   `Vec<FlowRecord>` exactly. Tier-1 tests compare digests
 //!   ([`records_digest`] / [`DigestSink`]) on both sides.
 //!

@@ -715,6 +715,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The part format is frozen: any change to these bytes is a format
+    /// change, whatever the encoder's internals.
+    #[test]
+    fn sample_part_bytes_are_golden() {
+        let bytes = part_bytes(1, 3, 0, &sample_records());
+        assert_eq!(fnv1a64(&bytes), 0x52d9_de29_b688_7907);
+    }
+
     #[test]
     fn writer_is_deterministic() {
         let records = sample_records();

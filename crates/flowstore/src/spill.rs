@@ -28,14 +28,16 @@ pub struct SpillStats {
 /// [`obs::par::ordered`] run `produce(task) -> (stream, day, records)` and
 /// write the records as part `(stream, day, 0)`; the caller digests them
 /// in task order. The parts then replay into `sink` in canonical
-/// `(day, stream)` order and must digest the same — so `tasks` must be in
-/// canonical order, one task per identity.
+/// `(day, stream)` order, read and decoded on up to `threads` workers with
+/// at most `2 × threads` decoded parts alive, and must digest the same — so
+/// `tasks` must be in canonical order, one task per identity.
 ///
 /// # Errors
 ///
-/// The first I/O or corrupt-part error in task order, or
-/// [`Error::Diverged`] when the replay is not the live stream (`sink` may
-/// have seen its rows by then).
+/// The first I/O or corrupt-part error in task order (a write error
+/// before any row reaches `sink`; a replay error after the rows of the
+/// parts before it only), or [`Error::Diverged`] when the replay is not the
+/// live stream (`sink` may have seen its rows by then).
 pub fn spill_through<T: Send, S: FlowSink>(
     dir: impl AsRef<Path>,
     tasks: Vec<T>,
@@ -66,7 +68,7 @@ pub fn spill_through<T: Send, S: FlowSink>(
     );
     let metas = metas.into_iter().collect::<Result<Vec<_>>>()?;
     let mut replayed = DigestSink::new();
-    let stats = PartSet::from_metas(metas).replay_into(&mut (sink, &mut replayed))?;
+    let stats = PartSet::from_metas(metas).replay_on(threads, &mut (sink, &mut replayed))?;
     if replayed.digest() != live.digest() {
         return Err(Error::Diverged {
             live: live.digest(),

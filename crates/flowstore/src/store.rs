@@ -12,8 +12,9 @@
 
 use crate::error::{Error, Result};
 use crate::part::{parse_part_file_name, read_part, PartMeta};
-use flowmon::FlowSink;
+use flowmon::{FlowRecord, FlowSink};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Summary of a completed replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,24 +91,61 @@ impl PartSet {
 
     /// Replay every part, in canonical order, into `sink`. Each part is
     /// digest-verified on read and delivered as one `accept_batch` call
-    /// (batch boundaries are part boundaries). Peak memory is one decoded
-    /// part.
+    /// (batch boundaries are part boundaries). It runs the replay loop of
+    /// [`crate::spill_through`], which holds up to `2 × threads` decoded
+    /// parts, on one thread, so peak memory is one decoded part.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O or corrupt-part error in canonical order; no row of
+    /// that part or any later one reaches `sink`.
     pub fn replay_into<S: FlowSink>(&self, sink: &mut S) -> Result<ReplayStats> {
+        self.replay_on(1, sink)
+    }
+
+    /// The replay loop: up to `threads` [`obs::par::ordered`] workers read,
+    /// verify and decode parts, at most `2 × threads` decoded parts are
+    /// alive, and the caller feeds `sink` in canonical order until the
+    /// first error.
+    pub(crate) fn replay_on<S: FlowSink>(
+        &self,
+        threads: usize,
+        sink: &mut S,
+    ) -> Result<ReplayStats> {
         let mut stats = ReplayStats { parts: 0, rows: 0 };
-        for meta in &self.parts {
-            let (footer, records) = read_part(&meta.path)?;
-            if (footer.stream, footer.day, footer.seq) != (meta.stream, meta.day, meta.seq) {
-                return Err(Error::corrupt(format!(
-                    "part identity mismatch: file {} says (s{}, d{}, q{})",
-                    meta.path.display(),
-                    footer.stream,
-                    footer.day,
-                    footer.seq
-                )));
-            }
-            sink.accept_batch(&records);
-            stats.parts += 1;
-            stats.rows += footer.rows;
+        let mut failed = None;
+        // Set with `failed`: the caller drops every later part, so workers
+        // skip the ones still queued.
+        let stop = AtomicBool::new(false);
+        obs::par::ordered(
+            self.parts.iter().collect(),
+            threads,
+            |_, meta| {
+                if stop.load(Ordering::Relaxed) {
+                    Ok(Vec::new())
+                } else {
+                    read_checked(meta)
+                }
+            },
+            |_, part| {
+                if failed.is_some() {
+                    return;
+                }
+                match part {
+                    Ok(records) => {
+                        sink.accept_batch(&records);
+                        stats.parts += 1;
+                        stats.rows += records.len() as u64;
+                    }
+                    Err(e) => {
+                        stop.store(true, Ordering::Relaxed);
+                        failed = Some(e);
+                    }
+                }
+            },
+        );
+        if let Some(e) = failed {
+            return Err(e);
         }
         obs::counter_add("flowstore.replay.parts", stats.parts);
         obs::counter_add("flowstore.replay.rows", stats.rows);
@@ -115,11 +153,27 @@ impl PartSet {
     }
 }
 
+/// Read and decode one part, checking its footer against the identity its
+/// file name (or writer) gave it.
+fn read_checked(meta: &PartMeta) -> Result<Vec<FlowRecord>> {
+    let (footer, records) = read_part(&meta.path)?;
+    if (footer.stream, footer.day, footer.seq) != (meta.stream, meta.day, meta.seq) {
+        return Err(Error::corrupt(format!(
+            "part identity mismatch: file {} says (s{}, d{}, q{})",
+            meta.path.display(),
+            footer.stream,
+            footer.day,
+            footer.seq
+        )));
+    }
+    Ok(records)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::part::{part_file_name, write_part};
-    use flowmon::{CollectSink, FlowKey, FlowRecord, Scope, DAY};
+    use flowmon::{CollectSink, FlowKey, Scope, DAY};
 
     fn rec(day: u64, stream: u64, i: u64) -> FlowRecord {
         FlowRecord {

@@ -1,11 +1,12 @@
 //! Property tests for the flow store: codec round-trip identity over the
-//! full value domain, part encode/decode identity and determinism for
-//! arbitrary records, and footer min/max consistency.
+//! full value domain, the dictionary encoder's bytes against a reference
+//! encoder, part encode/decode identity and determinism for arbitrary
+//! records, and footer min/max consistency.
 
 use flowmon::{FlowKey, FlowRecord, IcmpMeta, Proto, Scope};
 use flowstore::codec::{
     decode_delta, decode_delta2, decode_dict, decode_rle, decode_varint, encode_delta,
-    encode_delta2, encode_dict, encode_rle, encode_varint,
+    encode_delta2, encode_dict, encode_rle, encode_varint, put_u128, put_uvarint,
 };
 use flowstore::{part_bytes, records_digest, write_part};
 use proptest::prelude::*;
@@ -79,6 +80,31 @@ fn arb_records() -> impl Strategy<Value = Vec<FlowRecord>> {
     proptest::collection::vec(arb_record(), 0..80)
 }
 
+/// A reference dictionary encoder over a sorted value → code map: the
+/// format's bytes, written the plainest way.
+fn encode_dict_btree(values: &[u128]) -> Vec<u8> {
+    let mut codes_by_value = std::collections::BTreeMap::new();
+    let mut dict = Vec::new();
+    let mut codes = Vec::with_capacity(values.len());
+    for &v in values {
+        let next = dict.len() as u64;
+        let code = *codes_by_value.entry(v).or_insert_with(|| {
+            dict.push(v);
+            next
+        });
+        codes.push(code);
+    }
+    let mut out = Vec::new();
+    put_uvarint(&mut out, dict.len() as u64);
+    for &v in &dict {
+        put_u128(&mut out, v);
+    }
+    for &c in &codes {
+        put_uvarint(&mut out, c);
+    }
+    out
+}
+
 proptest! {
     /// Varint codec: decode(encode(xs)) == xs over the full u64 domain.
     #[test]
@@ -108,6 +134,19 @@ proptest! {
     #[test]
     fn dict_round_trip(xs in proptest::collection::vec(any::<u128>(), 0..120)) {
         prop_assert_eq!(decode_dict(&encode_dict(&xs), xs.len()).unwrap(), xs);
+    }
+
+    /// The dictionary encoder writes the reference encoder's bytes, over
+    /// columns with many repeats drawn from a small pool of values.
+    #[test]
+    fn dict_matches_the_reference_encoder(
+        pool in proptest::collection::vec(any::<u128>(), 1..16),
+        small in proptest::collection::vec(0u32..300, 1..8),
+        picks in proptest::collection::vec(any::<u16>(), 0..400),
+    ) {
+        let pool: Vec<u128> = pool.into_iter().chain(small.into_iter().map(u128::from)).collect();
+        let xs: Vec<u128> = picks.iter().map(|&i| pool[usize::from(i) % pool.len()]).collect();
+        prop_assert_eq!(encode_dict(&xs), encode_dict_btree(&xs));
     }
 
     /// A full part round-trips arbitrary records exactly (written via the

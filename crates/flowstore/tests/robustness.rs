@@ -5,13 +5,17 @@
 //! an `Err`. So does a failing writer: `write_part` to a device that
 //! refuses the bytes is an I/O error, and a part path a directory occupies
 //! fails its task, with `spill_through` returning the first such failure in
-//! task order before any row reaches the sink.
+//! task order before any row reaches the sink. A replay decoded on several
+//! workers delivers the same batches as one on a single thread, and stops
+//! at the first damaged part in part order with only the rows before it
+//! in the sink.
 
-use flowmon::{CollectSink, FlowKey, FlowRecord, Scope, DAY};
+use flowmon::{CollectSink, FlowKey, FlowRecord, FlowSink, Scope, DAY};
 use flowstore::{
     part_file_name, records_digest, spill_through, write_part, Error, PartSet, SpillStats,
 };
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 fn rec(day: u64, stream: u64, i: u64) -> FlowRecord {
     FlowRecord {
@@ -264,4 +268,94 @@ fn a_part_path_occupied_by_a_directory_fails_its_task_in_task_order() {
     );
     assert!(sink.records.is_empty(), "no rows reach the sink");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Block until the part at `path` is on disk and whole.
+fn wait_for_part(path: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while flowstore::read_part(path).is_err() {
+        assert!(
+            Instant::now() < deadline,
+            "{} never appeared",
+            path.display()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_parallel_replay_stops_at_the_first_damaged_part() {
+    // Day 4's producer truncates day 2's part and deletes day 3's once
+    // both are written. Replay on three workers returns day 2's error,
+    // and only days 0 and 1 reach the sink.
+    let dir = fresh_dir("parallel-damage");
+    let part = |day: u64| dir.join(part_file_name(0, day, 0));
+    let mut sink = CollectSink::new();
+    let result = spill_through(
+        &dir,
+        (0..5).collect(),
+        3,
+        |day| {
+            if day == 4 {
+                wait_for_part(&part(2));
+                wait_for_part(&part(3));
+                truncate(&part(2));
+                delete(&part(3));
+            }
+            (0, day, records(day, 0))
+        },
+        &mut sink,
+    );
+    assert!(matches!(result, Err(Error::Corrupt(_))), "{result:?}");
+    let expect: Vec<_> = (0..2).flat_map(|day| records(day, 0)).collect();
+    assert_eq!(sink.records, expect);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every batch a sink is handed, as delivered.
+#[derive(Default)]
+struct Batches(Vec<Vec<FlowRecord>>);
+
+impl FlowSink for Batches {
+    fn accept(&mut self, record: &FlowRecord) {
+        self.0.push(vec![*record]);
+    }
+
+    fn accept_batch(&mut self, records: &[FlowRecord]) {
+        self.0.push(records.to_vec());
+    }
+}
+
+#[test]
+fn replayed_batches_are_identical_at_one_and_three_threads() {
+    // Twelve parts of uneven size, one of them empty.
+    let tasks: Vec<(u64, u64)> = (0..3)
+        .flat_map(|day| (0..4).map(move |stream| (day, stream)))
+        .collect();
+    let rows = |day: u64, stream: u64| {
+        let mut part = records(day, stream);
+        part.truncate(((day * 4 + stream) * 11 % 64) as usize);
+        part
+    };
+    let replay_at = |threads: usize| {
+        let dir = fresh_dir(&format!("batches-t{threads}"));
+        let mut batches = Batches::default();
+        let stats = spill_through(
+            &dir,
+            tasks.clone(),
+            threads,
+            |(day, stream)| (stream, day, rows(day, stream)),
+            &mut batches,
+        )
+        .expect("clean spill");
+        std::fs::remove_dir_all(&dir).ok();
+        (stats, batches.0)
+    };
+    let one = replay_at(1);
+    let expect: Vec<_> = tasks
+        .iter()
+        .map(|&(day, stream)| rows(day, stream))
+        .collect();
+    assert_eq!(one.1, expect);
+    assert_eq!(replay_at(3), one);
 }
