@@ -9,7 +9,9 @@
 //! [`AsAgg`] (a `SymVec` keyed by the registry's interned AS symbols)
 //! attributes every record via LPM — so peak memory is O(ASes), independent
 //! of `--days`, and the emitted table is byte-identical at any
-//! `--threads` count.
+//! `--threads` count. Days are synthesized on the session's thread count,
+//! like every other pass, and reach the aggregator in bounded chunks: the
+//! records alive at once scale with the threads, not with a day.
 
 use crate::report::Report;
 use crate::session::Session;
@@ -35,7 +37,10 @@ pub struct AsFractionsParams {
     pub days: u32,
     /// Flow records per day.
     pub flows_per_day: usize,
-    /// Day-level worker threads (output is invariant to this).
+    /// Day-level worker threads, the session's `--threads` or
+    /// [`obs::par::default_threads`]. Output is invariant to this; memory
+    /// grows by at most `2 × threads × (`[`obs::par::QUEUE_DEPTH`]` + 1)`
+    /// chunks of [`trafficgen::longtail::LONG_TAIL_CHUNK`] records.
     pub threads: usize,
 }
 
@@ -168,7 +173,7 @@ pub fn as_fractions(s: &mut Session) -> Report {
         ases,
         days: s.config.days.min(30),
         flows_per_day: (ases * 10).clamp(20_000, 600_000),
-        threads: s.config.threads.unwrap_or(1),
+        threads: s.config.threads.unwrap_or_else(obs::par::default_threads),
     };
     as_fractions_report_for(&params)
 }
@@ -181,7 +186,7 @@ pub fn as_fractions_export_report(s: &mut Session) -> Report {
         ases: 300,
         days: s.config.days.min(3),
         flows_per_day: 10_000,
-        threads: s.config.threads.unwrap_or(1),
+        threads: s.config.threads.unwrap_or_else(obs::par::default_threads),
     };
     as_fractions_report_for(&params)
 }
@@ -204,8 +209,10 @@ mod tests {
     #[test]
     fn export_is_byte_identical_across_thread_counts() {
         let a = as_fractions_json(&as_fractions_report(&params(1)));
-        let b = as_fractions_json(&as_fractions_report(&params(4)));
-        assert_eq!(a, b, "thread count must not change the exported table");
+        for threads in [2, 3, 4] {
+            let b = as_fractions_json(&as_fractions_report(&params(threads)));
+            assert_eq!(a, b, "{threads} threads changed the exported table");
+        }
         assert!(a.contains("\"min_share\""));
         // A different seed produces a different dataset.
         let c = as_fractions_json(&as_fractions_report(&AsFractionsParams {
@@ -242,6 +249,22 @@ mod tests {
             "as-fractions must not write spill parts"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Left unset, `--threads` runs the scenario on the session default,
+    /// and the dataset is the one thread's.
+    #[test]
+    fn default_threads_match_one_thread() {
+        let dataset = |config: RunConfig| {
+            let report = as_fractions(&mut Session::new(config));
+            report
+                .datasets()
+                .map(|d| d.json.clone())
+                .collect::<Vec<_>>()
+        };
+        let config = || RunConfig::default().sites(400).seed(77).days(3);
+        assert_eq!(config().threads, None);
+        assert_eq!(dataset(config()), dataset(config().threads(1)));
     }
 
     #[test]

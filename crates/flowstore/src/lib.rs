@@ -55,7 +55,7 @@
 //! use flowstore::{records_digest, spill_through};
 //!
 //! // Tasks in canonical `(day, stream)` order; each produces one part's rows.
-//! let dir = std::env::temp_dir().join("flowstore-doc");
+//! let dir = std::env::temp_dir().join(format!("flowstore-doc-{}", std::process::id()));
 //! let tasks: Vec<(u64, u64)> = vec![(0, 0), (0, 1), (1, 0)];
 //! let mut collect = CollectSink::new();
 //! let stats = spill_through(&dir, tasks, 2, |(day, stream)| (stream, day, Vec::new()), &mut collect)?;

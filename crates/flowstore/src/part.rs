@@ -675,7 +675,7 @@ mod tests {
 
     #[test]
     fn file_round_trip_and_digest_check() {
-        let dir = std::env::temp_dir().join("flowstore-part-test");
+        let dir = std::env::temp_dir().join(format!("flowstore-part-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(part_file_name(7, 3, 0));
         let records = sample_records();
@@ -705,7 +705,7 @@ mod tests {
 
     #[test]
     fn empty_part_round_trips() {
-        let dir = std::env::temp_dir().join("flowstore-empty-test");
+        let dir = std::env::temp_dir().join(format!("flowstore-empty-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(part_file_name(0, 0, 0));
         write_part(&path, 0, 0, 0, &[]).unwrap();

@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn open_orders_canonically_and_replays() {
-        let dir = std::env::temp_dir().join("flowstore-store-test");
+        let dir = std::env::temp_dir().join(format!("flowstore-store-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
 

@@ -11,6 +11,26 @@ use flowstore::codec::{
 use flowstore::{part_bytes, records_digest, write_part};
 use proptest::prelude::*;
 use std::net::IpAddr;
+use std::path::PathBuf;
+
+/// A temp directory unique to this process and test, removed on drop, so
+/// a failing case cleans up too and concurrent runs never share it.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(test: &str) -> ScratchDir {
+        let dir =
+            std::env::temp_dir().join(format!("flowstore-prop-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
 
 fn arb_record() -> impl Strategy<Value = FlowRecord> {
     (
@@ -153,9 +173,8 @@ proptest! {
     /// file path, re-read with digest verification).
     #[test]
     fn part_round_trip(records in arb_records(), stream in any::<u64>(), day in any::<u64>()) {
-        let dir = std::env::temp_dir().join("flowstore-prop-part");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("case.fsp");
+        let dir = ScratchDir::new("part");
+        let path = dir.0.join("case.fsp");
         write_part(&path, stream, day, 0, &records).unwrap();
         let (footer, decoded) = flowstore::read_part(&path).unwrap();
         prop_assert_eq!(footer.rows as usize, records.len());
@@ -173,9 +192,8 @@ proptest! {
     /// for every numeric column (addresses compare by raw bit value).
     #[test]
     fn footer_minmax_consistent(records in arb_records()) {
-        let dir = std::env::temp_dir().join("flowstore-prop-minmax");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("case.fsp");
+        let dir = ScratchDir::new("minmax");
+        let path = dir.0.join("case.fsp");
         write_part(&path, 0, 0, 0, &records).unwrap();
         let (footer, _) = flowstore::read_part(&path).unwrap();
 

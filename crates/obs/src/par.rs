@@ -1,27 +1,40 @@
 //! The one parallel executor: work-stealing produce, in-order consume,
-//! bounded window.
+//! bounded window, bounded per-task queues.
 //!
 //! Every parallel axis of the suite (residence-days, long-tail days,
 //! subscriber shards, provider subscriber-days, ISP sweeps, crawled sites)
-//! runs on [`ordered`] or its collect-all wrapper [`fan_out`]. Up to
-//! `threads` scoped workers claim task indices from one shared cursor and
-//! run `produce`, so a worker that drew cheap tasks keeps pulling. The
-//! calling thread runs `consume` on each result strictly in task order, so
-//! whatever it feeds sees one sequence at any thread count and need not be
-//! `Send`. A worker claims task `i` only once task `i - window` has been
-//! consumed, so at most `window` results are alive at once: no barrier, and
-//! peak memory of a few task buffers rather than the run.
+//! runs on [`stream`] or its one-result-per-task wrappers [`ordered`] and
+//! [`fan_out`]. Up to `threads` scoped workers claim task indices from one
+//! shared cursor and run `produce`, so a worker that drew cheap tasks keeps
+//! pulling. `produce` hands its output to an emitter, in as many chunks as
+//! it likes; the calling thread runs `consume` on every chunk strictly in
+//! task order, then emission order, so whatever it feeds sees one sequence
+//! at any thread count and need not be `Send`. The consumer drains task
+//! `i` until it is done, then moves to task `i + 1`.
+//!
+//! Memory is bounded twice. A worker claims task `i` only once task
+//! `i - window` has been consumed, so at most `window` tasks are in
+//! flight; and each in-flight task may queue at most [`QUEUE_DEPTH`]
+//! chunks ahead of the consumer, its producer blocking on the next. So at
+//! most `window × (QUEUE_DEPTH + 1)` chunks are alive at once, with
+//! `window = 2 × threads` for [`stream`] and [`ordered`]: no barrier, and
+//! peak memory of a few chunks rather than the run.
 //!
 //! Determinism is the caller's contract: `produce` must derive all
 //! randomness from its task. Workers adopt the caller's span path, so spans
 //! opened in `produce` nest as they do inline and span paths are the same
 //! at any layout. At `threads <= 1` everything runs inline and nothing is
-//! spawned. A panic in `produce` re-raises on the caller when its task's
-//! turn comes; a panic in `consume` also stops the workers.
+//! spawned: the emitter calls `consume` directly, so nothing is queued. A
+//! panic in `produce` re-raises on the caller when its task's turn comes,
+//! after the chunks it emitted first; a panic in `consume` also stops the
+//! workers.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex, PoisonError};
+
+/// Chunks one in-flight task may queue ahead of the consumer before its
+/// producer blocks on the next emit.
+pub const QUEUE_DEPTH: usize = 2;
 
 /// The default worker count of every parallel pass: the host's available
 /// parallelism, capped at 8.
@@ -29,16 +42,35 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
+/// Run `produce` over `tasks` on up to `threads` workers; each call hands
+/// its output to the emitter in chunks, and `consume` sees every chunk on
+/// the calling thread, in task order, then emission order. At most
+/// `2 × threads` tasks are in flight and `2 × threads × (QUEUE_DEPTH + 1)`
+/// chunks alive.
+pub fn stream<T: Send, R: Send>(
+    tasks: Vec<T>,
+    threads: usize,
+    produce: impl Fn(usize, T, &mut dyn FnMut(R)) + Sync,
+    consume: impl FnMut(usize, R),
+) {
+    pipeline(tasks, threads, 2 * threads.max(1), produce, consume);
+}
+
 /// Run `produce` over `tasks` on up to `threads` workers and hand each
-/// result to `consume` on the calling thread, in task order. At most
-/// `2 × threads` results are in flight.
+/// result to `consume` on the calling thread, in task order: [`stream`]
+/// with one chunk per task. At most `2 × threads` results are in flight.
 pub fn ordered<T: Send, R: Send>(
     tasks: Vec<T>,
     threads: usize,
     produce: impl Fn(usize, T) -> R + Sync,
     consume: impl FnMut(usize, R),
 ) {
-    pipeline(tasks, threads, 2 * threads.max(1), produce, consume);
+    stream(
+        tasks,
+        threads,
+        |i, task, emit| emit(produce(i, task)),
+        consume,
+    );
 }
 
 /// Run `f` over `items` on up to `threads` workers and collect the results
@@ -50,7 +82,13 @@ pub fn fan_out<T: Send, R: Send>(
 ) -> Vec<R> {
     let mut out = Vec::with_capacity(items.len());
     let window = items.len().max(1);
-    pipeline(items, threads, window, f, |_, r| out.push(r));
+    pipeline(
+        items,
+        threads,
+        window,
+        |i, item, emit| emit(f(i, item)),
+        |_, r| out.push(r),
+    );
     out
 }
 
@@ -58,68 +96,81 @@ fn pipeline<T: Send, R: Send>(
     tasks: Vec<T>,
     threads: usize,
     window: usize,
-    produce: impl Fn(usize, T) -> R + Sync,
+    produce: impl Fn(usize, T, &mut dyn FnMut(R)) + Sync,
     mut consume: impl FnMut(usize, R),
 ) {
     let n = tasks.len();
     let workers = threads.min(n);
     if workers <= 1 {
         for (i, task) in tasks.into_iter().enumerate() {
-            consume(i, produce(i, task));
+            produce(i, task, &mut |r| consume(i, r));
         }
         return;
     }
     // The window is a pool of credits: a worker takes one before it claims
-    // the next task, and the consumer returns one per consumed result.
+    // the next task, and the consumer returns one per finished task.
     let (credit_tx, credits) = mpsc::sync_channel(window);
     for _ in 0..window {
         let _ = credit_tx.send(());
     }
     let queue = Mutex::new((credits, tasks.into_iter().enumerate()));
-    let (result_tx, results) = mpsc::channel();
+    // Each claimed task's queue, announced in claim order, which is task
+    // order: the consumer takes them one by one. A queue carries chunks,
+    // then the panic that ended the task, if one did.
+    let (announce_tx, announced) = mpsc::channel::<mpsc::Receiver<std::thread::Result<R>>>();
     let parent = crate::current_span_path();
     let (queue, produce, parent) = (&queue, &produce, &parent);
     std::thread::scope(|scope| {
-        // Owned by this closure, so an unwinding consumer drops it and
-        // every worker waiting for a credit stops.
-        let credit_tx = credit_tx;
+        // Owned by this closure, so an unwinding consumer drops them: every
+        // worker waiting for a credit, announcing a task or emitting into a
+        // queue then stops.
+        let (credit_tx, announced) = (credit_tx, announced);
         for _ in 0..workers {
-            let result_tx = result_tx.clone();
+            let announce_tx = announce_tx.clone();
             scope.spawn(move || {
                 let _path = crate::enter_path(parent);
                 loop {
-                    // Neither `recv` nor `next` can panic, so a poisoned
-                    // lock still holds consistent state.
+                    // Neither `recv`, `next` nor `send` can panic, so a
+                    // poisoned lock still holds consistent state.
                     let claimed = {
                         let mut q = queue.lock().unwrap_or_else(PoisonError::into_inner);
-                        q.0.recv().ok().and_then(|()| q.1.next())
+                        q.0.recv()
+                            .ok()
+                            .and_then(|()| q.1.next())
+                            .and_then(|(i, task)| {
+                                let (chunks, rx) = mpsc::sync_channel(QUEUE_DEPTH);
+                                announce_tx.send(rx).ok().map(|()| (i, task, chunks))
+                            })
                     };
-                    let Some((i, task)) = claimed else { break };
-                    // A panic travels to the consumer, which re-raises it
-                    // when the task's turn comes.
-                    let result = catch_unwind(AssertUnwindSafe(|| produce(i, task)));
-                    if result_tx.send((i, result)).is_err() {
+                    let Some((i, task, chunks)) = claimed else {
                         break;
+                    };
+                    // A consumer that is gone drops what is emitted; the
+                    // next claim then stops this worker.
+                    let mut emit = |r| {
+                        let _ = chunks.send(Ok(r));
+                    };
+                    // A panic travels behind the task's earlier chunks and
+                    // re-raises on the consumer when it arrives.
+                    if let Err(payload) =
+                        catch_unwind(AssertUnwindSafe(|| produce(i, task, &mut emit)))
+                    {
+                        let _ = chunks.send(Err(payload));
                     }
                 }
             });
         }
-        drop(result_tx);
-        // Results that finished ahead of their turn: at most `window`.
-        let mut early = BTreeMap::new();
+        drop(announce_tx);
         for i in 0..n {
-            let result = loop {
-                if let Some(r) = early.remove(&i) {
-                    break r;
-                }
-                let Ok((j, r)) = results.recv() else {
-                    unreachable!("every claimed task reports a result");
-                };
-                early.insert(j, r);
+            let Ok(chunks) = announced.recv() else {
+                unreachable!("every task is claimed and announced");
             };
-            match result {
-                Ok(r) => consume(i, r),
-                Err(payload) => resume_unwind(payload),
+            // Ends when the task's worker drops its sender.
+            for chunk in chunks {
+                match chunk {
+                    Ok(r) => consume(i, r),
+                    Err(payload) => resume_unwind(payload),
+                }
             }
             let _ = credit_tx.send(());
         }
@@ -279,6 +330,145 @@ mod tests {
                 )
             });
             assert!(consume_panic.is_err(), "consume panic lost at {threads}");
+        }
+    }
+
+    /// `stream`'s consume sequence at one layout: task `i` emits
+    /// `(i * 7) % 5` chunks (none for some), and every third task is slow,
+    /// so workers finish out of order.
+    fn streamed_at(threads: usize, n: usize) -> Vec<(usize, usize)> {
+        let mut seen = Vec::new();
+        stream(
+            (0..n).collect(),
+            threads,
+            |i, task: usize, emit| {
+                for k in 0..(task * 7) % 5 {
+                    if i % 3 == 0 {
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    }
+                    emit((i, k));
+                }
+            },
+            |i, (task, k)| {
+                assert_eq!(i, task, "chunk handed to the wrong task");
+                seen.push((task, k));
+            },
+        );
+        seen
+    }
+
+    #[test]
+    fn stream_delivers_in_task_then_emission_order() {
+        let expect: Vec<(usize, usize)> = (0..60)
+            .flat_map(|i| (0..(i * 7) % 5).map(move |k| (i, k)))
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(streamed_at(threads, 60), expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn stream_queues_but_never_exceeds_its_bound() {
+        for threads in [1, 2, 3, 8] {
+            let bound = if threads == 1 {
+                1
+            } else {
+                2 * threads * (QUEUE_DEPTH + 1)
+            };
+            // Holding task 0's first chunk blocks every worker on a full
+            // queue: each holds QUEUE_DEPTH queued chunks and one it is
+            // emitting, and the consumer holds one more.
+            let held = if threads == 1 {
+                1
+            } else {
+                threads * (QUEUE_DEPTH + 1) + 1
+            };
+            let live = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let mut first = true;
+            stream(
+                (0..40).collect(),
+                threads,
+                |_, task: usize, emit| {
+                    for k in 0..4 + task % 7 {
+                        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        emit(k);
+                    }
+                },
+                |_, _| {
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while first && live.load(Ordering::SeqCst) < held {
+                        assert!(std::time::Instant::now() < deadline, "queues never filled");
+                        std::thread::yield_now();
+                    }
+                    first = false;
+                    // A slow consumer: the workers run ahead as far as the
+                    // window and the queues let them.
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    live.fetch_sub(1, Ordering::SeqCst);
+                },
+            );
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak >= held, "threads={threads}: peak {peak} < {held}");
+            assert!(peak <= bound, "threads={threads}: peak {peak} > {bound}");
+            assert_eq!(live.load(Ordering::SeqCst), 0);
+        }
+    }
+
+    #[test]
+    fn stream_reraises_a_produce_panic_after_earlier_chunks() {
+        for threads in [1, 2, 3] {
+            let mut seen = Vec::new();
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                stream(
+                    (0..20).collect(),
+                    threads,
+                    |i, task: usize, emit| {
+                        for k in 0..3 {
+                            emit((task, k));
+                        }
+                        assert!(i != 11, "produce boom");
+                    },
+                    |_, chunk| seen.push(chunk),
+                )
+            }));
+            assert!(result.is_err(), "produce panic lost at {threads}");
+            let expect: Vec<(usize, usize)> =
+                (0..12).flat_map(|i| (0..3).map(move |k| (i, k))).collect();
+            assert_eq!(seen, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_consume_stops_the_workers() {
+        for threads in [2, 3] {
+            let started = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(|| {
+                stream(
+                    (0..200).collect(),
+                    threads,
+                    |_, _task: usize, emit| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        for k in 0..10 {
+                            emit(k);
+                        }
+                    },
+                    |i, _| {
+                        // Slow enough that the workers block on full queues.
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                        assert!(i != 3, "consume boom");
+                    },
+                )
+            });
+            assert!(result.is_err(), "consume panic lost at {threads}");
+            // Tasks 0..3 were finished; at most a window more were claimed
+            // before the consumer went away, and no worker ran on.
+            let started = started.load(Ordering::SeqCst);
+            assert!(
+                started <= 3 + 2 * threads,
+                "threads={threads}: {started} tasks ran"
+            );
         }
     }
 }

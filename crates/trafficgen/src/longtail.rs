@@ -15,19 +15,27 @@
 //!
 //! The determinism contract matches residence synthesis: every day derives
 //! its own RNG from `(seed, day)` and is emitted in ascending day order, so
-//! output is byte-identical at any `threads` count (parallel days are
-//! buffered and flushed in day order, exactly as in [`crate::synth`]).
+//! output is byte-identical at any `threads` count. Days run on
+//! [`obs::par::stream`] and hand their records over in chunks of at most
+//! [`LONG_TAIL_CHUNK`], so no path buffers a whole day.
 
 use crate::synth::SportAlloc;
-use flowmon::sink::{CollectSink, FlowSink};
+use flowmon::sink::FlowSink;
 use flowmon::{FlowKey, FlowRecord, Scope};
+use iputil::prefix::{Prefix4, Prefix6};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::IpAddr;
+use std::ops::Range;
+use worldgen::longtail::LongTail;
 use worldgen::World;
 
 const HOUR_US: u64 = 3_600_000_000;
 const DAY_US: u64 = 24 * HOUR_US;
+
+/// The most records one chunk of a day carries to the sink: each in-flight
+/// day holds at most [`obs::par::QUEUE_DEPTH`]` + 1` chunks this size.
+pub const LONG_TAIL_CHUNK: usize = 8192;
 
 /// Configuration of a long-tail synthesis run.
 #[derive(Debug, Clone)]
@@ -35,12 +43,15 @@ pub struct LongTailTrafficConfig {
     /// Master seed (per-day RNGs derive from it).
     pub seed: u64,
     /// Days to simulate. Peak memory is independent of this: at most
-    /// `2 × threads` days are buffered, aggregators hold O(ASes).
+    /// `2 × threads × (`[`obs::par::QUEUE_DEPTH`]` + 1)` chunks of
+    /// [`LONG_TAIL_CHUNK`] records are alive (one chunk at one thread), and
+    /// aggregators hold O(ASes).
     pub num_days: u32,
     /// Flow records per simulated day.
     pub flows_per_day: usize,
-    /// Day-level worker threads (1 = sequential; output identical at any
-    /// count).
+    /// Day-level workers of [`obs::par::stream`] (1 = inline, with the
+    /// sink fed chunk by chunk on the calling thread; output identical at
+    /// any count).
     pub threads: usize,
 }
 
@@ -55,16 +66,61 @@ impl Default for LongTailTrafficConfig {
     }
 }
 
-/// Synthesize one day of long-tail traffic into `sink`. Pure function of
-/// `(config.seed, day)` plus the world.
-fn synthesize_day<S: FlowSink>(
-    world: &World,
+/// The tail as synthesis reads it, built once per run: each AS's IPv6
+/// share and prefix ranges in one small entry, every AS's prefixes in two
+/// shared arrays. A draw then touches one entry and one prefix slot, not a
+/// [`worldgen::longtail::LongTailAs`] and its two heap vectors.
+struct TailTable<'a> {
+    tail: &'a LongTail,
+    ases: Vec<TailAs>,
+    v4: Vec<Prefix4>,
+    v6: Vec<Prefix6>,
+}
+
+/// One tail AS: its IPv6 share and its prefixes' places in the table.
+struct TailAs {
+    v6_share: f64,
+    v4: Range<usize>,
+    v6: Range<usize>,
+}
+
+impl TailTable<'_> {
+    fn new(tail: &LongTail) -> TailTable<'_> {
+        assert!(!tail.is_empty(), "long-tail synthesis needs a tailed world");
+        let (mut v4, mut v6) = (Vec::new(), Vec::new());
+        let ases = tail
+            .ases
+            .iter()
+            .map(|a| {
+                let v4_start = v4.len();
+                let v6_start = v6.len();
+                v4.extend_from_slice(&a.v4);
+                v6.extend_from_slice(&a.v6);
+                TailAs {
+                    v6_share: a.v6_share,
+                    v4: v4_start..v4.len(),
+                    v6: v6_start..v6.len(),
+                }
+            })
+            .collect();
+        TailTable { tail, ases, v4, v6 }
+    }
+
+    /// A tail AS drawn by traffic weight.
+    fn sample(&self, rng: &mut SmallRng) -> &TailAs {
+        &self.ases[self.tail.sample_index(rng)]
+    }
+}
+
+/// Synthesize one day of long-tail traffic and hand it to `emit` in
+/// chunks of at most [`LONG_TAIL_CHUNK`]. Pure function of
+/// `(config.seed, day)` plus the tail.
+fn synthesize_day(
+    table: &TailTable,
     config: &LongTailTrafficConfig,
     day: u32,
-    sink: &mut S,
+    emit: &mut dyn FnMut(Vec<FlowRecord>),
 ) {
-    let tail = &world.long_tail;
-    assert!(!tail.is_empty(), "long-tail synthesis needs a tailed world");
     let mut rng = SmallRng::seed_from_u64(
         config
             .seed
@@ -86,27 +142,26 @@ fn synthesize_day<S: FlowSink>(
     // allocation scan past the previous lap's still-busy horizons.
     let per_hour = config.flows_per_day / 24;
     let remainder = config.flows_per_day % 24;
-    // One hour of records is built up and handed over as a single
+    // Records are handed over in chunks that each reach the sink as one
     // `accept_batch` run: attribution sinks resolve the whole run through
     // the batched LPM path. No sink's output or counter depends on where a
-    // batch ends, so the parallel path below may deliver a whole day at
-    // once.
-    let mut hour_buf: Vec<FlowRecord> = Vec::with_capacity(per_hour + 1);
+    // batch ends, so chunks need not follow hours.
+    let mut chunk: Vec<FlowRecord> = Vec::with_capacity(LONG_TAIL_CHUNK);
     for hour in 0..24u64 {
         let n = per_hour + usize::from((hour as usize) < remainder);
         let hour_base = day_base + hour * HOUR_US;
         for _ in 0..n {
-            let asx = &tail.ases[tail.sample_index(&mut rng)];
+            let asx = table.sample(&mut rng);
             let p_v6 = (asx.v6_share * day_jitter).clamp(0.0, 1.0);
             let v6 = !asx.v6.is_empty() && rng.gen::<f64>() < p_v6;
             let dst = if v6 {
-                let p = &asx.v6[rng.gen_range(0..asx.v6.len())];
+                let p = table.v6[asx.v6.start + rng.gen_range(0..asx.v6.len())];
                 IpAddr::V6(
                     p.host(1 + rng.gen_range(0..1_000) as u128)
                         .expect("host fits"),
                 )
             } else {
-                let p = &asx.v4[rng.gen_range(0..asx.v4.len())];
+                let p = table.v4[asx.v4.start + rng.gen_range(0..asx.v4.len())];
                 IpAddr::V4(p.host(1 + rng.gen_range(0..250)).expect("host fits"))
             };
             let start = hour_base + rng.gen_range(0..HOUR_US);
@@ -124,7 +179,7 @@ fn synthesize_day<S: FlowSink>(
             } else {
                 FlowKey::tcp(if v6 { src6 } else { src4 }, sport, dst, 443)
             };
-            hour_buf.push(FlowRecord {
+            chunk.push(FlowRecord {
                 key,
                 start,
                 end: start + duration,
@@ -134,43 +189,43 @@ fn synthesize_day<S: FlowSink>(
                 packets_reply: 1 + bytes / 1_400,
                 scope: Scope::External,
             });
+            if chunk.len() == LONG_TAIL_CHUNK {
+                emit(std::mem::replace(
+                    &mut chunk,
+                    Vec::with_capacity(LONG_TAIL_CHUNK),
+                ));
+            }
         }
-        sink.accept_batch(&hour_buf);
-        hour_buf.clear();
+    }
+    if !chunk.is_empty() {
+        emit(chunk);
     }
 }
 
 /// Synthesize the whole run into `sink`: days ascending, records within a
 /// day in generation order, byte-identical at any `config.threads` — the
 /// same producer contract as residence synthesis, so every [`FlowSink`]
-/// composes unchanged.
+/// composes unchanged. Each chunk of a day reaches the sink as one
+/// [`FlowSink::accept_batch`] of at most [`LONG_TAIL_CHUNK`] records.
 pub fn synthesize_long_tail_into<S: FlowSink>(
     world: &World,
     config: &LongTailTrafficConfig,
     sink: &mut S,
 ) {
-    if config.threads <= 1 {
-        for day in 0..config.num_days {
-            synthesize_day(world, config, day, sink);
-        }
-        return;
-    }
-    obs::par::ordered(
+    let table = TailTable::new(&world.long_tail);
+    obs::par::stream(
         (0..config.num_days).collect(),
         config.threads,
-        |_, day| {
-            let mut buf = CollectSink::new();
-            synthesize_day(world, config, day, &mut buf);
-            buf.into_records()
-        },
-        |_, records| sink.accept_batch(&records),
+        |_, day, emit| synthesize_day(&table, config, day, emit),
+        |_, chunk: Vec<FlowRecord>| sink.accept_batch(&chunk),
     );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowmon::sink::NullSink;
+    use flowmon::sink::{CollectSink, NullSink};
+    use flowmon::Proto;
     use worldgen::WorldConfig;
 
     fn tailed_world() -> World {
@@ -212,6 +267,75 @@ mod tests {
             assert!(day >= last_day);
             last_day = day;
         }
+    }
+
+    /// Records each batch's length; no record arrives outside a batch.
+    #[derive(Default)]
+    struct BatchSizes(Vec<usize>);
+
+    impl FlowSink for BatchSizes {
+        fn accept(&mut self, _: &FlowRecord) {
+            panic!("long-tail synthesis delivers batches only");
+        }
+
+        fn accept_batch(&mut self, records: &[FlowRecord]) {
+            self.0.push(records.len());
+        }
+    }
+
+    #[test]
+    fn batches_never_exceed_a_chunk() {
+        let world = tailed_world();
+        for threads in [1, 3] {
+            let cfg = LongTailTrafficConfig {
+                num_days: 2,
+                flows_per_day: 2 * LONG_TAIL_CHUNK + 100,
+                threads,
+                ..LongTailTrafficConfig::default()
+            };
+            let mut sizes = BatchSizes::default();
+            synthesize_long_tail_into(&world, &cfg, &mut sizes);
+            let chunk = LONG_TAIL_CHUNK;
+            assert_eq!(
+                sizes.0,
+                [chunk, chunk, 100, chunk, chunk, 100],
+                "threads={threads}"
+            );
+        }
+    }
+
+    /// Every as-fractions dataset is a function of this stream: pin a
+    /// digest of a small run, so a producer change that moves one draw
+    /// fails here and not only in the end-to-end pins.
+    #[test]
+    fn stream_digest_is_pinned() {
+        let cfg = LongTailTrafficConfig {
+            num_days: 2,
+            flows_per_day: 5_000,
+            ..LongTailTrafficConfig::default()
+        };
+        let mut sink = CollectSink::new();
+        synthesize_long_tail_into(&tailed_world(), &cfg, &mut sink);
+        let digest = sink.records.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
+            let dst = match r.key.dst {
+                IpAddr::V4(a) => u128::from(u32::from(a)),
+                IpAddr::V6(a) => u128::from(a),
+            };
+            let fields = [
+                dst as u64,
+                (dst >> 64) as u64,
+                u64::from(r.key.sport),
+                u64::from(r.key.proto == Proto::Udp),
+                r.start,
+                r.end,
+                r.bytes_reply,
+            ];
+            fields
+                .iter()
+                .fold(h, |h, &x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
+        });
+        assert_eq!(sink.records.len(), 10_000);
+        assert_eq!(digest, 0xe819_5115_02d9_bb78, "digest {digest:#018x}");
     }
 
     #[test]

@@ -56,9 +56,14 @@ pub struct LongTailAs {
 pub struct LongTail {
     /// Every tail AS, in ASN (= registration) order.
     pub ases: Vec<LongTailAs>,
-    /// Cumulative weights for O(log n) weighted AS sampling
-    /// (`cum_weights[i]` = sum of weights `0..=i`).
+    /// Cumulative weights for weighted AS sampling (`cum_weights[i]` = sum
+    /// of weights `0..=i`).
     cum_weights: Vec<f64>,
+    /// Guide table over `cum_weights`: `guide[j]` counts the cumulative
+    /// weights below `j × total / n`, for `j` in `0..n + 3`. A draw in
+    /// bucket `j` is searched for only between `guide[j - 1]` and
+    /// `guide[j + 2]`, a few entries in expectation.
+    guide: Vec<u32>,
 }
 
 impl LongTail {
@@ -75,11 +80,38 @@ impl LongTail {
     /// Sample a tail AS index proportionally to traffic weight.
     pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cum_weights.last().expect("non-empty tail");
-        let x: f64 = rng.gen::<f64>() * total;
-        self.cum_weights
-            .partition_point(|&c| c < x)
-            .min(self.ases.len() - 1)
+        self.index_at(rng.gen::<f64>() * total)
     }
+
+    /// The first index whose cumulative weight reaches `x` (the last index
+    /// past the total), found in O(1) expected time through the guide.
+    fn index_at(&self, x: f64) -> usize {
+        let n = self.cum_weights.len();
+        let step = self.cum_weights[n - 1] / n as f64;
+        // The bucket of `x`, widened by one on each side, so float rounding
+        // in the bucket arithmetic can never put the answer outside it.
+        let bucket = (x / step) as usize;
+        let last = self.guide.len() - 1;
+        let lo = self.guide[bucket.saturating_sub(1).min(last)] as usize;
+        let hi = self.guide[(bucket + 2).min(last)] as usize;
+        (lo + self.cum_weights[lo..hi].partition_point(|&c| c < x)).min(n - 1)
+    }
+}
+
+/// The guide table of `cum_weights` (see [`LongTail`]'s `guide` field).
+fn guide_table(cum_weights: &[f64]) -> Vec<u32> {
+    let n = cum_weights.len();
+    let step = cum_weights.last().map_or(0.0, |&total| total / n as f64);
+    let mut below = 0;
+    (0..n + 3)
+        .map(|j| {
+            let bound = j as f64 * step;
+            while below < n && cum_weights[below] < bound {
+                below += 1;
+            }
+            below as u32
+        })
+        .collect()
 }
 
 /// Register `count` long-tail ASes into the registry and RIB. Deterministic
@@ -160,7 +192,12 @@ pub fn register_long_tail(
             weight,
         });
     }
-    LongTail { ases, cum_weights }
+    let guide = guide_table(&cum_weights);
+    LongTail {
+        ases,
+        cum_weights,
+        guide,
+    }
 }
 
 #[cfg(test)]
@@ -216,6 +253,36 @@ mod tests {
             .iter()
             .zip(&c.ases)
             .any(|(x, y)| x.v6_share != y.v6_share));
+    }
+
+    /// The guided search returns exactly what a binary search over the
+    /// whole cumulative table returns, at every tail size: for random
+    /// draws, at every cumulative weight and every bucket bound, and one
+    /// ulp either side of each.
+    #[test]
+    fn guided_sampling_matches_a_full_binary_search() {
+        for count in [1, 2, 3, 10, 1_000, 20_000] {
+            let mut registry = Registry::new();
+            let mut rib = Rib::new();
+            let tail = register_long_tail(&mut registry, &mut rib, 11, count);
+            let total = *tail.cum_weights.last().expect("non-empty");
+            let step = total / count as f64;
+            let mut rng = SmallRng::seed_from_u64(5);
+            let xs = (0..100_000)
+                .map(|_| rng.gen::<f64>() * total)
+                .chain(tail.cum_weights.iter().copied())
+                .chain((0..count + 3).map(|j| j as f64 * step));
+            for x in xs {
+                for x in [
+                    f64::from_bits(x.to_bits().saturating_sub(1)),
+                    x,
+                    f64::from_bits(x.to_bits() + 1),
+                ] {
+                    let expect = tail.cum_weights.partition_point(|&c| c < x).min(count - 1);
+                    assert_eq!(tail.index_at(x), expect, "count={count} x={x}");
+                }
+            }
+        }
     }
 
     #[test]
