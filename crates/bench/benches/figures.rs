@@ -2,13 +2,14 @@
 //! that produces one of the paper's tables/figures, at a reduced (1k-site /
 //! 30-day) scale so a full `cargo bench` stays tractable. Together with the
 //! `repro` binary (which prints the actual rows), this is the reproducibility
-//! harness: `repro` gives the numbers, these benches give the cost.
+//! harness: `repro` gives the numbers, these benches give the cost. The
+//! fig5 crawl row, `fig5_crawl_and_classify_1k`, is a probe of the catalogue
+//! (`ipv6view_bench::probes`) and runs in `benches/traffic.rs`.
 
 use crawlsim::{crawl_epoch, CrawlConfig, CrawlReport};
 use criterion::{criterion_group, criterion_main, Criterion};
 use flowmon::{CollectSink, FlowSink, ScopeFamilyAgg};
 use ipv6view_bench::bench_world;
-use ipv6view_core::classify::ClassCounts;
 use ipv6view_core::client::{analyze_agg, AsAgg};
 use ipv6view_core::cloud::{
     default_groups, hosted_fqdns, org_readiness, pairwise_comparison, service_adoption,
@@ -25,16 +26,6 @@ fn crawl(world: &World) -> CrawlReport {
 
 fn bench_world_generation(c: &mut Criterion) {
     c.bench_function("worldgen_1k_sites_3_epochs", |b| b.iter(bench_world));
-}
-
-fn bench_fig5_classification(c: &mut Criterion) {
-    let world = bench_world();
-    c.bench_function("fig5_crawl_and_classify_1k", |b| {
-        b.iter(|| {
-            let report = crawl(&world);
-            ClassCounts::from_report(&report)
-        })
-    });
 }
 
 fn bench_fig6_readiness(c: &mut Criterion) {
@@ -143,7 +134,6 @@ criterion_group!(
     name = figures;
     config = Criterion::default().sample_size(10);
     targets = bench_world_generation,
-    bench_fig5_classification,
     bench_fig6_readiness,
     bench_fig7_8_influence,
     bench_fig10_whatif,

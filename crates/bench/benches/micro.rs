@@ -109,28 +109,6 @@ fn bench_flow_table(c: &mut Criterion) {
     });
 }
 
-fn bench_psl(c: &mut Criterion) {
-    use webmodel::psl::Psl;
-    let psl = Psl::builtin();
-    let names: Vec<dnssim::Name> = [
-        "www.example.com",
-        "a.b.c.example.co.uk",
-        "cdn.site.netvision.net.il",
-        "x.y.z.unknowntld",
-    ]
-    .iter()
-    .map(|s| dnssim::Name::new(s))
-    .collect();
-    c.bench_function("psl_etld_plus_one_4_names", |b| {
-        b.iter(|| {
-            names
-                .iter()
-                .filter_map(|n| psl.etld_plus_one(black_box(n)))
-                .count()
-        })
-    });
-}
-
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(40);
@@ -140,7 +118,6 @@ criterion_group!(
     bench_mstl,
     bench_wilcoxon,
     bench_happy_eyeballs,
-    bench_flow_table,
-    bench_psl
+    bench_flow_table
 );
 criterion_main!(micro);

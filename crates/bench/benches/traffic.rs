@@ -1,9 +1,9 @@
 //! Benchmarks of the streaming flow pipeline: the catalogue's pipeline
-//! probes (whole-residence synthesis into a collecting vs an aggregating
-//! sink, per-AS attribution, flowstore spill and replay), raw sink push
-//! throughput, and the provider-shared CGN replay. Recorded in
-//! `BENCH_traffic.json` (flows/sec derived from the per-iteration flow
-//! counts printed by the JSON notes).
+//! probes (the 1k-site crawl and its public-suffix lookups, whole-residence
+//! synthesis into a collecting vs an aggregating sink, per-AS attribution,
+//! flowstore spill and replay), raw sink push throughput, and the
+//! provider-shared CGN replay. Recorded in `BENCH_traffic.json` (flows/sec
+//! derived from the per-iteration flow counts printed by the JSON notes).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flowmon::sink::{CollectSink, NullSink, TranslationAgg};
@@ -13,8 +13,9 @@ use trafficgen::{isp_cohort, synthesize_isp, TrafficConfig};
 use transition::provider::ProviderGateway;
 use transition::GatewayConfig;
 
-/// The pipeline rows of the probe catalogue (`BENCH_traffic.json`):
-/// residence synthesis, per-AS attribution, and flowstore spill and replay.
+/// The pipeline rows of the probe catalogue (`BENCH_traffic.json`): the
+/// crawl and PSL rows, residence synthesis, per-AS attribution, and
+/// flowstore spill and replay.
 fn bench_pipeline(c: &mut Criterion) {
     for mut p in probes::pipeline() {
         c.bench_function(p.name, |b| {

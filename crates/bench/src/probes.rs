@@ -9,12 +9,15 @@
 //! (`e2ebench/layers.json`).
 
 use bgpsim::AsId;
+use crawlsim::{crawl_epoch, CrawlConfig};
+use dnssim::Name;
 use flowmon::sink::{CollectSink, FlowStatsAgg, ScopeCell};
 use flowmon::{FlowRecord, FlowSink, Scope, ScopeFamilyAgg};
 use flowstore::{part_file_name, write_part, DigestSink, PartSet};
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::sym::SymVec;
 use iputil::{Lpm, Lpm4, Lpm6, LpmAddr};
+use ipv6view_core::classify::ClassCounts;
 use ipv6view_core::client::AsAgg;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -27,6 +30,7 @@ use trafficgen::{
     paper_residences, synthesize_long_tail_into, synthesize_residence_into, LongTailTrafficConfig,
     TrafficConfig,
 };
+use webmodel::psl::Psl;
 use worldgen::{World, WorldConfig};
 
 /// One ledgered measurement: a named closure timed per call.
@@ -177,9 +181,10 @@ impl Drop for LongTail {
     }
 }
 
-/// The flow pipeline, layer by layer: whole-residence synthesis, per-AS
-/// attribution of 200k long-tail flows over a 100k-AS RIB, and spilling
-/// the same 200k flows to columnar day-parts and replaying them.
+/// The pipeline, layer by layer: the crawl of a 1k-site world and its
+/// public-suffix lookups, whole-residence synthesis, per-AS attribution of
+/// 200k long-tail flows over a 100k-AS RIB, and spilling the same 200k
+/// flows to columnar day-parts and replaying them.
 pub fn pipeline() -> Vec<Probe> {
     // ~5 days of residence A at 1/200 sampling per iteration.
     let cfg = TrafficConfig {
@@ -222,8 +227,41 @@ pub fn pipeline() -> Vec<Probe> {
         spill_dir,
     });
 
+    let psl_names = Rc::new((
+        Psl::builtin(),
+        [
+            "www.example.com",
+            "a.b.c.example.co.uk",
+            "cdn.site.netvision.net.il",
+            "x.y.z.unknowntld",
+        ]
+        .map(Name::new),
+    ));
+
     const AS_AGG: &str = "core.as_agg";
     vec![
+        // One epoch crawl (DNS, Happy Eyeballs, first-party tagging) and
+        // its fig5 classification, on the 1k-site world.
+        probe(
+            &residence,
+            "fig5_crawl_and_classify_1k",
+            "crawlsim",
+            |(world, ..)| {
+                let report = crawl_epoch(world, world.latest_epoch(), &CrawlConfig::default());
+                Ok(ClassCounts::from_report(&report))
+            },
+        ),
+        probe(
+            &psl_names,
+            "psl_etld_plus_one_4_names",
+            "dnssim",
+            |(psl, names)| {
+                Ok(names
+                    .iter()
+                    .filter_map(|n| psl.etld_plus_one(black_box(n)))
+                    .count())
+            },
+        ),
         probe(
             &residence,
             "synthesize_residence_5d_collect_sink",

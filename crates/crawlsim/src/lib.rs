@@ -20,6 +20,13 @@
 //!   later for cloud service identification) and both resolved addresses
 //!   (used for BGP attribution).
 //!
+//! First party means "same eTLD+1 as the listed domain". A site's
+//! registrable domain `D` is computed once, before its fetch loop; a fetch
+//! (or the final landing) is first-party iff its registrable domain is `D`.
+//! Equal registrable domains imply the name is `D` or ends with `.D`, so
+//! that byte test runs first and third-party names skip the public-suffix
+//! walk entirely ([`webmodel::Psl::has_registrable_domain`]).
+//!
 //! Crawling is deterministic *and* parallel: each site derives its own RNG
 //! from `(seed, rank)`, so results are identical regardless of thread count.
 //! Sites run on the suite's one executor, [`obs::par`].
@@ -74,7 +81,9 @@ pub struct ResourceFetch {
     pub fqdn: Name,
     /// Request type.
     pub rtype: ResourceType,
-    /// Same eTLD+1 as the site?
+    /// Same eTLD+1 as the site: [`webmodel::Psl::same_site`] of the fetch
+    /// name and the listed domain, decided against the site's registrable
+    /// domain computed once per crawl (see the crate doc).
     pub first_party: bool,
     /// Has an `A` record (following CNAMEs).
     pub has_a: bool,
@@ -428,6 +437,14 @@ fn crawl_site(
         visited.extend(links.into_iter().take(LINK_CLICKS));
     }
 
+    // --- First party: the site's registrable domain, computed once. ---
+    let site_domain = world.psl.registrable_domain(&site.domain);
+    let first_party = |fqdn: &Name| {
+        site_domain
+            .as_deref()
+            .is_some_and(|d| world.psl.has_registrable_domain(fqdn, d))
+    };
+
     // --- Resource fetches (deduplicated by FQDN, in visit order). ---
     let fetches = site.resource_fqdns(&visited);
     let mut resources = Vec::with_capacity(fetches.len());
@@ -457,7 +474,7 @@ fn crawl_site(
         resources.push(ResourceFetch {
             fqdn: r.fqdn.clone(),
             rtype: r.rtype,
-            first_party: world.psl.same_site(&r.fqdn, &site.domain),
+            first_party: first_party(&r.fqdn),
             has_a,
             has_aaaa,
             used,
@@ -467,7 +484,7 @@ fn crawl_site(
         });
     }
 
-    let offsite_landing = !world.psl.same_site(&final_fqdn, &site.domain);
+    let offsite_landing = !first_party(&final_fqdn);
     SiteCrawl {
         rank: site.rank,
         domain: site.domain.clone(),
@@ -662,6 +679,61 @@ mod tests {
                 ..WorldConfig::small().with_seed(seed)
             });
             check_views(&w, &[0.0, 0.05, 0.25, 0.9], &[3]);
+        }
+    }
+
+    /// Every fetch's `first_party` and every `offsite_landing` equal
+    /// `same_site` recomputed from the report, and fetches of both parties
+    /// occur. (Off-site landings are about one in 17k sites, so a world may
+    /// have none.)
+    fn check_first_party(w: &World) {
+        let report = crawl_epoch(w, w.latest_epoch(), &CrawlConfig::default());
+        let (mut first, mut third) = (0, 0);
+        for s in &report.sites {
+            let Ok(ok) = &s.outcome else { continue };
+            assert_eq!(
+                ok.offsite_landing,
+                !w.psl.same_site(&ok.final_fqdn, &s.domain),
+                "offsite_landing of {} landing on {}",
+                s.domain,
+                ok.final_fqdn
+            );
+            for r in &ok.resources {
+                assert_eq!(
+                    r.first_party,
+                    w.psl.same_site(&r.fqdn, &s.domain),
+                    "first_party of {} on {}",
+                    r.fqdn,
+                    s.domain
+                );
+                if r.first_party {
+                    first += 1;
+                } else {
+                    third += 1;
+                }
+            }
+        }
+        assert!(
+            first > 0 && third > 0,
+            "{first} first-party, {third} third-party fetches"
+        );
+    }
+
+    #[test]
+    fn first_party_equals_same_site() {
+        check_first_party(&world());
+    }
+
+    /// The first-party oracle at the `repro` default scale, over three
+    /// seeds. Run with `cargo test --release -p crawlsim -- --ignored`.
+    #[test]
+    #[ignore = "20k-site worlds: release-mode sweep"]
+    fn first_party_equals_same_site_at_20k_sites() {
+        for seed in [1, 7, 42] {
+            check_first_party(&World::generate(&WorldConfig {
+                num_sites: 20_000,
+                ..WorldConfig::small().with_seed(seed)
+            }));
         }
     }
 

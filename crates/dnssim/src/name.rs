@@ -72,12 +72,33 @@ impl Name {
     }
 
     /// The last `n` labels as a suffix name (`a.b.c.d`.suffix(2) → `c.d`).
+    /// Returns `self` when it has no more than `n` labels. Empty labels
+    /// (a leading dot or `..`) are skipped, as in [`Name::labels`].
     pub fn suffix(&self, n: usize) -> Name {
-        let labels: Vec<&str> = self.labels().collect();
-        if n >= labels.len() {
+        let text = self.as_str();
+        let mut start = text.len();
+        for _ in 0..n {
+            let head = text[..start].trim_end_matches('.');
+            if head.is_empty() {
+                return self.clone();
+            }
+            start = head.rfind('.').map_or(0, |i| i + 1);
+        }
+        if text[..start].bytes().all(|b| b == b'.') {
             return self.clone();
         }
-        Name::new(&labels[labels.len() - n..].join("."))
+        let tail = &text[start..];
+        if tail.contains("..") {
+            Name::new(
+                &tail
+                    .split('.')
+                    .filter(|l| !l.is_empty())
+                    .collect::<Vec<_>>()
+                    .join("."),
+            )
+        } else {
+            Name::new(tail)
+        }
     }
 }
 
@@ -238,6 +259,20 @@ mod tests {
         let deep = Name::new("x.y.z.example.com");
         assert_eq!(deep.suffix(2).as_str(), "example.com");
         assert_eq!(deep.suffix(99).as_str(), "x.y.z.example.com");
+        assert_eq!(deep.suffix(0).as_str(), "");
+    }
+
+    #[test]
+    fn suffix_skips_empty_labels() {
+        // Shorter suffixes join the labels; a suffix that covers every
+        // label is the name itself, leading dot included.
+        let n = Name::new(".a..b.example...com");
+        assert_eq!(n.suffix(1).as_str(), "com");
+        assert_eq!(n.suffix(2).as_str(), "example.com");
+        assert_eq!(n.suffix(3).as_str(), "b.example.com");
+        assert_eq!(n.suffix(4).as_str(), ".a..b.example...com");
+        assert_eq!(Name::new("").suffix(1).as_str(), "");
+        assert_eq!(Name::new("").suffix(0).as_str(), "");
     }
 
     #[test]

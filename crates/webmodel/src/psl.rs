@@ -6,16 +6,29 @@
 //! with no matching rule fall back to the implicit `*` rule (the TLD is the
 //! public suffix).
 //!
+//! The rules compile into one map from suffix to rule-kind bits (exact,
+//! wildcard, exception). A lookup walks the label starts of the name's own
+//! text with one map probe per label position: the wildcard tail of the
+//! candidate at one position is the candidate at the next. On names without
+//! empty labels, [`Psl::registrable_domain`], [`Psl::same_site`] and
+//! [`Psl::has_registrable_domain`] allocate nothing, and
+//! [`Psl::etld_plus_one`] and [`Psl::public_suffix`] allocate only the
+//! [`Name`] they return. A name with empty labels (a leading dot or `..`)
+//! is normalised once, then walked the same way.
+//!
 //! The embedded rule set covers the common ICANN suffixes appearing in the
 //! paper's domain tables (appendix D includes `net.il`, `com.au`, `com.br`,
 //! `co.uk`-style names) plus the reserved `test`/`example` TLDs used by the
 //! synthetic world.
 
 use dnssim::Name;
-use std::collections::HashSet;
+use iputil::sym::FxBuild;
+use std::borrow::Cow;
+use std::collections::HashMap;
 
-/// Built-in ICANN-style suffix rules (subset sufficient for the suite).
-const BUILTIN_RULES: &[&str] = &[
+/// Built-in ICANN-style suffix rules (subset sufficient for the suite), in
+/// PSL syntax: the rules of [`Psl::builtin`].
+pub const BUILTIN_RULES: &[&str] = &[
     // Generic TLDs.
     "com",
     "net",
@@ -132,36 +145,49 @@ const BUILTIN_RULES: &[&str] = &[
     "!www.ck",
 ];
 
+/// Rule-kind bits of a suffix in [`Psl`]'s rule map: a suffix can be named
+/// by an exact rule, a wildcard rule and an exception rule at once.
+const EXACT: u8 = 1;
+/// `*.X`, stored under `X`.
+const WILDCARD: u8 = 2;
+/// `!X`, stored under `X`.
+const EXCEPTION: u8 = 4;
+
 /// A compiled Public Suffix List.
 #[derive(Debug, Clone)]
 pub struct Psl {
-    exact: HashSet<String>,
-    wildcard: HashSet<String>,  // stored without the "*." prefix
-    exception: HashSet<String>, // stored without the "!" prefix
+    /// Each rule's suffix (without `*.` or `!`) and the kinds of rule that
+    /// name it.
+    by_suffix: HashMap<Box<str>, u8, FxBuild>,
+}
+
+/// Where a name splits, as byte offsets into its text without empty labels.
+struct Split {
+    /// Start of the public suffix (the text's length for an empty suffix).
+    suffix: usize,
+    /// Start of the registrable domain; `None` for a bare public suffix.
+    registrable: Option<usize>,
 }
 
 impl Psl {
     /// Compile a rule list (PSL syntax: one rule per string).
     pub fn new<'a, I: IntoIterator<Item = &'a str>>(rules: I) -> Psl {
-        let mut psl = Psl {
-            exact: HashSet::new(),
-            wildcard: HashSet::new(),
-            exception: HashSet::new(),
-        };
+        let mut by_suffix: HashMap<Box<str>, u8, FxBuild> = HashMap::default();
         for rule in rules {
             let rule = rule.trim().to_ascii_lowercase();
             if rule.is_empty() {
                 continue;
             }
-            if let Some(rest) = rule.strip_prefix('!') {
-                psl.exception.insert(rest.to_string());
+            let (suffix, kind) = if let Some(rest) = rule.strip_prefix('!') {
+                (rest, EXCEPTION)
             } else if let Some(rest) = rule.strip_prefix("*.") {
-                psl.wildcard.insert(rest.to_string());
+                (rest, WILDCARD)
             } else {
-                psl.exact.insert(rule);
-            }
+                (rule.as_str(), EXACT)
+            };
+            *by_suffix.entry(suffix.into()).or_default() |= kind;
         }
-        psl
+        Psl { by_suffix }
     }
 
     /// The built-in rule set.
@@ -169,55 +195,130 @@ impl Psl {
         Psl::new(BUILTIN_RULES.iter().copied())
     }
 
-    /// Length (in labels) of the public suffix of `name`.
-    fn suffix_label_count(&self, name: &Name) -> usize {
-        let labels: Vec<&str> = name.labels().collect();
-        let n = labels.len();
-        let mut best = 1; // implicit "*" rule: the TLD is a public suffix
-        for start in 0..n {
-            let candidate = labels[start..].join(".");
-            // Exception rule: the public suffix is the candidate *minus* its
-            // leftmost label.
-            if self.exception.contains(&candidate) {
-                return n - start - 1;
+    /// The matcher: split `text`, a name without empty labels, into its
+    /// registrable domain and public suffix.
+    ///
+    /// The candidate suffixes are the tails of `text` at each label start,
+    /// probed left to right, one map lookup each. A wildcard rule `*.X`
+    /// matching `<label>.X` is the `WILDCARD` bit on the candidate one label
+    /// to the right of that match. The leftmost exception wins outright;
+    /// otherwise the leftmost exact or wildcard match is the longest, and a
+    /// name no rule matches falls back to the implicit `*` rule.
+    fn split(&self, text: &str) -> Split {
+        // The starts of the two labels left of `at`, nearest first.
+        let (mut prev, mut prev2) = (None, None);
+        let mut best = None;
+        let mut at = 0;
+        loop {
+            let next = text[at..].find('.').map(|i| at + i + 1);
+            let kinds = self.by_suffix.get(&text[at..]).copied().unwrap_or(0);
+            if kinds & EXCEPTION != 0 {
+                // The public suffix is the candidate minus its leftmost label.
+                return Split {
+                    suffix: next.unwrap_or(text.len()),
+                    registrable: Some(at),
+                };
             }
-            if self.exact.contains(&candidate) {
-                best = best.max(n - start);
+            if best.is_none() {
+                best = match prev {
+                    Some(p) if kinds & WILDCARD != 0 => Some(Split {
+                        suffix: p,
+                        registrable: prev2,
+                    }),
+                    _ if kinds & EXACT != 0 => Some(Split {
+                        suffix: at,
+                        registrable: prev,
+                    }),
+                    _ => None,
+                };
             }
-            // Wildcard rule "*.X" matches "<label>.X".
-            if start + 1 < n {
-                let tail = labels[start + 1..].join(".");
-                if self.wildcard.contains(&tail) {
-                    best = best.max(n - start);
-                }
-            }
+            let Some(next) = next else { break };
+            (prev2, prev) = (prev, Some(at));
+            at = next;
         }
-        best
+        best.unwrap_or(Split {
+            suffix: at,
+            registrable: prev,
+        })
     }
 
     /// The public suffix of `name` (e.g. `co.uk` for `www.example.co.uk`).
     pub fn public_suffix(&self, name: &Name) -> Name {
-        let count = self.suffix_label_count(name);
-        name.suffix(count)
+        let text = without_empty_labels(name);
+        match self.split(&text).suffix {
+            0 => name.clone(),
+            at => Name::new(&text[at..]),
+        }
+    }
+
+    /// The registrable domain of `name` (its eTLD+1) as text: a slice of
+    /// `name` unless an empty label of `name` (a leading dot or `..`) falls
+    /// inside it. `None` when the name *is* a public suffix (or shorter).
+    /// Allocation-free on names without empty labels.
+    pub fn registrable_domain<'a>(&self, name: &'a Name) -> Option<Cow<'a, str>> {
+        let text = without_empty_labels(name);
+        match self.split(&text).registrable? {
+            0 => Some(Cow::Borrowed(name.as_str())),
+            at => Some(match text {
+                Cow::Borrowed(t) => Cow::Borrowed(&t[at..]),
+                Cow::Owned(t) => Cow::Owned(t[at..].to_owned()),
+            }),
+        }
     }
 
     /// The registrable domain (eTLD+1): the public suffix plus one label.
     /// `None` when the name *is* a public suffix (or shorter).
     pub fn etld_plus_one(&self, name: &Name) -> Option<Name> {
-        let count = self.suffix_label_count(name);
-        if name.label_count() <= count {
-            return None;
-        }
-        Some(name.suffix(count + 1))
+        let domain = self.registrable_domain(name)?;
+        Some(if domain.len() == name.as_str().len() {
+            name.clone()
+        } else {
+            Name::new(&domain)
+        })
     }
 
     /// Are two names part of the same registrable domain? Names that lack a
     /// registrable domain (bare suffixes) never match anything.
     pub fn same_site(&self, a: &Name, b: &Name) -> bool {
-        match (self.etld_plus_one(a), self.etld_plus_one(b)) {
+        match (self.registrable_domain(a), self.registrable_domain(b)) {
             (Some(x), Some(y)) => x == y,
             _ => false,
         }
+    }
+
+    /// Is `domain` the registrable domain of `name`? With `domain` the
+    /// [`registrable_domain`](Psl::registrable_domain) of some name `b`, this
+    /// is `same_site(name, b)`, for many names against one `b` without
+    /// recomputing `b`'s side.
+    ///
+    /// Equal registrable domains imply that `name` is `domain` or ends with
+    /// `.domain`, unless `name` has an empty label; so that byte test is
+    /// exact as a pre-check, and names outside `domain` skip the walk.
+    pub fn has_registrable_domain(&self, name: &Name, domain: &str) -> bool {
+        let text = name.as_str();
+        let inside = text
+            .strip_suffix(domain)
+            .is_some_and(|head| head.is_empty() || head.ends_with('.'));
+        if !inside && !has_empty_label(text) {
+            return false;
+        }
+        self.registrable_domain(name).is_some_and(|d| d == domain)
+    }
+}
+
+/// Does `text` (a name: no trailing dot) have an empty label?
+fn has_empty_label(text: &str) -> bool {
+    text.starts_with('.') || text.contains("..")
+}
+
+/// `name`'s text with its empty labels dropped, which is what
+/// [`Name::labels`] yields joined by dots. Borrowed unless there are any.
+fn without_empty_labels(name: &Name) -> Cow<'_, str> {
+    let text = name.as_str();
+    if has_empty_label(text) {
+        Cow::Owned(name.labels().collect::<Vec<_>>().join("."))
+    } else {
+        Cow::Borrowed(text)
     }
 }
 
