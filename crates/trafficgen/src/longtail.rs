@@ -304,6 +304,37 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the fields the tail analyses read, per record; `src`
+    /// also folds the source address, the identity subscriber aggregates
+    /// key by.
+    fn stream_digest(records: &[FlowRecord], src: bool) -> u64 {
+        let words = |a: IpAddr| {
+            let v = match a {
+                IpAddr::V4(a) => u128::from(u32::from(a)),
+                IpAddr::V6(a) => u128::from(a),
+            };
+            [v as u64, (v >> 64) as u64]
+        };
+        records.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
+            let [dst_lo, dst_hi] = words(r.key.dst);
+            let [src_lo, src_hi] = words(r.key.src);
+            let fields = [
+                dst_lo,
+                dst_hi,
+                u64::from(r.key.sport),
+                u64::from(r.key.proto == Proto::Udp),
+                r.start,
+                r.end,
+                r.bytes_reply,
+                src_lo,
+                src_hi,
+            ];
+            fields[..if src { 9 } else { 7 }]
+                .iter()
+                .fold(h, |h, &x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
+        })
+    }
+
     /// Every as-fractions dataset is a function of this stream: pin a
     /// digest of a small run, so a producer change that moves one draw
     /// fails here and not only in the end-to-end pins.
@@ -316,26 +347,32 @@ mod tests {
         };
         let mut sink = CollectSink::new();
         synthesize_long_tail_into(&tailed_world(), &cfg, &mut sink);
-        let digest = sink.records.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
-            let dst = match r.key.dst {
-                IpAddr::V4(a) => u128::from(u32::from(a)),
-                IpAddr::V6(a) => u128::from(a),
-            };
-            let fields = [
-                dst as u64,
-                (dst >> 64) as u64,
-                u64::from(r.key.sport),
-                u64::from(r.key.proto == Proto::Udp),
-                r.start,
-                r.end,
-                r.bytes_reply,
-            ];
-            fields
-                .iter()
-                .fold(h, |h, &x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
-        });
+        let digest = stream_digest(&sink.records, false);
         assert_eq!(sink.records.len(), 10_000);
         assert_eq!(digest, 0xe819_5115_02d9_bb78, "digest {digest:#018x}");
+    }
+
+    /// The same pin for the other tail producer, the stream behind every
+    /// million-subs dataset, over a small population.
+    #[test]
+    fn subscriber_stream_digest_is_pinned() {
+        let world = World::generate(
+            &WorldConfig {
+                num_sites: 200,
+                ..WorldConfig::small()
+            }
+            .with_long_tail(1_000)
+            .with_subscribers(6_000),
+        );
+        let cfg = crate::SubscriberTrafficConfig {
+            num_days: 2,
+            ..crate::SubscriberTrafficConfig::default()
+        };
+        let mut sink = CollectSink::new();
+        crate::synthesize_subscribers_into(&world, &cfg, &mut sink);
+        let digest = stream_digest(&sink.records, true);
+        assert_eq!(sink.records.len(), 21_162);
+        assert_eq!(digest, 0xf260_cef9_602f_586b, "digest {digest:#018x}");
     }
 
     #[test]
