@@ -170,7 +170,6 @@ pub fn million_subs_report(
         seed: params.seed ^ 0x6d69_6c73_7562, // "milsub"
         num_days: params.days,
         threads: params.threads.max(1),
-        ..SubscriberTrafficConfig::default()
     };
     let mut agg = SubscriberAgg::new(params.subscribers);
     let digest = match &params.spill {
@@ -320,7 +319,6 @@ mod tests {
             seed: p.seed ^ 0x6d69_6c73_7562,
             num_days: p.days,
             threads: 2,
-            ..SubscriberTrafficConfig::default()
         };
         let mut in_memory = CollectSink::new();
         synthesize_subscribers_into(&world, &cfg, &mut in_memory);

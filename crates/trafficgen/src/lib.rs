@@ -42,6 +42,10 @@ pub mod provider;
 pub mod subs;
 pub mod synth;
 
+/// Microseconds per hour and per day, the units of flow timestamps.
+pub(crate) const HOUR_US: u64 = 3_600_000_000;
+pub(crate) const DAY_US: u64 = 24 * HOUR_US;
+
 pub use longtail::{synthesize_long_tail_into, LongTailTrafficConfig};
 pub use obs::par::fan_out;
 pub use profile::{
@@ -49,8 +53,8 @@ pub use profile::{
 };
 pub use provider::{synthesize_isp, synthesize_isps, IspRun, IspSpec, SubscriberStats};
 pub use subs::{
-    num_shards, shard_day_records, shard_day_tasks, subscriber_of_src, subscriber_src,
-    synthesize_subscribers_into, SubscriberTrafficConfig,
+    num_shards, shard_day_records, shard_day_tasks, subscriber_of_src, synthesize_subscribers_into,
+    SubscriberTrafficConfig,
 };
 pub use synth::{
     synthesize_profiles_with, synthesize_residence_into, ResidenceSummary, SportAlloc,

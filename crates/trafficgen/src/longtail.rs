@@ -18,20 +18,23 @@
 //! output is byte-identical at any `threads` count. Days run on
 //! [`obs::par::stream`] and hand their records over in chunks of at most
 //! [`LONG_TAIL_CHUNK`], so no path buffers a whole day.
+//!
+//! Every flow comes from `tail_flow`, the draw this producer shares with
+//! the subscriber one ([`crate::subs`]). Here a flow starts within its
+//! hour, uses IPv6 with the AS's share times the day's jitter, takes its
+//! source port from a per-day [`SportAlloc`], and carries one collapsed
+//! source address per family.
 
 use crate::synth::SportAlloc;
+use crate::{DAY_US, HOUR_US};
 use flowmon::sink::FlowSink;
 use flowmon::{FlowKey, FlowRecord, Scope};
-use iputil::prefix::{Prefix4, Prefix6};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::IpAddr;
 use std::ops::Range;
 use worldgen::longtail::LongTail;
 use worldgen::World;
-
-const HOUR_US: u64 = 3_600_000_000;
-const DAY_US: u64 = 24 * HOUR_US;
 
 /// The most records one chunk of a day carries to the sink: each in-flight
 /// day holds at most [`obs::par::QUEUE_DEPTH`]` + 1` chunks this size.
@@ -66,49 +69,66 @@ impl Default for LongTailTrafficConfig {
     }
 }
 
-/// The tail as synthesis reads it, built once per run: each AS's IPv6
-/// share and prefix ranges in one small entry, every AS's prefixes in two
-/// shared arrays. A draw then touches one entry and one prefix slot, not a
-/// [`worldgen::longtail::LongTailAs`] and its two heap vectors.
-struct TailTable<'a> {
-    tail: &'a LongTail,
-    ases: Vec<TailAs>,
-    v4: Vec<Prefix4>,
-    v6: Vec<Prefix6>,
-}
-
-/// One tail AS: its IPv6 share and its prefixes' places in the table.
-struct TailAs {
-    v6_share: f64,
-    v4: Range<usize>,
-    v6: Range<usize>,
-}
-
-impl TailTable<'_> {
-    fn new(tail: &LongTail) -> TailTable<'_> {
-        assert!(!tail.is_empty(), "long-tail synthesis needs a tailed world");
-        let (mut v4, mut v6) = (Vec::new(), Vec::new());
-        let ases = tail
-            .ases
-            .iter()
-            .map(|a| {
-                let v4_start = v4.len();
-                let v6_start = v6.len();
-                v4.extend_from_slice(&a.v4);
-                v6.extend_from_slice(&a.v6);
-                TailAs {
-                    v6_share: a.v6_share,
-                    v4: v4_start..v4.len(),
-                    v6: v6_start..v6.len(),
-                }
-            })
-            .collect();
-        TailTable { tail, ases, v4, v6 }
-    }
-
-    /// A tail AS drawn by traffic weight.
-    fn sample(&self, rng: &mut SmallRng) -> &TailAs {
-        &self.ases[self.tail.sample_index(rng)]
+/// One flow towards the tail: the draw both tail producers share. It draws,
+/// in this order, a tail AS by traffic weight, the family, a prefix and a
+/// host in the AS's space, the start in `window`, a duration of 1–599 s,
+/// the source port, a lognormal size and then UDP for one flow in ten.
+///
+/// The arguments are what differs between the producers. `p_v6` maps the
+/// AS's IPv6 share to the chance of an IPv6 flow; `None` draws nothing and
+/// stays on IPv4. `sport` picks the source port from the RNG and the flow's
+/// `(start, end)`. `src` gives the source address of a family (`true` =
+/// IPv6). The size is `median_bytes × 2^(spread × z)` for a standard
+/// normal `z`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tail_flow(
+    rng: &mut SmallRng,
+    tail: &LongTail,
+    window: Range<u64>,
+    p_v6: impl FnOnce(f64) -> Option<f64>,
+    sport: impl FnOnce(&mut SmallRng, u64, u64) -> u16,
+    src: impl FnOnce(bool) -> IpAddr,
+    median_bytes: f64,
+    spread: f64,
+) -> FlowRecord {
+    let asx = &tail.ases[tail.sample_index(rng)];
+    let v6 = !asx.v6.is_empty() && p_v6(asx.v6_share).is_some_and(|p| rng.gen::<f64>() < p);
+    // Tail v6 prefixes dwarf the host range and every tail v4 prefix is a
+    // /24, so both host lookups are total.
+    let dst = if v6 {
+        let p = tail.v6[asx.v6.start + rng.gen_range(0..asx.v6.len())];
+        IpAddr::V6(
+            p.host(1 + rng.gen_range(0..1_000) as u128)
+                .expect("host fits"),
+        )
+    } else {
+        let p = tail.v4[asx.v4.start + rng.gen_range(0..asx.v4.len())];
+        IpAddr::V4(p.host(1 + rng.gen_range(0..250)).expect("host fits"))
+    };
+    let start = window.start + rng.gen_range(0..window.end - window.start);
+    let end = start + rng.gen_range(1..600) as u64 * 1_000_000;
+    let sport = sport(rng, start, end);
+    // A Box–Muller normal in the exponent gives real mass on both sides of
+    // the median with a heavy upper tail, clamped to a sane record range.
+    let u1: f64 = rng.gen::<f64>().max(1e-12);
+    let u2: f64 = rng.gen();
+    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+    let bytes = (median_bytes * (spread * z).exp2()).clamp(200.0, 4e8) as u64;
+    let src = src(v6);
+    let key = if rng.gen::<f64>() < 0.1 {
+        FlowKey::udp(src, sport, dst, 443)
+    } else {
+        FlowKey::tcp(src, sport, dst, 443)
+    };
+    FlowRecord {
+        key,
+        start,
+        end,
+        bytes_orig: bytes / 20,
+        bytes_reply: bytes,
+        packets_orig: 1 + bytes / 30_000,
+        packets_reply: 1 + bytes / 1_400,
+        scope: Scope::External,
     }
 }
 
@@ -116,7 +136,7 @@ impl TailTable<'_> {
 /// chunks of at most [`LONG_TAIL_CHUNK`]. Pure function of
 /// `(config.seed, day)` plus the tail.
 fn synthesize_day(
-    table: &TailTable,
+    tail: &LongTail,
     config: &LongTailTrafficConfig,
     day: u32,
     emit: &mut dyn FnMut(Vec<FlowRecord>),
@@ -151,44 +171,17 @@ fn synthesize_day(
         let n = per_hour + usize::from((hour as usize) < remainder);
         let hour_base = day_base + hour * HOUR_US;
         for _ in 0..n {
-            let asx = table.sample(&mut rng);
-            let p_v6 = (asx.v6_share * day_jitter).clamp(0.0, 1.0);
-            let v6 = !asx.v6.is_empty() && rng.gen::<f64>() < p_v6;
-            let dst = if v6 {
-                let p = table.v6[asx.v6.start + rng.gen_range(0..asx.v6.len())];
-                IpAddr::V6(
-                    p.host(1 + rng.gen_range(0..1_000) as u128)
-                        .expect("host fits"),
-                )
-            } else {
-                let p = table.v4[asx.v4.start + rng.gen_range(0..asx.v4.len())];
-                IpAddr::V4(p.host(1 + rng.gen_range(0..250)).expect("host fits"))
-            };
-            let start = hour_base + rng.gen_range(0..HOUR_US);
-            let duration = rng.gen_range(1..600) as u64 * 1_000_000;
-            let sport = sports.alloc(start, start + duration);
-            // Lognormal size, median 100 kB: a Box–Muller normal in the
-            // exponent gives real mass on both sides of the median with a
-            // heavy upper tail, clamped to a sane record range.
-            let u1: f64 = rng.gen::<f64>().max(1e-12);
-            let u2: f64 = rng.gen();
-            let n = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            let bytes = (100_000.0 * (1.3 * n).exp2()).clamp(200.0, 4e8) as u64;
-            let key = if rng.gen::<f64>() < 0.1 {
-                FlowKey::udp(if v6 { src6 } else { src4 }, sport, dst, 443)
-            } else {
-                FlowKey::tcp(if v6 { src6 } else { src4 }, sport, dst, 443)
-            };
-            chunk.push(FlowRecord {
-                key,
-                start,
-                end: start + duration,
-                bytes_orig: bytes / 20,
-                bytes_reply: bytes,
-                packets_orig: 1 + bytes / 30_000,
-                packets_reply: 1 + bytes / 1_400,
-                scope: Scope::External,
-            });
+            // Lognormal size, median 100 kB.
+            chunk.push(tail_flow(
+                &mut rng,
+                tail,
+                hour_base..hour_base + HOUR_US,
+                |share| Some((share * day_jitter).clamp(0.0, 1.0)),
+                |_, start, end| sports.alloc(start, end),
+                |v6| if v6 { src6 } else { src4 },
+                100_000.0,
+                1.3,
+            ));
             if chunk.len() == LONG_TAIL_CHUNK {
                 emit(std::mem::replace(
                     &mut chunk,
@@ -212,11 +205,12 @@ pub fn synthesize_long_tail_into<S: FlowSink>(
     config: &LongTailTrafficConfig,
     sink: &mut S,
 ) {
-    let table = TailTable::new(&world.long_tail);
+    let tail = &world.long_tail;
+    assert!(!tail.is_empty(), "long-tail synthesis needs a tailed world");
     obs::par::stream(
         (0..config.num_days).collect(),
         config.threads,
-        |_, day, emit| synthesize_day(&table, config, day, emit),
+        |_, day, emit| synthesize_day(tail, config, day, emit),
         |_, chunk: Vec<FlowRecord>| sink.accept_batch(&chunk),
     );
 }

@@ -29,15 +29,13 @@
 
 use crate::profile::ResidenceProfile;
 use crate::synth::{synthesize_day_into, GatewayMode, ResidenceCtx, ResidenceSetup, TrafficConfig};
+use crate::HOUR_US;
 use faults::PoolTarget;
 use flowmon::sink::{CollectSink, FlowSink, NullSink};
 use serde::Serialize;
 use transition::provider::{Admission, ProviderDayStats, ProviderGateway, ProviderPool};
 use transition::{AccessTech, GatewayConfig, GatewayStats};
 use worldgen::World;
-
-/// Microseconds per hour (fault windows are hour-granular).
-const HOUR_US: u64 = 3_600_000_000;
 
 /// Per-subscriber admission counters of a provider-shared run.
 #[derive(Debug, Clone, Serialize)]

@@ -15,16 +15,22 @@
 //! `(day, shard)` task, replayed in canonical `(day, shard)` order, is
 //! indistinguishable — batch boundaries included — from the in-memory
 //! stream.
+//!
+//! Every flow comes from `tail_flow`, the draw this producer shares with
+//! the long-tail one ([`crate::longtail`]). A subscriber's flows start
+//! anywhere in the day, use IPv6 with the subscriber's affinity (never for
+//! a v4-only subscriber), draw a random source port, carry the
+//! subscriber's own source address and scale their size by its volume
+//! weight.
 
+use crate::longtail::tail_flow;
+use crate::DAY_US;
 use flowmon::sink::FlowSink;
-use flowmon::{FlowKey, FlowRecord, Scope};
+use flowmon::FlowRecord;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use worldgen::World;
-
-const HOUR_US: u64 = 3_600_000_000;
-const DAY_US: u64 = 24 * HOUR_US;
 
 /// Subscriber source address space:
 /// v4 `10.0.0.0/8` (up to 16.7M subscribers), v6 `2a0c::/16` (subscriber
@@ -39,17 +45,18 @@ const SRC6_BASE: u128 = 0x2a0c << 112;
 /// weight).
 const FLOWS_PER_SUBSCRIBER_DAY: f64 = 3.0;
 
+/// Subscribers per shard (one shard = one task = one day-part).
+const SHARD_SIZE: usize = 4_096;
+
 /// Configuration of a subscriber-population synthesis run. The mean flow
 /// rate (three flows per subscriber-day, scaled by each subscriber's volume
-/// weight) is fixed.
+/// weight) and the shard size (4 096 subscribers) are fixed.
 #[derive(Debug, Clone)]
 pub struct SubscriberTrafficConfig {
     /// Master seed (per-(day, shard) RNGs derive from it).
     pub seed: u64,
     /// Days to simulate. Peak memory is independent of this.
     pub num_days: u32,
-    /// Subscribers per shard (one shard = one task = one day-part).
-    pub shard_size: usize,
     /// Worker threads over the task list (1 = sequential; output identical
     /// at any count).
     pub threads: usize,
@@ -60,19 +67,19 @@ impl Default for SubscriberTrafficConfig {
         SubscriberTrafficConfig {
             seed: 0x5ab5_c21b_e12d,
             num_days: 2,
-            shard_size: 4_096,
             threads: 1,
         }
     }
 }
 
-/// Number of shards the population splits into.
-pub fn num_shards(world: &World, config: &SubscriberTrafficConfig) -> usize {
-    world.subscribers.count.div_ceil(config.shard_size.max(1))
+/// Number of shards the population splits into; the shard size does not
+/// depend on `config`.
+pub fn num_shards(world: &World, _config: &SubscriberTrafficConfig) -> usize {
+    world.subscribers.count.div_ceil(SHARD_SIZE)
 }
 
 /// The subscriber's source address for one flow family.
-pub fn subscriber_src(i: usize, v6: bool) -> IpAddr {
+fn subscriber_src(i: usize, v6: bool) -> IpAddr {
     if v6 {
         IpAddr::V6(Ipv6Addr::from(SRC6_BASE | i as u128))
     } else {
@@ -80,8 +87,9 @@ pub fn subscriber_src(i: usize, v6: bool) -> IpAddr {
     }
 }
 
-/// Recover the subscriber index from a source address written by
-/// [`subscriber_src`]; `None` for foreign addresses.
+/// Recover the subscriber index from a subscriber source address (the
+/// producer writes them into `10.0.0.0/8` and `2a0c::/16`); `None` for
+/// foreign addresses.
 pub fn subscriber_of_src(addr: IpAddr) -> Option<usize> {
     match addr {
         IpAddr::V4(a) => {
@@ -127,8 +135,8 @@ pub fn shard_day_records(
         !tail.is_empty(),
         "subscriber synthesis needs a tailed world (with_long_tail)"
     );
-    let lo = shard * config.shard_size;
-    let hi = (lo + config.shard_size).min(subs.count);
+    let lo = shard * SHARD_SIZE;
+    let hi = (lo + SHARD_SIZE).min(subs.count);
     let mut rng = SmallRng::seed_from_u64(
         config
             .seed
@@ -141,46 +149,17 @@ pub fn shard_day_records(
         let profile = subs.profile(i);
         let n = poisson(&mut rng, FLOWS_PER_SUBSCRIBER_DAY * profile.volume_weight);
         for _ in 0..n {
-            let asx = &tail.ases[tail.sample_index(&mut rng)];
-            let v6 =
-                profile.dual_stack && !asx.v6.is_empty() && rng.gen::<f64>() < profile.v6_affinity;
-            // Tail v6 prefixes dwarf the draw range and the v4 index folds
-            // into the prefix size, so both lookups are total and the
-            // fallbacks unreachable.
-            let dst = if v6 {
-                let p = &asx.v6[rng.gen_range(0..asx.v6.len())];
-                let h = 1 + rng.gen_range(0..1_000) as u128;
-                IpAddr::V6(p.host(h).unwrap_or(Ipv6Addr::LOCALHOST))
-            } else {
-                let p = &asx.v4[rng.gen_range(0..asx.v4.len())];
-                let h = (1 + rng.gen_range(0..250)) % p.size();
-                IpAddr::V4(p.host(h).unwrap_or(Ipv4Addr::LOCALHOST))
-            };
-            let start = day_base + rng.gen_range(0..DAY_US);
-            let duration = u64::from(rng.gen_range(1..600u32)) * 1_000_000;
-            let sport = rng.gen_range(10_000..60_000u16);
             // Lognormal-ish size, scaled by the subscriber's volume weight.
-            let u1: f64 = rng.gen::<f64>().max(1e-12);
-            let u2: f64 = rng.gen();
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            let bytes =
-                (40_000.0 * profile.volume_weight * (1.2 * z).exp2()).clamp(200.0, 4e8) as u64;
-            let src = subscriber_src(i, v6);
-            let key = if rng.gen::<f64>() < 0.1 {
-                FlowKey::udp(src, sport, dst, 443)
-            } else {
-                FlowKey::tcp(src, sport, dst, 443)
-            };
-            out.push(FlowRecord {
-                key,
-                start,
-                end: start + duration,
-                bytes_orig: bytes / 20,
-                bytes_reply: bytes,
-                packets_orig: 1 + bytes / 30_000,
-                packets_reply: 1 + bytes / 1_400,
-                scope: Scope::External,
-            });
+            out.push(tail_flow(
+                &mut rng,
+                tail,
+                day_base..day_base + DAY_US,
+                |_| profile.dual_stack.then_some(profile.v6_affinity),
+                |rng, _, _| rng.gen_range(10_000..60_000),
+                |v6| subscriber_src(i, v6),
+                40_000.0 * profile.volume_weight,
+                1.2,
+            ));
         }
     }
     out

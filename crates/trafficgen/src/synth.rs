@@ -30,6 +30,7 @@
 //! to a pool persisted across days and residences.
 
 use crate::profile::ResidenceProfile;
+use crate::{DAY_US, HOUR_US};
 use dnssim::{Name, ResolveAddrs, Resolver};
 use faults::{DayPathFault, FaultPlan, FaultyResolver, PoolTarget, DNS_STREAM, FLOW_DROP_STREAM};
 use flowmon::sink::{CollectSink, FlowSink};
@@ -44,10 +45,6 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use transition::{AccessTech, Aftr, Dns64, GatewayConfig, GatewayStats, Nat64Gateway};
 use worldgen::clientsvc::{ClientServiceRuntime, ServiceKind};
 use worldgen::World;
-
-/// Microseconds per hour / day (local aliases to keep formulas readable).
-const HOUR_US: u64 = 3_600_000_000;
-const DAY_US: u64 = 24 * HOUR_US;
 
 /// Share of a 464XLAT line's traffic from IPv4-literal applications that
 /// bypasses DNS64 and goes through the CLAT even when the service has

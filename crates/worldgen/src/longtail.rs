@@ -21,6 +21,7 @@ use iputil::prefix::{Prefix4, Prefix6};
 use iputil::{SubnetAllocator4, SubnetAllocator6};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// First ASN of the long-tail range — far above every catalog ASN
 /// (≤ 396 986) and the transition plant (65 500), so a dense block of
@@ -41,23 +42,28 @@ const V6_ADOPTION_RATE: f64 = 0.38;
 pub struct LongTailAs {
     /// The AS number (dense in `LONG_TAIL_ASN_BASE..`).
     pub asn: AsId,
-    /// Announced IPv4 prefixes (at least one).
-    pub v4: Vec<Prefix4>,
-    /// Announced IPv6 prefixes (empty for the v4-only majority).
-    pub v6: Vec<Prefix6>,
+    /// Where its announced IPv4 prefixes sit in [`LongTail::v4`] (at least
+    /// one).
+    pub v4: Range<usize>,
+    /// Where its announced IPv6 prefixes sit in [`LongTail::v6`] (empty for
+    /// the v4-only majority).
+    pub v6: Range<usize>,
     /// Target IPv6 byte share of traffic towards this AS (0 when v4-only).
     pub v6_share: f64,
-    /// Relative traffic weight (Zipf over the tail index).
-    pub weight: f64,
 }
 
-/// The registered long-tail population plus its sampling table.
+/// The registered long-tail population, flat: every AS's prefixes in two
+/// shared arrays, plus the table that samples ASes by traffic weight.
 #[derive(Debug, Clone, Default)]
 pub struct LongTail {
     /// Every tail AS, in ASN (= registration) order.
     pub ases: Vec<LongTailAs>,
-    /// Cumulative weights for weighted AS sampling (`cum_weights[i]` = sum
-    /// of weights `0..=i`).
+    /// Every announced IPv4 prefix, AS by AS in ASN order.
+    pub v4: Vec<Prefix4>,
+    /// Every announced IPv6 prefix, AS by AS in ASN order.
+    pub v6: Vec<Prefix6>,
+    /// Cumulative Zipf traffic weights for weighted AS sampling
+    /// (`cum_weights[i]` = the summed weights of ASes `0..=i`).
     cum_weights: Vec<f64>,
     /// Guide table over `cum_weights`: `guide[j]` counts the cumulative
     /// weights below `j × total / n`, for `j` in `0..n + 3`. A draw in
@@ -129,6 +135,7 @@ pub fn register_long_tail(
     let mut v6_alloc = SubnetAllocator6::new("3000::/4".parse().expect("static"), 40);
 
     let mut ases = Vec::with_capacity(count);
+    let (mut v4, mut v6) = (Vec::with_capacity(count), Vec::new());
     let mut cum_weights = Vec::with_capacity(count);
     let mut cum = 0.0f64;
     for i in 0..count {
@@ -162,8 +169,7 @@ pub fn register_long_tail(
         } else {
             0.0
         };
-        let mut v4 = Vec::with_capacity(n_prefixes);
-        let mut v6 = Vec::new();
+        let (v4_start, v6_start) = (v4.len(), v6.len());
         for _ in 0..n_prefixes {
             let p4 = v4_alloc.next_subnet().expect("v4 space for the tail");
             rib.announce4(p4, asn);
@@ -181,20 +187,20 @@ pub fn register_long_tail(
         }
         // Zipf-ish traffic weight over tail rank (s ≈ 0.9), so a handful of
         // tail ASes still matter while most barely clear any volume floor.
-        let weight = 1.0 / ((i + 1) as f64).powf(0.9);
-        cum += weight;
+        cum += 1.0 / ((i + 1) as f64).powf(0.9);
         cum_weights.push(cum);
         ases.push(LongTailAs {
             asn,
-            v4,
-            v6,
+            v4: v4_start..v4.len(),
+            v6: v6_start..v6.len(),
             v6_share,
-            weight,
         });
     }
     let guide = guide_table(&cum_weights);
     LongTail {
         ases,
+        v4,
+        v6,
         cum_weights,
         guide,
     }
@@ -214,9 +220,9 @@ mod tests {
         for a in &tail.ases {
             assert!(!a.v4.is_empty());
             // Every announced prefix attributes back to its AS.
-            let host = a.v4[0].host(1).expect("host");
+            let host = tail.v4[a.v4.start].host(1).expect("host");
             assert_eq!(rib.origin_of(std::net::IpAddr::V4(host)), Some(a.asn));
-            if let Some(p6) = a.v6.first() {
+            if let Some(p6) = tail.v6[a.v6.clone()].first() {
                 let host6 = p6.host(1).expect("host");
                 assert_eq!(rib.origin_of(std::net::IpAddr::V6(host6)), Some(a.asn));
                 assert!(a.v6_share > 0.0);
@@ -242,6 +248,8 @@ mod tests {
             register_long_tail(&mut registry, &mut rib, seed, 200)
         };
         let (a, b, c) = (build(1), build(1), build(2));
+        assert_eq!(a.v4, b.v4);
+        assert_eq!(a.v6, b.v6);
         for (x, y) in a.ases.iter().zip(&b.ases) {
             assert_eq!(x.asn, y.asn);
             assert_eq!(x.v4, y.v4);
