@@ -1,29 +1,21 @@
 //! `repro bench-snapshot` — times the [`ipv6view_bench::probes`] catalogue
-//! (the closures the criterion suites time) and appends one snapshot per
-//! ledger: the `lpm()` group to `BENCH_lpm.json`, the `pipeline()` group to
-//! `BENCH_traffic.json`. One timer and sampling policy ([`median_ns`]), one
-//! [`Snapshot`] schema.
+//! (the closures the criterion target times) and appends one snapshot to
+//! each ledger that [`probes::LEDGERS`] names. One timer and sampling
+//! policy ([`median_ns`]), one [`Snapshot`] schema, one shape check.
 //!
-//! The ledgers are history: existing bytes are never rewritten. The snapshot
-//! is spliced in as the last element of the `"snapshots"` array, and the
-//! edited text must pass the shape check before the file is replaced.
-//! `--check` runs the shape check alone and writes nothing. The end-to-end
-//! anchor rows are `e2ebench`'s job and deliberately not duplicated here.
+//! The ledgers are history: the tool never rewrites existing bytes. The
+//! snapshot is spliced in as the last element of the `"snapshots"` array,
+//! and the edited text must pass the shape check before the file is
+//! replaced. `--check` runs the shape check alone and writes nothing. Older
+//! entries were converted to this one format once, with every value
+//! unchanged (CHANGES.md records the conversion). The end-to-end anchor
+//! rows are `e2ebench`'s job and deliberately not duplicated here.
 
 use ipv6view_bench::probes::{self, Probe};
 use serde::Serialize;
 use serde_json::Value;
 use std::path::Path;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-/// A catalogue group: builds its shared inputs and returns its probes.
-type Group = fn() -> Vec<Probe>;
-
-/// Each ledger and the catalogue group it records.
-const LEDGERS: [(&str, Group); 2] = [
-    ("BENCH_lpm.json", probes::lpm),
-    ("BENCH_traffic.json", probes::pipeline),
-];
 
 /// The sampling policy, the same for every probe: warm up for
 /// `WARMUP_MS`, size each sample to about `SAMPLE_MS` of iterations, and
@@ -65,7 +57,7 @@ pub fn run(dir: &Path, check: bool) -> Result<String, String> {
     // Every ledger is read and checked before any probe runs, so a bad
     // ledger fails fast and no file is written unless all of them can be.
     let mut ledgers = Vec::new();
-    for (name, group) in LEDGERS {
+    for (name, group) in probes::LEDGERS {
         let path = dir.join(name);
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -73,14 +65,15 @@ pub fn run(dir: &Path, check: bool) -> Result<String, String> {
         ledgers.push((path, text, count, group));
     }
     if check {
-        return Ok("bench-snapshot --check: both ledgers well-formed".into());
+        return Ok("bench-snapshot --check: every ledger well-formed".into());
     }
     let now = SystemTime::now().duration_since(UNIX_EPOCH);
     let date = civil_date(now.map_or(0, |d| d.as_secs()));
     let mut edits = Vec::new();
     for (path, text, count, group) in ledgers {
         obs::info!("[bench-snapshot] timing the {} probes ...", path.display());
-        let snapshot = measure(&date, group())?;
+        let probes = group().map_err(|e| format!("{}: {e}", path.display()))?;
+        let snapshot = measure(&date, probes)?;
         let edited =
             append(&text, count, &snapshot).map_err(|e| format!("{}: {e}", path.display()))?;
         edits.push((path, edited));
@@ -89,7 +82,7 @@ pub fn run(dir: &Path, check: bool) -> Result<String, String> {
         std::fs::write(path, edited)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
-    Ok(format!("appended snapshot ({date}) to both ledgers"))
+    Ok(format!("appended snapshot ({date}) to every ledger"))
 }
 
 /// Time every probe of one group into a snapshot.
@@ -176,51 +169,44 @@ fn splice_snapshot(text: &str, snapshot: &str) -> Option<String> {
     Some(format!("{body}{sep}\n    {snapshot}\n  {}", &text[close..]))
 }
 
-/// Parse a ledger and check the one ledger shape; returns the snapshot
-/// count. A ledger is an object with a `"snapshots"` array and, in
-/// `BENCH_traffic.json`, a legacy top-level `"results"` array. Each snapshot
-/// is either legacy flat (at least one numeric `*_ns` field) or carries a
-/// `date` and a `results` array; every `results` row needs a string `name`
-/// and a numeric `median_ns`.
+/// Parse a ledger and check its one shape; returns the snapshot count. A
+/// ledger is an object holding a `"snapshots"` array and at most a
+/// `"description"` besides. Every snapshot carries a string `date` and a
+/// `results` array, and every row a string `name`, a string `layer` and a
+/// numeric `median_ns`. Other snapshot and row keys are free-form notes.
 fn check_shape(text: &str) -> Result<usize, String> {
-    let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e:?}"))?;
-    if let Some(results) = v.get("results") {
-        check_rows(results, "results")?;
+    let v: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e:?}"))?;
+    let top = v.as_object().ok_or("not a JSON object")?;
+    if let Some((key, _)) = top
+        .iter()
+        .find(|(k, _)| !matches!(k.as_str(), "description" | "snapshots"))
+    {
+        return Err(format!("unexpected top-level key {key:?}"));
     }
     let snaps = v
         .get("snapshots")
         .and_then(Value::as_array)
         .ok_or("missing \"snapshots\" array")?;
     for (i, snap) in snaps.iter().enumerate() {
-        let obj = snap
-            .as_object()
-            .ok_or(format!("snapshots[{i}] is not an object"))?;
-        match snap.get("results") {
-            Some(rows) => {
-                if snap.get("date").and_then(Value::as_str).is_none() {
-                    return Err(format!("snapshots[{i}] missing string date"));
-                }
-                check_rows(rows, &format!("snapshots[{i}].results"))?;
+        if snap.get("date").and_then(Value::as_str).is_none() {
+            return Err(format!("snapshots[{i}] missing string date"));
+        }
+        let rows = snap
+            .get("results")
+            .and_then(Value::as_array)
+            .ok_or(format!("snapshots[{i}] missing results array"))?;
+        for (j, row) in rows.iter().enumerate() {
+            if row.get("name").and_then(Value::as_str).is_none()
+                || row.get("layer").and_then(Value::as_str).is_none()
+                || row.get("median_ns").and_then(Value::as_f64).is_none()
+            {
+                return Err(format!(
+                    "snapshots[{i}].results[{j}] needs string name + layer, numeric median_ns"
+                ));
             }
-            None if obj
-                .iter()
-                .any(|(k, val)| k.ends_with("_ns") && val.as_f64().is_some()) => {}
-            None => return Err(format!("snapshots[{i}] has no results and no *_ns field")),
         }
     }
     Ok(snaps.len())
-}
-
-fn check_rows(rows: &Value, what: &str) -> Result<(), String> {
-    let rows = rows.as_array().ok_or(format!("{what} is not an array"))?;
-    for (i, row) in rows.iter().enumerate() {
-        if row.get("name").and_then(Value::as_str).is_none()
-            || row.get("median_ns").and_then(Value::as_f64).is_none()
-        {
-            return Err(format!("{what}[{i}] needs string name + numeric median_ns"));
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -278,24 +264,23 @@ mod tests {
             out.contains("\"description\": \"x [not a real bracket]\""),
             "existing bytes preserved"
         );
-        // A ledger whose last array is not "snapshots" is refused.
-        let doc = "{ \"snapshots\": [ { \"a_ns\": 1 } ], \"results\": [] }";
-        assert!(append(doc, 1, &snapshot()).is_err());
+        // A bracket after the snapshots array (here inside a later string)
+        // is refused, not spliced into.
+        let doc = "{ \"snapshots\": [], \"description\": \"a ] in a string\" }";
+        assert!(append(doc, 0, &snapshot()).is_err());
     }
 
     #[test]
     fn real_ledgers_accept_the_rendered_snapshots() {
-        let ledgers = [
-            include_str!("../../../BENCH_lpm.json"),
-            include_str!("../../../BENCH_traffic.json"),
-        ];
-        for text in ledgers {
-            let count = check_shape(text).expect("committed ledger is well-formed");
-            let edited = append(text, count, &snapshot()).expect("splice passes the shape check");
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (name, _) in probes::LEDGERS {
+            let text = std::fs::read_to_string(root.join(name)).expect("committed ledger");
+            let count = check_shape(&text).expect("committed ledger is well-formed");
+            let edited = append(&text, count, &snapshot()).expect("splice passes the shape check");
             let close = text.rfind(']').expect("snapshots array");
             assert!(
                 edited.starts_with(text[..close].trim_end()),
-                "bytes before the splice point are unchanged"
+                "{name}: bytes before the splice point are unchanged"
             );
             let v: Value = serde_json::from_str(&edited).unwrap();
             let snaps = v.get("snapshots").and_then(Value::as_array).unwrap();
@@ -310,23 +295,31 @@ mod tests {
 
     #[test]
     fn shape_checks_match_the_ledger_formats() {
-        // Legacy flat `*_ns` snapshots (BENCH_lpm.json).
-        assert!(check_shape("{ \"snapshots\": [ { \"pr\": 1, \"lpm6_x_ns\": 5 } ] }").is_ok());
-        // Legacy top-level results plus dated results snapshots
-        // (BENCH_traffic.json).
-        let traffic = "{ \"results\": [ { \"name\": \"a\", \"median_ns\": 1 } ], \
-                       \"snapshots\": [ { \"date\": \"d\", \"results\": [] } ] }";
-        assert_eq!(check_shape(traffic), Ok(1));
-        // The current schema.
         let current = serde_json::to_string(&snapshot()).unwrap();
-        assert!(check_shape(&format!("{{ \"snapshots\": [ {current} ] }}")).is_ok());
+        assert_eq!(
+            check_shape(&format!("{{ \"snapshots\": [ {current} ] }}")),
+            Ok(1)
+        );
+        // Free-form notes beside the required keys are kept history.
+        let noted = "{ \"description\": \"x\", \"snapshots\": [ { \"date\": \"d\", \"pr\": 1, \
+                     \"results\": [ { \"name\": \"a\", \"layer\": \"l\", \"median_ns\": 1.5, \
+                     \"min_ns\": 1 } ] } ] }";
+        assert_eq!(check_shape(noted), Ok(1));
 
         for bad in [
+            // Flat `*_ns` snapshots, the format before rows had names.
+            "{ \"snapshots\": [ { \"pr\": 1, \"lpm6_x_ns\": 5 } ] }",
+            // Rows at the top level rather than in a dated snapshot.
+            "{ \"results\": [ { \"name\": \"a\", \"layer\": \"l\", \"median_ns\": 1 } ], \
+             \"snapshots\": [ { \"date\": \"d\", \"results\": [] } ] }",
             "{ \"snapshots\": [ { \"pr\": 1 } ] }",
             "{ \"results\": [] }",
+            "[]",
             "{ \"snapshots\": [ { \"results\": [] } ] }",
-            "{ \"results\": [ { \"name\": \"a\" } ], \"snapshots\": [] }",
+            "{ \"snapshots\": [ { \"date\": \"d\" } ] }",
             "{ \"snapshots\": [ { \"date\": \"d\", \"results\": [ { \"median_ns\": 1 } ] } ] }",
+            "{ \"snapshots\": [ { \"date\": \"d\", \"results\": [ { \"name\": \"a\", \"median_ns\": 1 } ] } ] }",
+            "{ \"snapshots\": [ { \"date\": \"d\", \"results\": [ { \"name\": \"a\", \"layer\": \"l\" } ] } ] }",
         ] {
             assert!(check_shape(bad).is_err(), "{bad}");
         }
@@ -334,7 +327,10 @@ mod tests {
 
     #[test]
     fn a_missing_ledger_is_an_error_not_an_exit() {
-        let dir = std::env::temp_dir().join("bench-snapshot-no-ledgers-here");
+        let dir = std::env::temp_dir().join(format!(
+            "bench-snapshot-no-ledgers-here-{}",
+            std::process::id()
+        ));
         for check in [true, false] {
             let err = run(&dir, check).expect_err("no ledgers to read");
             assert!(err.contains("BENCH_lpm.json"), "{err}");

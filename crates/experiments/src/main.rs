@@ -236,9 +236,10 @@ fn usage(msg: &str) -> ! {
          \x20      repro list | all | export | bench-snapshot [--check]\n\
          `repro list` prints every registered scenario; `all` runs them in\n\
          paper order; `export` writes the JSON datasets; `bench-snapshot`\n\
-         runs the standing perf probes and appends timestamped snapshots to\n\
-         BENCH_*.json (--check validates the files without writing). Numeric\n\
-         flags accept `--flag N` and `--flag=N`. --threads runs crawls and\n\
+         times every catalogue probe and appends one dated snapshot to each\n\
+         ledger in the current directory (BENCH_lpm.json, BENCH_traffic.json;\n\
+         --check validates them without writing). Numeric flags accept\n\
+         `--flag N` and `--flag=N`. --threads runs crawls and\n\
          synthesis on N workers; output is identical at any N. --json emits the\n\
          structured report. --metrics appends a telemetry section (stage\n\
          spans, pipeline counters, flow-shape histograms); --metrics-json\n\
@@ -263,7 +264,7 @@ fn unknown_experiment(name: &str) -> ! {
     obs::error!("  {:<20} print the scenario registry", "list");
     obs::error!("  {:<20} write every exportable dataset as JSON", "export");
     obs::error!(
-        "  {:<20} run/append the standing perf probes",
+        "  {:<20} time the probe catalogue, append to the ledgers",
         "bench-snapshot"
     );
     std::process::exit(2);
