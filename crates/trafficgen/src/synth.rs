@@ -1782,6 +1782,82 @@ mod tests {
         assert!(shrunk.drops.get(DropCause::PoolExhausted) > 0);
     }
 
+    /// FNV-1a over the `Debug` form of `value`, which prints every field.
+    fn fold_debug(h: u64, value: &impl std::fmt::Debug) -> u64 {
+        format!("{value:?}").bytes().fold(h, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every gateway path of the synthesizer — external NAT64 and DS-Lite
+    /// flows, the Happy Eyeballs residue, ICMP probes via either gateway —
+    /// under outages of both pools, a pool shrink, a path drop and a DNS
+    /// burst, through day-local gateways and through a shared provider
+    /// gateway whose pool runs out. The digest folds every record, each
+    /// summary's gateway and drop counters and each subscriber's counters,
+    /// so moving the outage check behind the bind or counting a refused
+    /// residue as a drop fails here.
+    #[test]
+    fn gateway_paths_digest_is_pinned() {
+        use crate::provider::synthesize_isp;
+        use faults::{DnsFailure, Window};
+        use transition::provider::ProviderGateway;
+        let world = World::generate(&WorldConfig::small());
+        let profiles = crate::profile::transition_residences();
+        let gateway = GatewayConfig {
+            capacity: 4,
+            binding_timeout: 3_600 * 1_000_000,
+        };
+        let digest = |threads: usize| {
+            let cfg = TrafficConfig {
+                num_days: 5,
+                scale: 1.0 / 500.0,
+                threads,
+                gateway,
+                faults: faults::FaultPlan::new(0x6a7e)
+                    .gateway_outage(PoolTarget::Nat64, Window::new(1, 1, 6, 18))
+                    .gateway_outage(PoolTarget::Aftr, Window::new(2, 2, 8, 20))
+                    .pool_shrink(0.25, Window::days(3, 3))
+                    .path_degrade(Family::V4, 20, 0.0, 0.1, Window::days(0, 4))
+                    .dns_burst(DnsFailure::ServFail, 0.5, Window::days(1, 2)),
+                ..TrafficConfig::fast()
+            };
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut drops = DropCounters::default();
+            let local =
+                synthesize_profiles_with(&world, profiles.clone(), &cfg, |_, _| CollectSink::new());
+            for (summary, sink) in &local {
+                h = sink.records.iter().fold(h, fold_debug);
+                h = fold_debug(h, &(summary.gateway, summary.drops));
+                drops.absorb(summary.drops);
+            }
+            let mut provider = ProviderGateway::new(world.transition.nat64_prefix, gateway);
+            let mut sinks: Vec<CollectSink> = profiles.iter().map(|_| CollectSink::new()).collect();
+            let subscribers = synthesize_isp(&world, &profiles, &cfg, &mut provider, &mut sinks);
+            for (stats, sink) in subscribers.iter().zip(&sinks) {
+                h = sink.records.iter().fold(h, fold_debug);
+                h = fold_debug(h, stats);
+            }
+            (
+                h,
+                drops,
+                subscribers.iter().map(|s| s.rejected).sum::<u64>(),
+            )
+        };
+        let (h, drops, rejected) = digest(1);
+        for cause in [
+            DropCause::GatewayOutage,
+            DropCause::PoolExhausted,
+            DropCause::PathLoss,
+            DropCause::DnsFailure,
+        ] {
+            assert!(drops.get(cause) > 0, "{cause:?} never fired: {drops:?}");
+        }
+        assert!(rejected > 0, "the shared pool must refuse offers");
+        assert_eq!(digest(3).0, h, "digest differs across thread layouts");
+        assert_eq!(h, 0x8089_f44c_aa20_bc74, "digest {h:#018x}");
+    }
+
     #[test]
     fn streaming_collect_sink_matches_materialized() {
         let world = World::generate(&WorldConfig::small());
