@@ -19,7 +19,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// The sampling policy, the same for every probe: warm up for
 /// `WARMUP_MS`, size each sample to about `SAMPLE_MS` of iterations, and
-/// report the median per-iteration time over `SAMPLES` samples.
+/// report the median per-iteration time over `SAMPLES` samples, to one
+/// decimal of a nanosecond as the criterion shim prints it.
 const WARMUP_MS: u64 = 300;
 const SAMPLE_MS: u64 = 50;
 const SAMPLES: usize = 15;
@@ -46,7 +47,7 @@ struct Host {
 struct Row {
     name: &'static str,
     layer: &'static str,
-    median_ns: u64,
+    median_ns: f64,
     samples: usize,
 }
 
@@ -119,7 +120,7 @@ fn measure(date: &str, probes: Vec<Probe>) -> Result<Snapshot, String> {
 /// predictors are warm), calibrate how many iterations fill [`SAMPLE_MS`]
 /// (so timer overhead amortises on fast probes), then time [`SAMPLES`]
 /// batches of that size. The first failing call ends the measurement.
-fn median_ns<E>(run: &mut dyn FnMut() -> Result<(), E>) -> Result<u64, E> {
+fn median_ns<E>(run: &mut dyn FnMut() -> Result<(), E>) -> Result<f64, E> {
     let warmup = Duration::from_millis(WARMUP_MS);
     let t0 = Instant::now();
     let mut warm_iters = 0u64;
@@ -135,10 +136,16 @@ fn median_ns<E>(run: &mut dyn FnMut() -> Result<(), E>) -> Result<u64, E> {
         for _ in 0..iters {
             run()?;
         }
-        times.push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / iters);
+        times.push(t0.elapsed().as_nanos() as f64 / iters as f64);
     }
-    times.sort_unstable();
-    Ok(times[times.len() / 2])
+    times.sort_unstable_by(f64::total_cmp);
+    Ok(one_decimal(times[times.len() / 2]))
+}
+
+/// `ns` rounded to one decimal: near the timer floor (rows of 10–20 ns)
+/// whole nanoseconds would lose up to a tenth of the value.
+fn one_decimal(ns: f64) -> f64 {
+    (ns * 10.0).round() / 10.0
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +250,7 @@ mod tests {
             results: vec![Row {
                 name: "row",
                 layer: "layer",
-                median_ns: 1_000,
+                median_ns: 11.3,
                 samples: SAMPLES,
             }],
         }
@@ -290,6 +297,7 @@ mod tests {
             assert_eq!(cpus.and_then(Value::as_u64), Some(2));
             let row = &last.get("results").and_then(Value::as_array).unwrap()[0];
             assert_eq!(row.get("layer").and_then(Value::as_str), Some("layer"));
+            assert_eq!(row.get("median_ns").and_then(Value::as_f64), Some(11.3));
         }
     }
 
@@ -335,6 +343,22 @@ mod tests {
             let err = run(&dir, check).expect_err("no ledgers to read");
             assert!(err.contains("BENCH_lpm.json"), "{err}");
         }
+    }
+
+    #[test]
+    fn fractional_per_iteration_times_keep_one_decimal() {
+        // 11 340 ns over 1 000 iterations: whole nanoseconds would store 11.
+        assert_eq!(one_decimal(11_340.0 / 1_000.0), 11.3);
+        assert_eq!(one_decimal(13_960.0 / 1_000.0), 14.0);
+        let mut calls = 0u64;
+        let ns = median_ns(&mut || -> Result<(), ()> {
+            calls += 1;
+            std::hint::black_box(calls);
+            Ok(())
+        })
+        .unwrap();
+        assert!(ns > 0.0, "a timed call took {ns} ns");
+        assert_eq!(ns, one_decimal(ns), "the median is stored to one decimal");
     }
 
     #[test]

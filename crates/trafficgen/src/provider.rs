@@ -7,10 +7,11 @@
 //!
 //! 1. **Demand generation** — every `(day, subscriber)` pair is
 //!    synthesized independently (provider gateway mode: stateless address
-//!    mapping, no admission yet) and buffered. The pairs run over
-//!    `config.threads` workers on [`obs::par::ordered`]; each stream is a
-//!    pure function of the seed, so the buffers are byte-identical at any
-//!    thread count.
+//!    mapping, no admission yet) and buffered, on the one residence-day
+//!    driver the day-local cohort of [`crate::synth`] also runs on. The
+//!    pairs run over `config.threads` workers on [`obs::par::ordered`]
+//!    (inline at one thread); each stream is a pure function of the seed,
+//!    so the buffers are byte-identical at any thread count.
 //! 2. **Admission replay** — the buffers are replayed *sequentially*
 //!    through the shared gateway in canonical order (day 0: subscriber 0,
 //!    then subscriber 1, …; then day 1). Translated records that win a
@@ -28,10 +29,10 @@
 //! size in a CGN sweep) out over [`obs::par::fan_out`].
 
 use crate::profile::ResidenceProfile;
-use crate::synth::{synthesize_day_into, GatewayMode, ResidenceCtx, ResidenceSetup, TrafficConfig};
+use crate::synth::{for_each_day, GatewayMode, ResidenceSetup, TrafficConfig};
 use crate::HOUR_US;
 use faults::PoolTarget;
-use flowmon::sink::{CollectSink, FlowSink, NullSink};
+use flowmon::sink::{FlowSink, NullSink};
 use serde::Serialize;
 use transition::provider::{Admission, ProviderDayStats, ProviderGateway, ProviderPool};
 use transition::{AccessTech, GatewayConfig, GatewayStats};
@@ -106,24 +107,13 @@ pub fn synthesize_isp<S: FlowSink>(
     let plan = &config.faults;
     let base_capacity = config.gateway.capacity;
     let subscribers = setups.len();
-    let tasks = (0..config.num_days)
-        .flat_map(|day| (0..subscribers).map(move |i| (day, i)))
-        .collect();
     let mut outage_today = false;
-    obs::par::ordered(
-        tasks,
-        config.threads,
-        |_, (day, i)| {
-            let ctx = ResidenceCtx {
-                world,
-                config,
-                setup: &setups[i],
-            };
-            let mut buf = CollectSink::new();
-            synthesize_day_into(&ctx, day, GatewayMode::Provider, &mut buf);
-            (day, i, buf.into_records())
-        },
-        |_, (day, i, records)| {
+    for_each_day(
+        world,
+        config,
+        &setups,
+        GatewayMode::Provider,
+        |day, i, out| {
             if i == 0 {
                 if !plan.is_empty() {
                     gateway.set_capacity(plan.pool_capacity(base_capacity, day));
@@ -136,7 +126,7 @@ pub fn synthesize_isp<S: FlowSink>(
                 outage_today = !plan.is_empty() && plan.gateway_outage_on_day(day);
             }
             let dslite = profiles[i].access_tech == AccessTech::DsLite;
-            for record in &records {
+            for record in &out.records {
                 if outage_today {
                     let hour = ((record.start % flowmon::DAY) / HOUR_US) as u32;
                     gateway.set_outage(
@@ -237,6 +227,7 @@ pub fn synthesize_isps(world: &World, isps: Vec<IspSpec>, config: &TrafficConfig
 mod tests {
     use super::*;
     use crate::profile::isp_cohort;
+    use flowmon::sink::CollectSink;
     use worldgen::WorldConfig;
 
     fn world() -> World {

@@ -9,13 +9,13 @@
 //! device population) comes from a residence-level stream seeded without a
 //! day component.
 //!
-//! Records are *pushed*, not materialized: every completed flow goes
-//! straight into the caller's [`FlowSink`] in a deterministic order —
-//! records of one (residence, day) contiguously and in emission order, days
-//! ascending. The sink is the only way to consume the stream: aggregate
-//! sinks run a synthesis in O(aggregator) memory however many days are
-//! simulated, and a caller that needs the records themselves passes a
-//! [`CollectSink`].
+//! Records are *pushed*, not materialized: each (residence, day) is
+//! buffered and then handed to the caller's [`FlowSink`] in a deterministic
+//! order — records of one (residence, day) contiguously and in emission
+//! order, days ascending. The sink is the only way to consume the stream:
+//! aggregate sinks run a synthesis in O(aggregator) memory plus a few day
+//! buffers, however many days are simulated, and a caller that needs the
+//! records themselves passes a [`CollectSink`](flowmon::sink::CollectSink).
 //!
 //! Residences whose [`ResidenceProfile::access_tech`] is not native
 //! dual-stack route their legacy traffic through the world's transition
@@ -24,17 +24,20 @@
 //! 464XLAT lines additionally push v4-literal application traffic through
 //! the CLAT, and DS-Lite lines tunnel IPv4 to an AFTR whose NAT44 binding
 //! table — like the NAT64's — can run out of ports under load. Those
-//! gateways come in two deployments: the historical *day-local* instances
-//! (one per residence-day), and the shared
-//! provider gateway of [`crate::provider`], which defers binding admission
-//! to a pool persisted across days and residences.
+//! gateways come in two deployments. A *day-local* gateway is one binding
+//! table per residence-day, consulted at emission time through
+//! `DayRun::admit`, the one admission point of every translated or
+//! tunneled flow and probe. The shared provider gateway of
+//! [`crate::provider`] instead admits the day's buffered stream against a
+//! pool persisted across days and residences. Both run on one
+//! `(day, residence)` driver.
 
 use crate::profile::ResidenceProfile;
 use crate::{DAY_US, HOUR_US};
 use dnssim::{Name, ResolveAddrs, Resolver};
 use faults::{DayPathFault, FaultPlan, FaultyResolver, PoolTarget, DNS_STREAM, FLOW_DROP_STREAM};
-use flowmon::sink::{CollectSink, FlowSink};
-use flowmon::{DropCause, DropCounters, FlowKey, RouterMonitor};
+use flowmon::sink::FlowSink;
+use flowmon::{DropCause, DropCounters, FlowKey, FlowRecord, RouterMonitor};
 use happyeyeballs::HappyEyeballs;
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::Family;
@@ -42,7 +45,7 @@ use netsim::{Network, PathProfile, MILLIS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use transition::{AccessTech, Aftr, Dns64, GatewayConfig, GatewayStats, Nat64Gateway};
+use transition::{AccessTech, BindingTable, Dns64, GatewayConfig, GatewayStats};
 use worldgen::clientsvc::{ClientServiceRuntime, ServiceKind};
 use worldgen::World;
 
@@ -71,12 +74,13 @@ pub struct TrafficConfig {
     /// materialize; fractions are scale-invariant and absolute totals are
     /// rescaled by 1/scale in reports.
     pub scale: f64,
-    /// Worker threads over the flattened `(residence, day)` task list
-    /// (1 = sequential: every day streams straight into its sink). Days
-    /// derive independent RNGs from `(seed, residence, day)`, so output is
-    /// identical at any thread count. With more than one worker each day
-    /// buffers before flushing to its residence's sink in day order, so
-    /// peak memory grows by `2 × threads` day buffers, not O(run).
+    /// Worker threads over the day-major `(day, residence)` task list
+    /// (1 = sequential, inline on the calling thread). Days derive
+    /// independent RNGs from `(seed, residence, day)`, so output is
+    /// identical at any thread count. Each day buffers before it is
+    /// flushed to its residence's sink, days ascending, so peak memory
+    /// grows by one day buffer at one thread and by `2 × threads` day
+    /// buffers otherwise, not O(run).
     pub threads: usize,
     /// Binding-table limits of the NAT64/AFTR gateways serving translated
     /// residences (shrink to provoke the exhaustion scenario).
@@ -167,14 +171,15 @@ fn day_seed(seed: u64, residence_index: u64, day: u32) -> u64 {
 
 /// Cohort synthesis: every residence gets its own sink (built by
 /// `make_sink` from the residence's index and profile) and receives its
-/// days in order while `(residence, day)` tasks run over `config.threads`
+/// days in order while `(day, residence)` tasks run over `config.threads`
 /// workers. Sinks are fed on the calling thread. Returns summaries and the
 /// filled sinks in input order.
 ///
 /// Residence `i` derives all randomness from `(seed, i)` and, inside,
 /// `(seed, i, day)` alone, so output is byte-identical at any `threads`.
 /// With aggregator sinks the whole run completes in
-/// O(residences × aggregator) memory — no flow record outlives its push.
+/// O(residences × aggregator) memory — no flow record outlives the
+/// hand-off of its day.
 pub fn synthesize_profiles_with<S, F>(
     world: &World,
     profiles: Vec<ResidenceProfile>,
@@ -197,26 +202,33 @@ where
 
 impl ResidenceSummary {
     /// Fold in one day's gateway counters and fault casualties.
-    fn absorb(&mut self, (gateway, drops): (Option<GatewayStats>, DropCounters)) {
-        if let Some(stats) = gateway {
+    fn absorb(&mut self, day: &DayOutput) {
+        if let Some(stats) = day.gateway {
             self.gateway
                 .get_or_insert_with(GatewayStats::default)
                 .absorb(stats);
         }
-        self.drops.absorb(drops);
+        self.drops.absorb(day.drops);
     }
 }
 
-/// The one synthesis driver: every day of every `(residence_index,
-/// profile)` into `sinks`, one sink per residence, days ascending.
+/// One synthesized residence-day.
+pub(crate) struct DayOutput {
+    /// The day's records, in emission order.
+    pub(crate) records: Vec<FlowRecord>,
+    /// The day-local gateway's counters, when the day had one.
+    gateway: Option<GatewayStats>,
+    /// Flows lost to the fault plane, by cause.
+    drops: DropCounters,
+}
+
+/// Cohort synthesis: every day of every `(residence_index, profile)` into
+/// `sinks`, one sink per residence, days ascending.
 ///
-/// At one thread each day streams straight into its sink, so no day is
-/// ever buffered. Otherwise the flattened `(residence, day)` task list runs
-/// on [`obs::par::ordered`]: each worker buffers one day, and the calling
-/// thread hands it to its residence's sink as one
-/// [`FlowSink::accept_batch`] in task order — so a cohort's slowest
-/// residence no longer sets the critical path, and the record sequence
-/// every sink sees is the sequential one.
+/// Runs on [`for_each_day`]: each buffered residence-day reaches its
+/// residence's sink as one [`FlowSink::accept_batch`], so a cohort's
+/// slowest residence does not set the critical path, and the record
+/// sequence every sink sees is the same at any thread count.
 fn synthesize_cohort<S: FlowSink>(
     world: &World,
     config: &TrafficConfig,
@@ -236,36 +248,43 @@ fn synthesize_cohort<S: FlowSink>(
             (summary, ResidenceSetup::build(world, config, profile, i))
         })
         .unzip();
-    let ctx = |r: usize| ResidenceCtx {
-        world,
-        config,
-        setup: &setups[r],
-    };
-    if config.threads <= 1 {
-        for (r, sink) in sinks.iter_mut().enumerate() {
-            for day in 0..config.num_days {
-                summaries[r].absorb(synthesize_day_into(&ctx(r), day, GatewayMode::Local, sink));
-            }
-        }
-    } else {
-        let tasks = (0..setups.len())
-            .flat_map(|r| (0..config.num_days).map(move |day| (r, day)))
-            .collect();
-        obs::par::ordered(
-            tasks,
-            config.threads,
-            |_, (r, day)| {
-                let mut buf = CollectSink::new();
-                let outcome = synthesize_day_into(&ctx(r), day, GatewayMode::Local, &mut buf);
-                (r, buf.into_records(), outcome)
-            },
-            |_, (r, records, outcome)| {
-                sinks[r].accept_batch(&records);
-                summaries[r].absorb(outcome);
-            },
-        );
-    }
+    for_each_day(world, config, &setups, GatewayMode::Local, |_, r, out| {
+        sinks[r].accept_batch(&out.records);
+        summaries[r].absorb(&out);
+    });
     summaries
+}
+
+/// The one `(residence, day)` driver of the cohort and of
+/// [`crate::provider::synthesize_isp`]. The day-major `(day, residence)`
+/// task list runs on [`obs::par::ordered`] over `config.threads` workers
+/// (inline at one thread); each task buffers one residence-day, and
+/// `on_day(day, residence, output)` sees it on the calling thread in task
+/// order — so every residence's days arrive ascending, and the sequence is
+/// the same at any thread count.
+pub(crate) fn for_each_day(
+    world: &World,
+    config: &TrafficConfig,
+    setups: &[ResidenceSetup],
+    mode: GatewayMode,
+    mut on_day: impl FnMut(u32, usize, DayOutput),
+) {
+    let tasks = (0..config.num_days)
+        .flat_map(|day| (0..setups.len()).map(move |r| (day, r)))
+        .collect();
+    obs::par::ordered(
+        tasks,
+        config.threads,
+        |_, (day, r)| {
+            let ctx = ResidenceCtx {
+                world,
+                config,
+                setup: &setups[r],
+            };
+            (day, r, synthesize_day(&ctx, day, mode))
+        },
+        |_, (day, r, out)| on_day(day, r, out),
+    );
 }
 
 /// Per-residence state stable across days: LAN addressing, the device
@@ -273,14 +292,14 @@ fn synthesize_cohort<S: FlowSink>(
 /// from the residence-level RNG stream, then shared read-only by every day
 /// worker (and, in provider mode, across the whole run).
 pub(crate) struct ResidenceSetup {
-    pub(crate) profile: ResidenceProfile,
-    pub(crate) devices: Vec<Device>,
-    pub(crate) base_weights: Vec<f64>,
-    pub(crate) residence_factor: f64,
-    pub(crate) dual_share: f64,
-    pub(crate) lan4: Prefix4,
-    pub(crate) lan6: Prefix6,
-    pub(crate) residence_index: u64,
+    profile: ResidenceProfile,
+    devices: Vec<Device>,
+    base_weights: Vec<f64>,
+    residence_factor: f64,
+    dual_share: f64,
+    lan4: Prefix4,
+    lan6: Prefix6,
+    residence_index: u64,
 }
 
 impl ResidenceSetup {
@@ -305,29 +324,26 @@ impl ResidenceSetup {
             residence_index < 65_000,
             "residence_index {residence_index} exceeds the LAN addressing plan (max 64999)"
         );
-        let (lan4, lan6): (Prefix4, Prefix6) = if residence_index < 255 {
+        let db8 = 0x2001_0db8u128 << 96;
+        let (lan4, lan6) = if residence_index < 255 {
             (
-                format!("192.168.{}.0/24", residence_index + 1)
-                    .parse()
-                    .expect("valid LAN prefix"),
-                format!("2001:db8:{:x}00::/56", residence_index + 1)
-                    .parse()
-                    .expect("valid LAN prefix"),
+                Prefix4::new(Ipv4Addr::new(192, 168, residence_index as u8 + 1, 0), 24),
+                // 2001:db8:<idx+1>00::/56.
+                Prefix6::new(
+                    Ipv6Addr::from(db8 | ((residence_index as u128 + 1) << 88)),
+                    56,
+                ),
             )
         } else {
             let i = residence_index - 255;
             (
-                format!("10.{}.{}.0/24", i >> 8, i & 0xff)
-                    .parse()
-                    .expect("valid LAN prefix"),
+                Prefix4::new(Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 0), 24),
                 // Subnet id at the /56 boundary (bits 72..96). Small
                 // residences sit at multiples of 2^88, i.e. subnet ids
                 // that are multiples of 0x10000 at this scale — first
                 // possible collision at index 65535, above the assert.
                 Prefix6::new(
-                    std::net::Ipv6Addr::from(
-                        (0x2001_0db8u128 << 96) | ((residence_index as u128 + 1) << 72),
-                    ),
+                    Ipv6Addr::from(db8 | ((residence_index as u128 + 1) << 72)),
                     56,
                 ),
             )
@@ -387,17 +403,19 @@ impl ResidenceSetup {
 
 /// Read-only view a day worker gets: the world, the run configuration and
 /// the residence's stable setup.
-pub(crate) struct ResidenceCtx<'a> {
-    pub(crate) world: &'a World,
-    pub(crate) config: &'a TrafficConfig,
-    pub(crate) setup: &'a ResidenceSetup,
+struct ResidenceCtx<'a> {
+    world: &'a World,
+    config: &'a TrafficConfig,
+    setup: &'a ResidenceSetup,
 }
 
-/// How a day's translated traffic meets its stateful gateway.
+/// How a day's translated traffic meets its stateful gateway. Read only
+/// where a [`DayRun`] is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum GatewayMode {
-    /// The historical model: a fresh NAT64/AFTR per (residence, day);
-    /// exhausted pools drop flows at emission time.
+    /// The historical model: a fresh NAT64/AFTR binding table per
+    /// (residence, day); outages and exhausted pools drop flows at
+    /// emission time.
     Local,
     /// Shared provider gateway ([`crate::provider`]): addresses are mapped
     /// statelessly here and *admission* happens later, when the provider
@@ -520,9 +538,8 @@ impl SportAlloc {
     }
 }
 
-/// Mutable per-day machinery: RNG, router, port counter, the output sink
-/// and (for translated access technologies in [`GatewayMode::Local`]) the
-/// stateful gateways.
+/// Mutable per-day machinery: RNG, router, port counter, the day's records
+/// and the day-local stateful gateway, which [`DayRun::admit`] consults.
 ///
 /// Local-mode gateways are instantiated per day — the price of day
 /// independence (and thus day-level parallelism). This is an
@@ -533,17 +550,18 @@ impl SportAlloc {
 /// understated and reported rejection rates are a lower bound. At the
 /// default two-minute timeout the effect is negligible; the shared
 /// cross-day pool is exactly what [`crate::provider`] adds.
-struct DayRun<'a, S: FlowSink> {
+struct DayRun<'a> {
     ctx: &'a ResidenceCtx<'a>,
     rng: SmallRng,
     router: RouterMonitor,
     sports: SportAlloc,
-    mode: GatewayMode,
-    nat64: Option<Nat64Gateway>,
-    aftr: Option<Aftr>,
+    /// The pool an outage must hit and its binding table: NAT64 on an
+    /// IPv6-only wire, AFTR on DS-Lite. `None` on other lines and under a
+    /// provider gateway, which admits the day's stream on replay.
+    gateway: Option<(PoolTarget, BindingTable)>,
     faults: Option<DayFaults>,
     drops: DropCounters,
-    sink: &'a mut S,
+    records: Vec<FlowRecord>,
 }
 
 /// The fault plane's per-day machinery, built only for a non-empty plan
@@ -573,24 +591,37 @@ impl DayFaults {
     }
 }
 
-impl<S: FlowSink> DayRun<'_, S> {
-    /// Scope, finalize and push one record to the sink.
+impl DayRun<'_> {
+    /// Scope, finalize and record one flow.
     fn emit(&mut self, key: FlowKey, start: u64, end: u64, bytes_orig: u64, bytes_reply: u64) {
-        // The single logical emission point: day-buffered layouts replay
-        // these records into the outer sink mechanically, so counting the
-        // replay too would double-count and break layout invariance.
+        // The single logical emission point: the driver hands the day's
+        // records to the outer sink mechanically, so counting the hand-off
+        // too would double-count.
         obs::counter_add("synth.flows_emitted", 1);
         obs::hist_record("synth.flow_bytes", bytes_orig + bytes_reply);
         obs::hist_record("synth.flow_duration_ms", (end - start) / 1_000);
         let record = self
             .router
             .observe(key, start, end, bytes_orig, bytes_reply);
-        self.sink.accept(&record);
+        self.records.push(record);
+    }
+
+    /// Admit a translated or tunneled flow lasting `[start, end]` through
+    /// the day-local gateway. A scheduled outage refuses it before the
+    /// pool is consulted (a pure window check, no RNG); then the pool must
+    /// grant a binding. `Ok` when the day has no local gateway.
+    fn admit(&mut self, start: u64, end: u64, day: u32, hour: u32) -> Result<(), DropCause> {
+        let Some((pool, table)) = &mut self.gateway else {
+            return Ok(());
+        };
+        if self.ctx.config.faults.gateway_down(*pool, day, hour) {
+            return Err(DropCause::GatewayOutage);
+        }
+        table.bind(start, end).map_err(|_| DropCause::PoolExhausted)
     }
 
     /// Emit one external service flow of `bytes` total volume. Returns
     /// `false` when the flow was refused (gateway exhausted / no path).
-    #[allow(clippy::too_many_arguments)]
     fn emit_external(
         &mut self,
         svc: &ClientServiceRuntime,
@@ -599,9 +630,8 @@ impl<S: FlowSink> DayRun<'_, S> {
         day: u32,
         hour: u32,
     ) -> bool {
-        let tech = self.ctx.setup.profile.access_tech;
-        let mode = self.mode;
-        let nat64_prefix = self.ctx.world.transition.nat64_prefix;
+        let ctx = self.ctx;
+        let tech = ctx.setup.profile.access_tech;
         // Injected path drops decide *before* any synthesis-RNG draw, so a
         // dropped flow consumes nothing from the day stream and every
         // surviving flow's randomness is untouched by the fault plane.
@@ -612,7 +642,7 @@ impl<S: FlowSink> DayRun<'_, S> {
             }
         }
         let rng = &mut self.rng;
-        let devices = &self.ctx.setup.devices;
+        let devices = &ctx.setup.devices;
         let start = day as u64 * DAY_US + hour as u64 * HOUR_US + rng.gen_range(0..HOUR_US);
         let duration = match svc.service.kind {
             ServiceKind::Streaming | ServiceKind::LiveVideo => {
@@ -624,7 +654,9 @@ impl<S: FlowSink> DayRun<'_, S> {
         };
         let sport = self.sports.alloc(start, start + duration);
 
-        let (src, dst, src_v4) = if family_v6 {
+        // The device's IPv4 address is where a Happy Eyeballs residue of a
+        // v6 flow comes from: the same host's losing IPv4 attempt.
+        let (src, dst, src4) = if family_v6 {
             // Native IPv6 flow. On dual-stack/DS-Lite lines this needs a
             // device with working WAN IPv6; on an IPv6-only wire every
             // device is v6-provisioned by definition (the bucket can only
@@ -642,72 +674,26 @@ impl<S: FlowSink> DayRun<'_, S> {
                 }
             };
             let dst = svc.v6[rng.gen_range(0..svc.v6.len())];
-            (IpAddr::V6(device.v6), dst, Some(device.v4))
+            (IpAddr::V6(device.v6), dst, device.v4)
         } else {
             let device = &devices[rng.gen_range(0..devices.len())];
             let IpAddr::V4(dst4) = svc.v4[rng.gen_range(0..svc.v4.len())] else {
                 unreachable!("service v4 pool holds IPv4 addresses");
             };
-            match tech {
-                AccessTech::Ipv6OnlyNat64 | AccessTech::Xlat464 => {
-                    // Legacy traffic crosses the wire as IPv6 towards the
-                    // RFC 6052 mapping of the true destination; each flow
-                    // consumes a NAT64 binding (locally here, or at the
-                    // shared provider during its replay).
-                    let dst6 = match mode {
-                        GatewayMode::Local => {
-                            // A scheduled outage rejects before the pool is
-                            // even consulted (pure window check, no RNG).
-                            if self
-                                .ctx
-                                .config
-                                .faults
-                                .gateway_down(PoolTarget::Nat64, day, hour)
-                            {
-                                self.drops.record(DropCause::GatewayOutage);
-                                return false;
-                            }
-                            let gw = self.nat64.as_mut().expect("v6-only line has a NAT64");
-                            match gw.translate(dst4, start, start + duration) {
-                                Ok(d) => d,
-                                Err(_) => {
-                                    // pool exhausted: flow dropped
-                                    self.drops.record(DropCause::PoolExhausted);
-                                    return false;
-                                }
-                            }
-                        }
-                        GatewayMode::Provider => nat64_prefix.embed(dst4),
-                    };
-                    (IpAddr::V6(device.v6), IpAddr::V6(dst6), None)
-                }
-                AccessTech::DsLite => {
-                    // Inner IPv4 flow over the softwire; the AFTR's NAT44
-                    // must grant a binding (unless an outage rejects first).
-                    if mode == GatewayMode::Local {
-                        if self
-                            .ctx
-                            .config
-                            .faults
-                            .gateway_down(PoolTarget::Aftr, day, hour)
-                        {
-                            self.drops.record(DropCause::GatewayOutage);
-                            return false;
-                        }
-                        if self
-                            .aftr
-                            .as_mut()
-                            .expect("DS-Lite line has an AFTR")
-                            .admit(start, start + duration)
-                            .is_err()
-                        {
-                            self.drops.record(DropCause::PoolExhausted);
-                            return false;
-                        }
-                    }
-                    (IpAddr::V4(device.v4), IpAddr::V4(dst4), None)
-                }
-                _ => (IpAddr::V4(device.v4), IpAddr::V4(dst4), None),
+            // A NAT64 or AFTR flow consumes a binding (locally here, or at
+            // the shared provider during its replay).
+            if let Err(cause) = self.admit(start, start + duration, day, hour) {
+                self.drops.record(cause);
+                return false;
+            }
+            if tech.v6_only_wire() {
+                // Legacy traffic crosses the wire as IPv6 towards the
+                // RFC 6052 mapping of the true destination.
+                let dst6 = ctx.world.transition.nat64_prefix.embed(dst4);
+                (IpAddr::V6(device.v6), IpAddr::V6(dst6), device.v4)
+            } else {
+                // Native IPv4, or DS-Lite's inner flow over the softwire.
+                (IpAddr::V4(device.v4), IpAddr::V4(dst4), device.v4)
             }
         };
 
@@ -725,58 +711,31 @@ impl<S: FlowSink> DayRun<'_, S> {
 
         // Happy Eyeballs residue: on lines with an IPv4 socket (native or
         // DS-Lite) a winning IPv6 connection can leave the losing IPv4
-        // attempt as a tiny flow.
+        // attempt as a tiny flow. A DS-Lite residue needs an AFTR binding,
+        // and a refused one is not counted as a drop.
         if family_v6
             && matches!(tech, AccessTech::NativeDualStack | AccessTech::DsLite)
             && self.rng.gen::<f64>() < HE_BOTH_FLOW_RATE
+            && self.admit(start, start + 2_000_000, day, hour).is_ok()
         {
-            let residue_ok = match tech {
-                AccessTech::DsLite => match self.mode {
-                    GatewayMode::Local => {
-                        !self
-                            .ctx
-                            .config
-                            .faults
-                            .gateway_down(PoolTarget::Aftr, day, hour)
-                            && self
-                                .aftr
-                                .as_mut()
-                                .expect("DS-Lite line has an AFTR")
-                                .admit(start, start + 2_000_000)
-                                .is_ok()
-                    }
-                    GatewayMode::Provider => true,
-                },
-                _ => true,
-            };
-            if residue_ok {
-                // The residue is the *same host's* losing IPv4 attempt, so
-                // it must originate from the device that won over v6.
-                let src4 = src_v4.expect("v6 emission recorded its device");
-                let v4dst = svc.v4[self.rng.gen_range(0..svc.v4.len())];
-                let k = FlowKey::tcp(
-                    IpAddr::V4(src4),
-                    self.sports.companion_port(start),
-                    v4dst,
-                    443,
-                );
-                self.emit(k, start, start + 2_000_000, 300, 300);
-            }
+            let v4dst = svc.v4[self.rng.gen_range(0..svc.v4.len())];
+            let k = FlowKey::tcp(
+                IpAddr::V4(src4),
+                self.sports.companion_port(start),
+                v4dst,
+                443,
+            );
+            self.emit(k, start, start + 2_000_000, 300, 300);
         }
         true
     }
 }
 
-/// Synthesize one day of one residence into `sink`. Pure function of
-/// `(config.seed, residence_index, day)` plus the world; returns the
-/// day-local gateway counters when the technology and mode use one, plus
-/// the day's fault-plane casualties (all-zero under an empty plan).
-pub(crate) fn synthesize_day_into<S: FlowSink>(
-    ctx: &ResidenceCtx<'_>,
-    day: u32,
-    mode: GatewayMode,
-    sink: &mut S,
-) -> (Option<GatewayStats>, DropCounters) {
+/// Synthesize one day of one residence. Pure function of
+/// `(config.seed, residence_index, day)` plus the world; the output holds
+/// the day-local gateway counters when the technology and mode use one,
+/// and the day's fault-plane casualties (all-zero under an empty plan).
+fn synthesize_day(ctx: &ResidenceCtx<'_>, day: u32, mode: GatewayMode) -> DayOutput {
     let _span = obs::span!("day", day = day);
     let config = ctx.config;
     let setup = ctx.setup;
@@ -788,7 +747,7 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
     let dns64 = Dns64::new(resolver, nat64_prefix);
     let he = HappyEyeballs::default();
     let plan = &config.faults;
-    // Scheduled pool shrink: the day-local gateways are built with today's
+    // Scheduled pool shrink: the day-local gateway is built with today's
     // effective capacity (restored automatically on uncovered days).
     let gateway_config = if plan.is_empty() {
         config.gateway
@@ -893,22 +852,32 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
     } else {
         plan.dns_for_day(day)
     };
-    let faulty: Option<FaultyResolver<&dyn ResolveAddrs>> = (!dns_bursts.is_empty()).then(|| {
-        let inner: &dyn ResolveAddrs = if tech.v6_only_wire() {
-            &dns64
-        } else {
-            &resolver
-        };
+    let clean: &dyn ResolveAddrs = if tech.v6_only_wire() {
+        &dns64
+    } else {
+        &resolver
+    };
+    let faulty = (!dns_bursts.is_empty()).then(|| {
         FaultyResolver::new(
-            inner,
+            clean,
             dns_bursts,
             plan.stream(DNS_STREAM, setup.residence_index, day),
         )
     });
+    let resolve: &dyn ResolveAddrs = match &faulty {
+        Some(f) => f,
+        None => clean,
+    };
     let mut day_drops = DropCounters::default();
 
     // One Happy Eyeballs race per service per day decides whether IPv6 (or,
     // behind DNS64, the translated path) is usable towards that service.
+    let mut race = |s: &ClientServiceRuntime| {
+        let fqdn = Name::new(&format!("edge0.{}", s.service.domain));
+        he.connect(&net, &resolve, &mut rng, &fqdn, 0)
+            .winning_family()
+            == Some(Family::V6)
+    };
     let v6_usable: Vec<bool> = services
         .iter()
         .map(|s| match tech {
@@ -917,12 +886,7 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
                 if total_outage {
                     return false;
                 }
-                let fqdn = Name::new(&format!("edge0.{}", s.service.domain));
-                let race = match &faulty {
-                    Some(f) => he.connect(&net, f, &mut rng, &fqdn, 0),
-                    None => he.connect(&net, &dns64, &mut rng, &fqdn, 0),
-                };
-                let usable = race.winning_family() == Some(Family::V6);
+                let usable = race(s);
                 if !usable && faulty.is_some() {
                     // On a v6-only wire a lost race blacks the service out
                     // for the day; under an active burst, attribute it.
@@ -930,17 +894,7 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
                 }
                 usable
             }
-            _ => {
-                if s.v6.is_empty() {
-                    return false;
-                }
-                let fqdn = Name::new(&format!("edge0.{}", s.service.domain));
-                let race = match &faulty {
-                    Some(f) => he.connect(&net, f, &mut rng, &fqdn, 0),
-                    None => he.connect(&net, &resolver, &mut rng, &fqdn, 0),
-                };
-                race.winning_family() == Some(Family::V6)
-            }
+            _ => !s.v6.is_empty() && race(s),
         })
         .collect();
 
@@ -981,17 +935,20 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
         rng,
         router,
         sports: SportAlloc::new(10_000, day as u64 * DAY_US),
-        mode,
-        nat64: (mode == GatewayMode::Local && tech.v6_only_wire())
-            .then(|| Nat64Gateway::new(nat64_prefix, gateway_config)),
-        aftr: (mode == GatewayMode::Local && tech == AccessTech::DsLite)
-            .then(|| Aftr::new(gateway_config)),
+        // In local mode a line with a stateful gateway gets today's table.
+        gateway: match mode {
+            GatewayMode::Provider => None,
+            GatewayMode::Local if tech.v6_only_wire() => Some(PoolTarget::Nat64),
+            GatewayMode::Local if tech == AccessTech::DsLite => Some(PoolTarget::Aftr),
+            GatewayMode::Local => None,
+        }
+        .map(|pool| (pool, BindingTable::new(gateway_config))),
         faults: (!plan.is_empty()).then(|| DayFaults {
             rng: plan.stream(FLOW_DROP_STREAM, setup.residence_index, day),
             path: plan.path_for_day(day),
         }),
         drops: day_drops,
-        sink,
+        records: Vec::new(),
     };
 
     // Byte/flow-mass accumulators per (service, family bucket): hours whose
@@ -1110,29 +1067,11 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
                         let IpAddr::V4(d4) = svc.v4[run.rng.gen_range(0..svc.v4.len())] else {
                             unreachable!("service v4 pool holds IPv4 addresses");
                         };
-                        match run.mode {
-                            GatewayMode::Local => {
-                                if run
-                                    .ctx
-                                    .config
-                                    .faults
-                                    .gateway_down(PoolTarget::Nat64, day, hour)
-                                {
-                                    run.drops.record(DropCause::GatewayOutage);
-                                    continue;
-                                }
-                                let gw = run.nat64.as_mut().expect("v6-only line has a NAT64");
-                                match gw.translate(d4, start, start + 1_000_000) {
-                                    Ok(d6) => IpAddr::V6(d6),
-                                    Err(_) => {
-                                        // pool exhausted: probe lost
-                                        run.drops.record(DropCause::PoolExhausted);
-                                        continue;
-                                    }
-                                }
-                            }
-                            GatewayMode::Provider => IpAddr::V6(nat64_prefix.embed(d4)),
+                        if let Err(cause) = run.admit(start, start + 1_000_000, day, hour) {
+                            run.drops.record(cause);
+                            continue;
                         }
+                        IpAddr::V6(nat64_prefix.embed(d4))
                     } else {
                         svc.v6[run.rng.gen_range(0..svc.v6.len())]
                     };
@@ -1140,21 +1079,9 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
                 } else {
                     // DS-Lite: the tunneled v4 probe needs an AFTR binding
                     // like any other softwire flow.
-                    if tech == AccessTech::DsLite && run.mode == GatewayMode::Local {
-                        if run
-                            .ctx
-                            .config
-                            .faults
-                            .gateway_down(PoolTarget::Aftr, day, hour)
-                        {
-                            run.drops.record(DropCause::GatewayOutage);
-                            continue;
-                        }
-                        let aftr = run.aftr.as_mut().expect("DS-Lite line has an AFTR");
-                        if aftr.admit(start, start + 1_000_000).is_err() {
-                            run.drops.record(DropCause::PoolExhausted);
-                            continue;
-                        }
+                    if let Err(cause) = run.admit(start, start + 1_000_000, day, hour) {
+                        run.drops.record(cause);
+                        continue;
                     }
                     (
                         IpAddr::V4(device.v4),
@@ -1222,24 +1149,24 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
         }
     }
 
-    let stats = run
-        .nat64
-        .as_ref()
-        .map(|g| g.stats())
-        .or_else(|| run.aftr.as_ref().map(|a| a.stats()));
-    if let Some(s) = &stats {
+    let gateway = run.gateway.map(|(_, table)| table.stats());
+    if let Some(s) = &gateway {
         // Day-local gateways: one high-water sample per (residence, day) —
         // a pure function of the day's deterministic offer stream.
         obs::hist_record("gateway.pool_day_peak", s.peak_active as u64);
         obs::gauge_max("gateway.pool_peak_active", s.peak_active as u64);
     }
-    (stats, run.drops)
+    DayOutput {
+        records: run.records,
+        gateway,
+        drops: run.drops,
+    }
 }
 
-pub(crate) struct Device {
-    pub(crate) v4: Ipv4Addr,
-    pub(crate) v6: Ipv6Addr,
-    pub(crate) dual_stack: bool,
+struct Device {
+    v4: Ipv4Addr,
+    v6: Ipv6Addr,
+    dual_stack: bool,
 }
 
 fn lognormal<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f64 {
@@ -1275,7 +1202,8 @@ fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowmon::{FlowRecord, Scope};
+    use flowmon::sink::CollectSink;
+    use flowmon::Scope;
     use worldgen::WorldConfig;
 
     /// One residence's records, collected, and its summary.

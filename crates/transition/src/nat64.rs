@@ -6,9 +6,9 @@
 //! When the binding table is full, new flows are rejected until old bindings
 //! time out — the exhaustion scenario studied in the transition-technology
 //! comparison literature (CGN port exhaustion under heavy residential load).
-//! [`BindingTable`] models that resource; [`Nat64Gateway`] adds the RFC 6052
-//! address mapping on top, and [`Aftr`] reuses it as a plain NAT44 for
-//! tunneled DS-Lite traffic.
+//! [`BindingTable`] models that resource, and [`Nat64Gateway`] adds the
+//! RFC 6052 address mapping on top. A DS-Lite AFTR's NAT44 is a bare
+//! [`BindingTable`]: its inner IPv4 flows need a binding but no mapping.
 
 use crate::rfc6052::Nat64Prefix;
 use serde::Serialize;
@@ -199,38 +199,6 @@ impl Nat64Gateway {
     pub fn stats(&self) -> GatewayStats {
         self.table.stats()
     }
-
-    /// Currently active bindings.
-    pub fn active_count(&self) -> usize {
-        self.table.active_count()
-    }
-}
-
-/// The DS-Lite AFTR (RFC 6333): terminates the B4's IPv4-in-IPv6 softwire
-/// and runs carrier-grade NAT44 on the inner IPv4 flows. No family
-/// translation happens — the scarce resource is the same binding pool.
-#[derive(Debug, Clone, Default)]
-pub struct Aftr {
-    table: BindingTable,
-}
-
-impl Aftr {
-    /// An AFTR with the given CGN limits.
-    pub fn new(config: GatewayConfig) -> Aftr {
-        Aftr {
-            table: BindingTable::new(config),
-        }
-    }
-
-    /// Admit a tunneled IPv4 flow lasting `[start, end]`.
-    pub fn admit(&mut self, start: Time, end: Time) -> Result<(), BindError> {
-        self.table.bind(start, end)
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> GatewayStats {
-        self.table.stats()
-    }
 }
 
 #[cfg(test)]
@@ -288,14 +256,5 @@ mod tests {
         assert_eq!(rejected, 7);
         assert!((g.stats().rejection_rate() - 0.7).abs() < 1e-12);
         assert_eq!(g.stats().peak_active, 3);
-    }
-
-    #[test]
-    fn aftr_admits_like_a_nat44() {
-        let mut a = Aftr::new(tiny(1, 5));
-        assert!(a.admit(0, 10).is_ok());
-        assert!(a.admit(10, 20).is_err());
-        assert!(a.admit(15, 25).is_ok(), "freed at end(10) + timeout(5)");
-        assert_eq!(a.stats().granted, 2);
     }
 }
