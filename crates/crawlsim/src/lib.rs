@@ -822,4 +822,80 @@ mod tests {
         }
         assert!(identified > 50, "only {identified} service chains found");
     }
+
+    /// FNV-1a over the `Debug` form of `value`, which prints every field.
+    fn fold_debug(h: u64, value: &impl std::fmt::Debug) -> u64 {
+        format!("{value:?}").bytes().fold(h, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every field of every `SiteCrawl` of every epoch (outcomes, the main
+    /// page's and each resource's addresses and CNAME chains), then of the
+    /// latest epoch again after [`break_cname_walks`].
+    fn crawl_digest(mut w: World) -> u64 {
+        let h = (0..w.web.epochs.len()).fold(0xcbf2_9ce4_8422_2325, |h, e| {
+            let report = crawl_epoch(&w, e, &CrawlConfig::default());
+            report.sites.iter().fold(h, fold_debug)
+        });
+        break_cname_walks(&mut w);
+        let report = crawl_epoch(&w, w.latest_epoch(), &CrawlConfig::default());
+        let failed_fetches = report
+            .sites
+            .iter()
+            .filter_map(|s| s.outcome.as_ref().ok())
+            .flat_map(|ok| &ok.resources)
+            .filter(|r| !r.has_a && !r.has_aaaa)
+            .count();
+        assert!(failed_fetches > 0, "no fetch failed in both families");
+        report.sites.iter().fold(h, fold_debug)
+    }
+
+    /// Make some of the latest epoch's lookups fail after following a
+    /// CNAME, which the generated zones never do: every fifth CNAME target
+    /// answers SERVFAIL or times out, and every seventh name without a
+    /// CNAME gets one to a name that does not exist.
+    fn break_cname_walks(w: &mut World) {
+        let e = w.latest_epoch();
+        let zone = &mut w.web.epochs[e].zone;
+        let targets: std::collections::BTreeSet<Name> =
+            zone.names().filter_map(|n| zone.cname_target(n)).collect();
+        for (i, target) in targets.into_iter().enumerate().step_by(5) {
+            let mode = if i % 10 == 0 {
+                dnssim::FailureMode::ServFail
+            } else {
+                dnssim::FailureMode::Timeout
+            };
+            zone.inject_failure(target, mode);
+        }
+        let hosts: Vec<Name> = zone
+            .names()
+            .filter(|n| zone.cname_target(n).is_none())
+            .step_by(7)
+            .cloned()
+            .collect();
+        for (i, host) in hosts.into_iter().enumerate() {
+            zone.add_cname(host, Name::new(&format!("gone{i}.invalid")));
+        }
+    }
+
+    /// The crawl records the cloud attribution reads, pinned: a resolver
+    /// that reorders addresses or reports another chain for a failed
+    /// family fails here.
+    #[test]
+    fn crawl_digest_is_pinned() {
+        assert_eq!(crawl_digest(world()), 0xadce_b5ca_7144_0ce0);
+    }
+
+    /// The crawl digest at the `repro` default scale. Run with
+    /// `cargo test --release -p crawlsim -- --ignored`.
+    #[test]
+    #[ignore = "20k-site world: release-mode sweep"]
+    fn crawl_digest_is_pinned_at_20k_sites() {
+        let w = World::generate(&WorldConfig {
+            num_sites: 20_000,
+            ..WorldConfig::small()
+        });
+        assert_eq!(crawl_digest(w), 0xd1e2_3325_87bc_962c);
+    }
 }
