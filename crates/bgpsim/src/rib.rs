@@ -100,14 +100,6 @@ impl Rib {
             .collect()
     }
 
-    /// The matched prefix and origin for an address, if covered.
-    pub fn match_of(&self, addr: IpAddr) -> Option<(Prefix, AsId)> {
-        match addr {
-            IpAddr::V4(a) => self.v4.longest_match(a).map(|(p, asn)| (p.into(), *asn)),
-            IpAddr::V6(a) => self.v6.longest_match(a).map(|(p, asn)| (p.into(), *asn)),
-        }
-    }
-
     /// Number of announced prefixes (both families).
     pub fn len(&self) -> usize {
         self.v4.len() + self.v6.len()
@@ -171,15 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn match_of_reports_prefix() {
-        let mut rib = Rib::new();
-        rib.announce("198.51.100.0/24".parse().unwrap(), AsId(7));
-        let (p, asn) = rib.match_of("198.51.100.20".parse().unwrap()).unwrap();
-        assert_eq!(p.to_string(), "198.51.100.0/24");
-        assert_eq!(asn, AsId(7));
-    }
-
-    #[test]
     fn churn_is_seen_by_the_next_lookup_and_clones_stay_independent() {
         let mut rib = Rib::new();
         rib.announce("10.0.0.0/8".parse().unwrap(), AsId(1));
@@ -199,12 +182,7 @@ mod tests {
         assert_eq!(rib.origins_of(&addrs), after, "batched lookups after churn");
         for (&a, want) in addrs.iter().zip(&after) {
             assert_eq!(rib.origin_of(a), *want, "{a}");
-            assert_eq!(rib.match_of(a).map(|(_, asn)| asn), *want, "{a}");
         }
-        assert_eq!(
-            rib.match_of(addrs[0]).map(|(p, _)| p.to_string()),
-            Some("10.99.0.0/24".to_string())
-        );
         // Withdrawals uncover the covering routes again.
         rib.withdraw("10.99.0.0/24".parse().unwrap());
         rib.withdraw("10.0.0.0/8".parse().unwrap());

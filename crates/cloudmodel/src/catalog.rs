@@ -34,19 +34,6 @@ pub struct CloudOrg {
     pub v4_partner_group: Option<&'static str>,
 }
 
-impl CloudOrg {
-    /// The generator's target probability that a tenant domain on this org
-    /// is IPv6-enabled (derived from the paper's measured v6-full share;
-    /// v6-only orgs use their v6-only share).
-    pub fn adoption_target(&self) -> f64 {
-        if self.v4_partner_group.is_some() {
-            self.paper_pct_v6_only / 100.0
-        } else {
-            self.paper_pct_v6_full / 100.0
-        }
-    }
-}
-
 /// One identified cloud service (Table 2 rows).
 #[derive(Debug, Clone)]
 pub struct CloudService {
@@ -541,8 +528,6 @@ mod tests {
         let bunny = orgs.iter().find(|o| o.key == "bunnyway").unwrap();
         assert_eq!(bunny.v4_partner_group, Some("datacamp"));
         assert!(bunny.paper_pct_v6_only > 99.0);
-        // The adoption target for bunnyway derives from v6-only share.
-        assert!(bunny.adoption_target() > 0.9);
     }
 
     #[test]

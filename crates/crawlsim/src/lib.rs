@@ -45,7 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dnssim::{LookupOutcome, Name, Resolver};
+use dnssim::{AddrsOutcome, Name, ResolveAddrs, Resolver};
 use happyeyeballs::HappyEyeballs;
 use iputil::Family;
 use netsim::{Network, PathProfile, MILLIS};
@@ -337,8 +337,8 @@ fn crawl_site(
         match state.redirects.get(&current) {
             Some(next) if hops < MAX_REDIRECTS => {
                 // The redirecting server itself must resolve.
-                let v4 = resolver.resolve(&current, Family::V4);
-                let v6 = resolver.resolve(&current, Family::V6);
+                let v4 = resolver.resolve_addrs(&current, Family::V4);
+                let v6 = resolver.resolve_addrs(&current, Family::V6);
                 if let Some(fail) = resolution_failure(&v4, &v6) {
                     return SiteCrawl {
                         rank: site.rank,
@@ -363,15 +363,15 @@ fn crawl_site(
     // --- Resolve the final page name, once per family. ---
     let main_v4 = resolver.resolve(&final_fqdn, Family::V4);
     let main_v6 = resolver.resolve(&final_fqdn, Family::V6);
-    if let Some(fail) = resolution_failure(&main_v4, &main_v6) {
+    if let Some(fail) = resolution_failure(&main_v4.0, &main_v6.0) {
         return SiteCrawl {
             rank: site.rank,
             domain: site.domain.clone(),
             outcome: Err(fail),
         };
     }
-    let (main_has_a, main_v4_addr, main_chain_a) = probe(main_v4, &final_fqdn);
-    let (main_has_aaaa, main_v6_addr, main_chain_aaaa) = probe(main_v6, &final_fqdn);
+    let (main_has_a, main_v4_addr, main_chain_a) = probe(main_v4);
+    let (main_has_aaaa, main_v6_addr, main_chain_aaaa) = probe(main_v6);
     let main_chain = if main_chain_aaaa.len() > main_chain_a.len() {
         main_chain_aaaa
     } else {
@@ -450,8 +450,8 @@ fn crawl_site(
     let mut resources = Vec::with_capacity(fetches.len());
     let mut any_v4_used = main_used == Family::V4;
     for r in fetches {
-        let (has_a, v4_addr, chain_a) = probe(resolver.resolve(&r.fqdn, Family::V4), &r.fqdn);
-        let (has_aaaa, v6_addr, chain_aaaa) = probe(resolver.resolve(&r.fqdn, Family::V6), &r.fqdn);
+        let (has_a, v4_addr, chain_a) = probe(resolver.resolve(&r.fqdn, Family::V4));
+        let (has_aaaa, v6_addr, chain_aaaa) = probe(resolver.resolve(&r.fqdn, Family::V6));
         let chain = if chain_aaaa.len() > chain_a.len() {
             chain_aaaa
         } else {
@@ -505,11 +505,11 @@ fn crawl_site(
 }
 
 /// Map a name's `A` and `AAAA` outcomes to the hard failure they imply.
-fn resolution_failure(v4: &LookupOutcome, v6: &LookupOutcome) -> Option<PageFailure> {
+fn resolution_failure(v4: &AddrsOutcome, v6: &AddrsOutcome) -> Option<PageFailure> {
     match (v4, v6) {
-        (LookupOutcome::NxDomain, LookupOutcome::NxDomain) => Some(PageFailure::NxDomain),
-        (LookupOutcome::ServFail, _) | (_, LookupOutcome::ServFail) => Some(PageFailure::DnsError),
-        (LookupOutcome::Timeout, _) | (_, LookupOutcome::Timeout) => Some(PageFailure::Timeout),
+        (AddrsOutcome::NxDomain, AddrsOutcome::NxDomain) => Some(PageFailure::NxDomain),
+        (AddrsOutcome::ServFail, _) | (_, AddrsOutcome::ServFail) => Some(PageFailure::DnsError),
+        (AddrsOutcome::Timeout, _) | (_, AddrsOutcome::Timeout) => Some(PageFailure::Timeout),
         _ => {
             if v4.is_success() || v6.is_success() {
                 None
@@ -520,16 +520,18 @@ fn resolution_failure(v4: &LookupOutcome, v6: &LookupOutcome) -> Option<PageFail
     }
 }
 
-/// Probe one family's lookup of `name`: presence, an address, and the
-/// CNAME chain.
-fn probe(outcome: LookupOutcome, name: &Name) -> (bool, Option<IpAddr>, Vec<Name>) {
+/// Probe one family's [`Resolver::resolve`]: presence, the first address
+/// in zone order (a round-robin RRset holds several), and the CNAME chain
+/// walked. A family that ended in NXDOMAIN, SERVFAIL or a timeout reports
+/// the query name alone as its chain, not the names its walk passed.
+fn probe((outcome, mut chain): (AddrsOutcome, Vec<Name>)) -> (bool, Option<IpAddr>, Vec<Name>) {
     match outcome {
-        LookupOutcome::Answers(a) => {
-            let addr = a.addresses.first().copied();
-            (true, addr, a.chain)
+        AddrsOutcome::Answers(addrs) => (true, addrs.first().copied(), chain),
+        AddrsOutcome::NoData => (false, None, chain),
+        _ => {
+            chain.truncate(1);
+            (false, None, chain)
         }
-        LookupOutcome::NoData { chain, .. } => (false, None, chain),
-        _ => (false, None, vec![name.clone()]),
     }
 }
 

@@ -15,7 +15,10 @@
 //! This crate models exactly those mechanics: a [`zone::ZoneDb`] mapping
 //! [`name::Name`]s to records ([`record::RecordData`]: `A`, `AAAA`, `CNAME`,
 //! `PTR`, `NS`, `TXT`), failure injection per name, and a [`resolver::Resolver`]
-//! that follows CNAME chains with loop detection and answers reverse queries.
+//! whose one CNAME walk answers address queries, bounded by
+//! [`resolver::MAX_CNAME_DEPTH`] (loops end as SERVFAIL there), and
+//! records the chain it followed when asked. Reverse lookups read the
+//! zone's PTR map ([`zone::ZoneDb::reverse_lookup`]).
 //!
 //! Like the rest of the suite it is deterministic and offline: the "network"
 //! is a lookup table, not sockets.
@@ -30,5 +33,5 @@ pub mod zone;
 
 pub use name::{Name, NameId, NameTable};
 pub use record::{QueryType, Record, RecordData};
-pub use resolver::{AddrAnswer, AddrsOutcome, LookupOutcome, ResolveAddrs, Resolver};
+pub use resolver::{AddrsOutcome, ResolveAddrs, Resolver};
 pub use zone::{FailureMode, ZoneDb};

@@ -155,11 +155,6 @@ impl FlowRecord {
         self.bytes_orig + self.bytes_reply
     }
 
-    /// Total packets in both directions.
-    pub fn total_packets(&self) -> u64 {
-        self.packets_orig + self.packets_reply
-    }
-
     /// Address family.
     pub fn family(&self) -> Family {
         self.key.family()
@@ -225,7 +220,6 @@ mod tests {
             scope: Scope::External,
         };
         assert_eq!(r.total_bytes(), 10_000);
-        assert_eq!(r.total_packets(), 22);
         assert_eq!(r.duration(), 4_000_000);
         assert_eq!(r.family(), Family::V4);
     }

@@ -102,8 +102,8 @@ pub struct RaceReport {
     pub winner: Option<Attempt>,
     /// Every attempt that was started, in start order.
     pub attempts: Vec<Attempt>,
-    /// `AAAA` resolution outcome (chainless; the race never reads CNAME
-    /// chains, so the resolver's allocation-free fast path is used).
+    /// `AAAA` resolution outcome (the race never reads CNAME chains, so
+    /// its resolver records none).
     pub v6_resolution: AddrsOutcome,
     /// `A` resolution outcome.
     pub v4_resolution: AddrsOutcome,

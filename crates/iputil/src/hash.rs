@@ -68,17 +68,6 @@ impl SipHasher24 {
         }
         v0 ^ v1 ^ v2 ^ v3
     }
-
-    /// Hash a `u64` (little-endian encoded), a convenience for fixed-width
-    /// inputs such as trimmed address prefixes.
-    pub fn hash_u64(&self, value: u64) -> u64 {
-        self.hash(&value.to_le_bytes())
-    }
-
-    /// Hash a `u128` (little-endian encoded).
-    pub fn hash_u128(&self, value: u128) -> u64 {
-        self.hash(&value.to_le_bytes())
-    }
 }
 
 #[inline(always)]
@@ -150,16 +139,6 @@ mod tests {
         let a = SipHasher24::new(1, 2);
         let b = SipHasher24::new(1, 3);
         assert_ne!(a.hash(b"hello"), b.hash(b"hello"));
-    }
-
-    #[test]
-    fn integer_helpers_match_byte_hashing() {
-        let h = reference_key();
-        assert_eq!(
-            h.hash_u64(0xdead_beef),
-            h.hash(&0xdead_beefu64.to_le_bytes())
-        );
-        assert_eq!(h.hash_u128(7), h.hash(&7u128.to_le_bytes()));
     }
 
     #[test]

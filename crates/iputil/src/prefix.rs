@@ -79,11 +79,6 @@ impl Prefix4 {
         self.len
     }
 
-    /// True for the zero-length default route `0.0.0.0/0`.
-    pub fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Does this prefix contain `addr`?
     pub fn contains(self, addr: Ipv4Addr) -> bool {
         v4_to_u32(addr) & mask32(self.len) == self.bits
@@ -188,11 +183,6 @@ impl Prefix6 {
         self.len
     }
 
-    /// True for the zero-length default route `::/0`.
-    pub fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Does this prefix contain `addr`?
     pub fn contains(self, addr: Ipv6Addr) -> bool {
         v6_to_u128(addr) & mask128(self.len) == self.bits
@@ -279,11 +269,6 @@ impl Prefix {
             Prefix::V4(p) => p.len(),
             Prefix::V6(p) => p.len(),
         }
-    }
-
-    /// True for zero-length default routes.
-    pub fn is_default(self) -> bool {
-        self.len() == 0
     }
 
     /// Does this prefix contain `addr`? Addresses of the other family are
@@ -419,8 +404,6 @@ mod tests {
     fn default_routes_contain_everything() {
         let d4: Prefix4 = "0.0.0.0/0".parse().unwrap();
         let d6: Prefix6 = "::/0".parse().unwrap();
-        assert!(d4.is_default());
-        assert!(d6.is_default());
         assert!(d4.contains(Ipv4Addr::new(255, 255, 255, 255)));
         assert!(d6.contains("ffff::1".parse().unwrap()));
     }

@@ -155,14 +155,6 @@ impl ProviderGateway {
         }
     }
 
-    /// Is a pool currently in an administrative outage?
-    pub fn is_down(&self, pool: ProviderPool) -> bool {
-        match pool {
-            ProviderPool::Nat64 => self.nat64_down,
-            ProviderPool::Aftr => self.aftr_down,
-        }
-    }
-
     /// Resize both pools in place (fault-plane shrink/restore). Bindings
     /// already held above a shrunken capacity persist until expiry; only
     /// new binds see the new limit.
@@ -243,16 +235,6 @@ impl ProviderGateway {
         let mut s = self.nat64.stats();
         s.absorb(self.aftr.stats());
         s
-    }
-
-    /// Lifetime counters of the NAT64 pool alone.
-    pub fn nat64_stats(&self) -> GatewayStats {
-        self.nat64.stats()
-    }
-
-    /// Lifetime counters of the AFTR NAT44 pool alone.
-    pub fn aftr_stats(&self) -> GatewayStats {
-        self.aftr.stats()
     }
 
     /// Per-day admission counters, indexed by day (empty trailing days are
@@ -351,8 +333,7 @@ mod tests {
         // The AFTR pool is a separate resource: still free.
         assert_eq!(gw.offer(&v4_rec(10, 100), true), Admission::Granted);
         assert_eq!(gw.offer(&v4_rec(20, 100), true), Admission::Rejected);
-        assert_eq!(gw.nat64_stats().rejected, 1);
-        assert_eq!(gw.aftr_stats().rejected, 1);
+        assert_eq!(gw.stats().rejected, 2);
         assert_eq!(gw.stats().granted, 2);
     }
 
@@ -398,7 +379,6 @@ mod tests {
     fn outage_rejects_without_consuming_bindings() {
         let mut gw = ProviderGateway::new(Nat64Prefix::well_known(), cfg(8, 60));
         gw.set_outage(ProviderPool::Nat64, true);
-        assert!(gw.is_down(ProviderPool::Nat64));
         assert_eq!(
             gw.offer(&nat64_rec(0, 10), false),
             Admission::RejectedOutage
@@ -412,7 +392,7 @@ mod tests {
         // Outage rejections count in the daily rejected totals but do not
         // touch the pool's exhaustion counters or its binding state.
         assert_eq!(gw.daily()[0].rejected, 1);
-        assert_eq!(gw.nat64_stats().rejected, 0);
+        assert_eq!(gw.stats().rejected, 0);
         gw.set_outage(ProviderPool::Nat64, false);
         assert_eq!(gw.offer(&nat64_rec(20, 30), false), Admission::Granted);
     }

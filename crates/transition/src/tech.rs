@@ -40,16 +40,6 @@ impl AccessTech {
         }
     }
 
-    /// Does the host see a native (untranslated, untunneled) IPv4 path?
-    pub fn native_v4(self) -> bool {
-        matches!(self, AccessTech::NativeDualStack | AccessTech::V4Only)
-    }
-
-    /// Does the host have IPv6 connectivity at all?
-    pub fn has_v6(self) -> bool {
-        !matches!(self, AccessTech::V4Only)
-    }
-
     /// Is the access network IPv6-only on the wire (every flow leaves the
     /// residence as IPv6)?
     pub fn v6_only_wire(self) -> bool {
@@ -96,20 +86,14 @@ mod tests {
     fn predicates_are_consistent() {
         for t in AccessTech::all() {
             if t.v6_only_wire() {
-                assert!(t.has_v6());
-                assert!(!t.native_v4());
                 assert!(t.uses_dns64());
                 assert!(t.uses_gateway());
             }
-            if t.native_v4() {
-                assert!(!t.uses_gateway() || t == AccessTech::DsLite);
-            }
         }
-        assert!(AccessTech::DsLite.has_v6());
-        assert!(!AccessTech::DsLite.native_v4());
+        assert!(!AccessTech::NativeDualStack.uses_gateway());
+        assert!(!AccessTech::V4Only.uses_gateway());
         assert!(AccessTech::DsLite.uses_gateway());
         assert!(!AccessTech::DsLite.uses_dns64());
-        assert!(!AccessTech::V4Only.has_v6());
     }
 
     #[test]

@@ -43,11 +43,6 @@ pub struct Website {
 }
 
 impl Website {
-    /// The main page.
-    pub fn main_page(&self) -> &Page {
-        &self.pages[0]
-    }
-
     /// All distinct resource FQDNs across the given pages (main page plus
     /// clicked links), preserving first-seen order.
     pub fn resource_fqdns(&self, page_indices: &[usize]) -> Vec<&ResourceRef> {
@@ -110,11 +105,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn main_page_is_first() {
-        assert_eq!(site().main_page().path, "/");
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl TopList {
         self.names.is_empty()
     }
 
-    /// The domain at a 1-based rank.
-    pub fn at_rank(&self, rank: usize) -> Option<&Name> {
-        self.names.as_slice().get(rank.checked_sub(1)?)
-    }
-
     /// The 1-based rank of a domain.
     pub fn rank_of(&self, name: &Name) -> Option<usize> {
         self.names.lookup(name).map(|id| id.index() + 1)
@@ -101,10 +96,6 @@ mod tests {
     #[test]
     fn ranks_are_one_based() {
         let l = list(10);
-        assert_eq!(l.at_rank(1).unwrap().as_str(), "site0.test");
-        assert_eq!(l.at_rank(10).unwrap().as_str(), "site9.test");
-        assert!(l.at_rank(0).is_none());
-        assert!(l.at_rank(11).is_none());
         assert_eq!(l.rank_of(&Name::new("site4.test")), Some(5));
         assert_eq!(l.rank_of(&Name::new("nope.test")), None);
     }

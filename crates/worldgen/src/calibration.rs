@@ -25,17 +25,6 @@ pub struct Calibration {
     /// among *connected* sites. Partial = 1 − v4only − full.
     pub rank_targets: Vec<(usize, f64, f64)>,
 
-    /// Fig 7: lognormal parameters for the count of IPv4-only resource
-    /// fetches on a partial site (median 7, quartiles 3/21).
-    pub v4only_fetch_median: f64,
-    /// Fig 7 lognormal sigma.
-    pub v4only_fetch_sigma: f64,
-    /// Fig 7 (blue curve): lognormal parameters for the *fraction* of
-    /// fetches that are IPv4-only on a partial site (median 0.21).
-    pub v4only_fraction_median: f64,
-    /// Fig 7 fraction sigma.
-    pub v4only_fraction_sigma: f64,
-
     /// §4.3: fraction of partial sites that are partial *only because of a
     /// first-party IPv4-only subdomain* (565 / 24,384 ≈ 2.3%).
     pub first_party_partial_rate: f64,
@@ -55,18 +44,12 @@ pub struct Calibration {
     /// Number of heavy-hitter domains (span ≥ 100 at 100k scale: 396).
     pub heavy_hitter_count_factor: f64,
 
-    /// §4.2: probability that IPv4 wins the Happy Eyeballs race on a fully
-    /// IPv6-ready site (1,189 / 10,277 ≈ 11.6% "Browser Used IPv4").
-    pub he_v4_win_rate: f64,
-
     /// Cloud: fraction of all FQDNs hosted by the top-15 Table 3 orgs (76%).
     pub top_cloud_share: f64,
     /// Cloud: fraction of cloud-hosted FQDNs that CNAME to an identifiable
     /// Table 2 service endpoint.
     pub service_cname_rate: f64,
 
-    /// Mean number of distinct third-party eTLD+1 domains per site.
-    pub third_parties_per_site: f64,
     /// Mean number of first-party subdomains per site (www + static + ...).
     pub first_party_subdomains: f64,
 }
@@ -86,19 +69,13 @@ impl Default for Calibration {
                 (10_000, 0.54, 0.15),
                 (usize::MAX, 0.576, 0.126),
             ],
-            v4only_fetch_median: 7.0,
-            v4only_fetch_sigma: 1.35,
-            v4only_fraction_median: 0.21,
-            v4only_fraction_sigma: 0.95,
             first_party_partial_rate: 0.023,
             main_page_fetch_share: 0.45,
             third_party_pool_factor: 0.55,
             third_party_ready_rate: 0.35,
             heavy_hitter_count_factor: 0.004,
-            he_v4_win_rate: 0.116,
             top_cloud_share: 0.76,
             service_cname_rate: 0.14,
-            third_parties_per_site: 7.0,
             first_party_subdomains: 2.4,
         }
     }
@@ -183,6 +160,5 @@ mod tests {
         let c = Calibration::default();
         assert!((c.nxdomain_rate - 0.124).abs() < 0.01);
         assert!((c.other_failure_rate - 0.045).abs() < 0.01);
-        assert!(c.he_v4_win_rate > 0.05 && c.he_v4_win_rate < 0.2);
     }
 }

@@ -470,7 +470,7 @@ impl CloudRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnssim::Resolver;
+    use dnssim::{ResolveAddrs, Resolver};
     use iputil::Family;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -555,7 +555,7 @@ mod tests {
         for (i, _, h) in hosted.iter().take(500) {
             let fqdn = Name::new(&format!("host{i}.sites.test"));
             if let Some(v4i) = h.v4_org {
-                let res = resolver.resolve(&fqdn, Family::V4);
+                let res = resolver.resolve_addrs(&fqdn, Family::V4);
                 for addr in res.addresses() {
                     assert_eq!(rib.origin_of(*addr), Some(rt.orgs[v4i].as_id));
                     checked += 1;
@@ -604,11 +604,9 @@ mod tests {
             if h.service_key.is_some() {
                 with_service += 1;
                 let resolver = Resolver::new(&zone);
-                let res = resolver.resolve(&fqdn, Family::V4);
+                let (res, chain) = resolver.resolve(&fqdn, Family::V4);
                 assert!(res.is_success(), "service CNAME must resolve: {fqdn}");
-                if let dnssim::LookupOutcome::Answers(a) = res {
-                    assert!(a.chain.len() >= 2, "expected a CNAME chain");
-                }
+                assert!(chain.len() >= 2, "expected a CNAME chain");
             }
         }
         assert!((150..600).contains(&with_service), "{with_service}");
@@ -627,8 +625,8 @@ mod tests {
         assert_eq!(h.v6_org, Some(bunny));
         assert_eq!(h.v4_org, Some(datacamp));
         let resolver = Resolver::new(&zone);
-        let v6 = resolver.resolve(&fqdn, Family::V6);
-        let v4 = resolver.resolve(&fqdn, Family::V4);
+        let v6 = resolver.resolve_addrs(&fqdn, Family::V6);
+        let v4 = resolver.resolve_addrs(&fqdn, Family::V4);
         assert!(v6.is_success() && v4.is_success());
         assert_eq!(rib.origin_of(v6.addresses()[0]), Some(rt.orgs[bunny].as_id));
         assert_eq!(

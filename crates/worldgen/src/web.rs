@@ -864,6 +864,7 @@ mod tests {
     use super::*;
     use crate::clouds::CloudRuntime;
     use bgpsim::{Registry, Rib};
+    use dnssim::ResolveAddrs;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -952,31 +953,32 @@ mod tests {
         let web = small_web();
         let zone = &web.epochs[2].zone;
         let resolver = dnssim::Resolver::new(zone);
+        let has = |name: &Name, family| resolver.resolve_addrs(name, family).is_success();
         let mut checked = 0;
         for (i, t) in web.truth.iter().enumerate() {
             let site = &web.sites[i];
             match t.by_epoch[2] {
                 GenClass::V4Only => {
                     assert!(
-                        resolver.has_family(&site.serving_fqdn, iputil::Family::V4),
+                        has(&site.serving_fqdn, iputil::Family::V4),
                         "v4-only site {} must have A",
                         site.domain
                     );
                     assert!(
-                        !resolver.has_family(&site.serving_fqdn, iputil::Family::V6),
+                        !has(&site.serving_fqdn, iputil::Family::V6),
                         "v4-only site {} must lack AAAA",
                         site.domain
                     );
                     checked += 1;
                 }
                 GenClass::Full | GenClass::Partial => {
-                    assert!(resolver.has_family(&site.serving_fqdn, iputil::Family::V6));
+                    assert!(has(&site.serving_fqdn, iputil::Family::V6));
                     checked += 1;
                 }
                 GenClass::NxDomain => {
                     assert_eq!(
-                        resolver.resolve(&site.serving_fqdn, iputil::Family::V4),
-                        dnssim::LookupOutcome::NxDomain
+                        resolver.resolve_addrs(&site.serving_fqdn, iputil::Family::V4),
+                        dnssim::AddrsOutcome::NxDomain
                     );
                     checked += 1;
                 }

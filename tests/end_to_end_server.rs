@@ -7,6 +7,7 @@ use ipv6view::core::influence::InfluenceReport;
 use ipv6view::core::readiness::ReadinessBuckets;
 use ipv6view::core::whatif::WhatIfCurve;
 use ipv6view::crawlsim::{crawl_epoch, CrawlConfig};
+use ipv6view::dnssim::ResolveAddrs;
 use ipv6view::worldgen::{World, WorldConfig};
 
 fn world() -> World {
@@ -76,7 +77,9 @@ fn crawler_and_dns_agree_on_aaaa() {
     let resolver = ipv6view::dnssim::Resolver::new(w.zone(e));
     let mut checked = 0;
     for s in report.sites.iter().filter_map(|s| s.outcome.as_ref().ok()) {
-        let direct = resolver.has_family(&s.final_fqdn, ipv6view::iputil::Family::V6);
+        let direct = resolver
+            .resolve_addrs(&s.final_fqdn, ipv6view::iputil::Family::V6)
+            .is_success();
         assert_eq!(direct, s.main_has_aaaa, "{}", s.final_fqdn);
         checked += 1;
     }
