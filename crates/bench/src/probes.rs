@@ -18,7 +18,7 @@
 use bgpsim::AsId;
 use cloudmodel::catalog::ServiceCatalog;
 use crawlsim::{crawl_epoch, CrawlConfig, CrawlReport};
-use dnssim::{Name, Resolver, ZoneDb};
+use dnssim::{Name, ResolveAddrs, Resolver, ZoneDb};
 use flowmon::sink::{CollectSink, FlowStatsAgg, NullSink, ScopeCell, TranslationAgg};
 use flowmon::{
     Direction, FlowKey, FlowRecord, FlowSink, FlowTable, Scope, ScopeFamilyAgg, Translation,
@@ -28,7 +28,7 @@ use flowstore::{part_file_name, write_part, DigestSink, PartSet};
 use happyeyeballs::HappyEyeballs;
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::sym::SymVec;
-use iputil::{Family, Lpm, Lpm4, Lpm6, LpmAddr};
+use iputil::{Lpm, Lpm4, Lpm6, LpmAddr};
 use ipv6view_core::classify::ClassCounts;
 use ipv6view_core::client::{analyze_agg, AsAgg};
 use ipv6view_core::cloud::{
@@ -774,10 +774,7 @@ fn transition_probes() -> Result<Vec<Probe>, Error> {
                 let dns64 = Dns64::new(Resolver::new(db), *prefix);
                 Ok(names
                     .iter()
-                    .map(|name| {
-                        let (answer, _) = dns64.resolve_addrs_traced(black_box(name), Family::V6);
-                        answer.addresses().len()
-                    })
+                    .map(|name| dns64.lookup(black_box(name)).v6.addresses().len())
                     .sum::<usize>())
             },
         ),
@@ -797,7 +794,9 @@ fn transition_probes() -> Result<Vec<Probe>, Error> {
             &race,
             "happy_eyeballs_race_dual_stack",
             "happyeyeballs",
-            move |(db, name, net, he)| Ok(he.connect(net, &Resolver::new(db), &mut rng, name, 0)),
+            move |(db, name, net, he)| {
+                Ok(he.connect(net, &Resolver::new(db).lookup(name), &mut rng, 0))
+            },
         ),
     ])
 }

@@ -7,18 +7,23 @@
 //!
 //! This crate reproduces that pipeline over a [`worldgen::World`]:
 //!
+//! * every name is resolved by one [`dnssim`] lookup that answers `A` and
+//!   `AAAA` together: one per redirect hop, one per main page and one per
+//!   resource fetch;
 //! * DNS failures split `NXDOMAIN` from SERVFAIL/timeout ("other" loading
 //!   failures), TLS and HTTP failures come from the epoch's server
 //!   behaviour map;
-//! * the main-page connection runs a real RFC 8305 Happy Eyeballs race on a
-//!   per-load network whose IPv6 path is occasionally degraded — which is
-//!   where the paper's "Browser Used IPv4" ~1-in-10 row comes from;
+//! * the main-page connection runs a real RFC 8305 Happy Eyeballs race over
+//!   the main page's lookup, on a per-load network whose IPv6 path is
+//!   occasionally degraded — which is where the paper's "Browser Used
+//!   IPv4" ~1-in-10 row comes from;
 //! * redirect chains are followed with a hop limit, and a final landing
 //!   outside the listed domain's eTLD+1 is flagged (the paper's "Unknown
 //!   Primary Domain" row);
-//! * every resource fetch records A/AAAA presence, the CNAME chain (used
-//!   later for cloud service identification) and both resolved addresses
-//!   (used for BGP attribution).
+//! * every resource fetch records A/AAAA presence, the lookup's CNAME chain
+//!   (used later for cloud service identification; a failed lookup
+//!   reports the query name alone) and the first resolved address of each
+//!   family (used for BGP attribution).
 //!
 //! First party means "same eTLD+1 as the listed domain". A site's
 //! registrable domain `D` is computed once, before its fetch loop; a fetch
@@ -45,7 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dnssim::{AddrsOutcome, Name, ResolveAddrs, Resolver};
+use dnssim::{AddrsOutcome, Lookup, Name, ResolveAddrs, Resolver};
 use happyeyeballs::HappyEyeballs;
 use iputil::Family;
 use netsim::{Network, PathProfile, MILLIS};
@@ -337,9 +342,7 @@ fn crawl_site(
         match state.redirects.get(&current) {
             Some(next) if hops < MAX_REDIRECTS => {
                 // The redirecting server itself must resolve.
-                let v4 = resolver.resolve_addrs(&current, Family::V4);
-                let v6 = resolver.resolve_addrs(&current, Family::V6);
-                if let Some(fail) = resolution_failure(&v4, &v6) {
+                if let Some(fail) = resolution_failure(&resolver.lookup(&current)) {
                     return SiteCrawl {
                         rank: site.rank,
                         domain: site.domain.clone(),
@@ -360,23 +363,17 @@ fn crawl_site(
         }
     };
 
-    // --- Resolve the final page name, once per family. ---
-    let main_v4 = resolver.resolve(&final_fqdn, Family::V4);
-    let main_v6 = resolver.resolve(&final_fqdn, Family::V6);
-    if let Some(fail) = resolution_failure(&main_v4.0, &main_v6.0) {
+    // --- Resolve the final page name: the record and the race share it. ---
+    let (main, main_chain) = resolver.resolve(&final_fqdn);
+    if let Some(fail) = resolution_failure(&main) {
         return SiteCrawl {
             rank: site.rank,
             domain: site.domain.clone(),
             outcome: Err(fail),
         };
     }
-    let (main_has_a, main_v4_addr, main_chain_a) = probe(main_v4);
-    let (main_has_aaaa, main_v6_addr, main_chain_aaaa) = probe(main_v6);
-    let main_chain = if main_chain_aaaa.len() > main_chain_a.len() {
-        main_chain_aaaa
-    } else {
-        main_chain_a
-    };
+    let (main_has_a, main_v4_addr) = probe(&main.v4);
+    let (main_has_aaaa, main_v6_addr) = probe(&main.v6);
 
     // --- Server-side TLS/HTTP failures. ---
     match state.http_failures.get(&final_fqdn) {
@@ -412,7 +409,7 @@ fn crawl_site(
             },
         );
     }
-    let race = HappyEyeballs::default().connect(&net, &resolver, &mut rng, &final_fqdn, 0);
+    let race = HappyEyeballs::default().connect(&net, &main, &mut rng, 0);
     let main_used = match race.winning_family() {
         Some(f) => f,
         None => {
@@ -450,13 +447,9 @@ fn crawl_site(
     let mut resources = Vec::with_capacity(fetches.len());
     let mut any_v4_used = main_used == Family::V4;
     for r in fetches {
-        let (has_a, v4_addr, chain_a) = probe(resolver.resolve(&r.fqdn, Family::V4));
-        let (has_aaaa, v6_addr, chain_aaaa) = probe(resolver.resolve(&r.fqdn, Family::V6));
-        let chain = if chain_aaaa.len() > chain_a.len() {
-            chain_aaaa
-        } else {
-            chain_a
-        };
+        let (lookup, chain) = resolver.resolve(&r.fqdn);
+        let (has_a, v4_addr) = probe(&lookup.v4);
+        let (has_aaaa, v6_addr) = probe(&lookup.v6);
         // Fetch family: resources ride the same network conditions as
         // the page load — IPv6 when available and not degraded.
         let used = if has_aaaa && main_used == Family::V6 {
@@ -504,35 +497,24 @@ fn crawl_site(
     }
 }
 
-/// Map a name's `A` and `AAAA` outcomes to the hard failure they imply.
-fn resolution_failure(v4: &AddrsOutcome, v6: &AddrsOutcome) -> Option<PageFailure> {
-    match (v4, v6) {
-        (AddrsOutcome::NxDomain, AddrsOutcome::NxDomain) => Some(PageFailure::NxDomain),
-        (AddrsOutcome::ServFail, _) | (_, AddrsOutcome::ServFail) => Some(PageFailure::DnsError),
-        (AddrsOutcome::Timeout, _) | (_, AddrsOutcome::Timeout) => Some(PageFailure::Timeout),
-        _ => {
-            if v4.is_success() || v6.is_success() {
-                None
-            } else {
-                Some(PageFailure::NxDomain)
-            }
-        }
+/// Map a name's lookup to the hard failure it implies. The stub
+/// resolver's failures hit both families alike, so the `A` outcome names
+/// it.
+fn resolution_failure(lookup: &Lookup) -> Option<PageFailure> {
+    match lookup.v4 {
+        AddrsOutcome::ServFail => Some(PageFailure::DnsError),
+        AddrsOutcome::Timeout => Some(PageFailure::Timeout),
+        _ if lookup.v4.is_success() || lookup.v6.is_success() => None,
+        // NXDOMAIN, or a name with neither A nor AAAA.
+        _ => Some(PageFailure::NxDomain),
     }
 }
 
-/// Probe one family's [`Resolver::resolve`]: presence, the first address
-/// in zone order (a round-robin RRset holds several), and the CNAME chain
-/// walked. A family that ended in NXDOMAIN, SERVFAIL or a timeout reports
-/// the query name alone as its chain, not the names its walk passed.
-fn probe((outcome, mut chain): (AddrsOutcome, Vec<Name>)) -> (bool, Option<IpAddr>, Vec<Name>) {
-    match outcome {
-        AddrsOutcome::Answers(addrs) => (true, addrs.first().copied(), chain),
-        AddrsOutcome::NoData => (false, None, chain),
-        _ => {
-            chain.truncate(1);
-            (false, None, chain)
-        }
-    }
+/// Probe one family of a lookup: presence, and the first address in zone
+/// order (a round-robin RRset holds several).
+fn probe(outcome: &AddrsOutcome) -> (bool, Option<IpAddr>) {
+    let first = outcome.addresses().first().copied();
+    (first.is_some(), first)
 }
 
 #[cfg(test)]
@@ -860,8 +842,19 @@ mod tests {
     fn break_cname_walks(w: &mut World) {
         let e = w.latest_epoch();
         let zone = &mut w.web.epochs[e].zone;
-        let targets: std::collections::BTreeSet<Name> =
-            zone.names().filter_map(|n| zone.cname_target(n)).collect();
+        let cname = |n: &Name| {
+            zone.records(n)?.iter().find_map(|r| match r {
+                dnssim::RecordData::Cname(target) => Some(target.clone()),
+                _ => None,
+            })
+        };
+        let targets: std::collections::BTreeSet<Name> = zone.names().filter_map(cname).collect();
+        let hosts: Vec<Name> = zone
+            .names()
+            .filter(|n| cname(n).is_none())
+            .step_by(7)
+            .cloned()
+            .collect();
         for (i, target) in targets.into_iter().enumerate().step_by(5) {
             let mode = if i % 10 == 0 {
                 dnssim::FailureMode::ServFail
@@ -870,12 +863,6 @@ mod tests {
             };
             zone.inject_failure(target, mode);
         }
-        let hosts: Vec<Name> = zone
-            .names()
-            .filter(|n| zone.cname_target(n).is_none())
-            .step_by(7)
-            .cloned()
-            .collect();
         for (i, host) in hosts.into_iter().enumerate() {
             zone.add_cname(host, Name::new(&format!("gone{i}.invalid")));
         }

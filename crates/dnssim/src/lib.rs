@@ -14,11 +14,14 @@
 //!
 //! This crate models exactly those mechanics: a [`zone::ZoneDb`] mapping
 //! [`name::Name`]s to records ([`record::RecordData`]: `A`, `AAAA`, `CNAME`,
-//! `PTR`, `NS`, `TXT`), failure injection per name, and a [`resolver::Resolver`]
-//! whose one CNAME walk answers address queries, bounded by
-//! [`resolver::MAX_CNAME_DEPTH`] (loops end as SERVFAIL there), and
-//! records the chain it followed when asked. Reverse lookups read the
-//! zone's PTR map ([`zone::ZoneDb::reverse_lookup`]).
+//! `PTR`, `NS`, `TXT`), failure injection per name, and a
+//! [`resolver::Resolver`] whose one CNAME walk answers a name's `A` and
+//! `AAAA` queries together as one [`resolver::Lookup`], the way a
+//! dual-stack browser sends both. The walk is bounded by
+//! [`resolver::MAX_CNAME_DEPTH`] (loops end as SERVFAIL there) and records
+//! the chain it followed when asked. Every other resolution path (DNS64,
+//! the fault plane) wraps it behind [`resolver::ResolveAddrs`]. Reverse
+//! lookups read the zone's PTR map ([`zone::ZoneDb::reverse_lookup`]).
 //!
 //! Like the rest of the suite it is deterministic and offline: the "network"
 //! is a lookup table, not sockets.
@@ -32,6 +35,6 @@ pub mod resolver;
 pub mod zone;
 
 pub use name::{Name, NameId, NameTable};
-pub use record::{QueryType, Record, RecordData};
-pub use resolver::{AddrsOutcome, ResolveAddrs, Resolver};
+pub use record::{Record, RecordData};
+pub use resolver::{AddrsOutcome, Lookup, ResolveAddrs, Resolver};
 pub use zone::{FailureMode, ZoneDb};

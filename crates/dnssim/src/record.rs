@@ -1,4 +1,4 @@
-//! DNS record and query types.
+//! DNS record types.
 
 use crate::name::Name;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -20,20 +20,6 @@ pub enum RecordData {
     Txt(String),
 }
 
-impl RecordData {
-    /// The query type this record answers.
-    pub fn qtype(&self) -> QueryType {
-        match self {
-            RecordData::A(_) => QueryType::A,
-            RecordData::Aaaa(_) => QueryType::Aaaa,
-            RecordData::Cname(_) => QueryType::Cname,
-            RecordData::Ptr(_) => QueryType::Ptr,
-            RecordData::Ns(_) => QueryType::Ns,
-            RecordData::Txt(_) => QueryType::Txt,
-        }
-    }
-}
-
 /// A complete record: owner name plus data (TTLs are irrelevant to the
 /// analyses and omitted).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,45 +28,4 @@ pub struct Record {
     pub name: Name,
     /// Record payload.
     pub data: RecordData,
-}
-
-/// Query types supported by the resolver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryType {
-    /// IPv4 address.
-    A,
-    /// IPv6 address.
-    Aaaa,
-    /// Canonical name.
-    Cname,
-    /// Reverse pointer.
-    Ptr,
-    /// Delegation.
-    Ns,
-    /// Text.
-    Txt,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_data_qtype() {
-        assert_eq!(
-            RecordData::A("1.2.3.4".parse().unwrap()).qtype(),
-            QueryType::A
-        );
-        assert_eq!(
-            RecordData::Aaaa("::1".parse().unwrap()).qtype(),
-            QueryType::Aaaa
-        );
-        assert_eq!(
-            RecordData::Cname(Name::new("x.y")).qtype(),
-            QueryType::Cname
-        );
-        assert_eq!(RecordData::Ptr(Name::new("x.y")).qtype(), QueryType::Ptr);
-        assert_eq!(RecordData::Ns(Name::new("ns1.y")).qtype(), QueryType::Ns);
-        assert_eq!(RecordData::Txt("v=1".into()).qtype(), QueryType::Txt);
-    }
 }

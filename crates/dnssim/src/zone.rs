@@ -2,7 +2,8 @@
 //! injection.
 
 use crate::name::Name;
-use crate::record::{QueryType, RecordData};
+use crate::record::RecordData;
+use iputil::sym::FxBuild;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -19,17 +20,17 @@ pub enum FailureMode {
 /// All DNS state of the simulated Internet.
 ///
 /// ```
-/// use dnssim::{ZoneDb, Name, QueryType, RecordData};
+/// use dnssim::{ZoneDb, Name, RecordData};
 /// let mut db = ZoneDb::new();
 /// db.add_a("example.com".into(), "192.0.2.10".parse().unwrap());
 /// db.add_aaaa("example.com".into(), "2001:db8::10".parse().unwrap());
-/// assert_eq!(db.lookup(&Name::new("example.com"), QueryType::A).len(), 1);
+/// assert_eq!(db.records(&Name::new("example.com")).map(<[RecordData]>::len), Some(2));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ZoneDb {
-    records: HashMap<Name, Vec<RecordData>>,
-    reverse: HashMap<IpAddr, Name>,
-    failures: HashMap<Name, FailureMode>,
+    records: HashMap<Name, Vec<RecordData>, FxBuild>,
+    reverse: HashMap<IpAddr, Name, FxBuild>,
+    failures: HashMap<Name, FailureMode, FxBuild>,
 }
 
 impl ZoneDb {
@@ -85,33 +86,11 @@ impl ZoneDb {
         self.failures.get(name).copied()
     }
 
-    /// Does the name own any record at all (used for NXDOMAIN vs NODATA)?
-    pub fn exists(&self, name: &Name) -> bool {
-        self.records.contains_key(name)
-    }
-
-    /// Raw lookup of records of one type at a name (no CNAME following, no
-    /// failure simulation — that is the resolver's job).
-    pub fn lookup(&self, name: &Name, qtype: QueryType) -> Vec<RecordData> {
-        self.records
-            .get(name)
-            .map(|recs| {
-                recs.iter()
-                    .filter(|r| r.qtype() == qtype)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// The CNAME target at a name, if any.
-    pub fn cname_target(&self, name: &Name) -> Option<Name> {
-        self.records.get(name).and_then(|recs| {
-            recs.iter().find_map(|r| match r {
-                RecordData::Cname(t) => Some(t.clone()),
-                _ => None,
-            })
-        })
+    /// The records at a name in zone (insertion) order, or `None` when it
+    /// owns none (NXDOMAIN). No CNAME following, no failure simulation —
+    /// that is the resolver's job.
+    pub fn records(&self, name: &Name) -> Option<&[RecordData]> {
+        self.records.get(name).map(Vec::as_slice)
     }
 
     /// Reverse lookup (PTR) for an address.
@@ -138,11 +117,18 @@ mod tests {
         db.add_a("a.test".into(), "192.0.2.1".parse().unwrap());
         db.add_a("a.test".into(), "192.0.2.2".parse().unwrap());
         db.add_aaaa("a.test".into(), "2001:db8::1".parse().unwrap());
-        assert_eq!(db.lookup(&"a.test".into(), QueryType::A).len(), 2);
-        assert_eq!(db.lookup(&"a.test".into(), QueryType::Aaaa).len(), 1);
-        assert_eq!(db.lookup(&"a.test".into(), QueryType::Cname).len(), 0);
-        assert!(db.exists(&"a.test".into()));
-        assert!(!db.exists(&"b.test".into()));
+        assert_eq!(
+            db.records(&"a.test".into()),
+            Some(
+                &[
+                    RecordData::A("192.0.2.1".parse().unwrap()),
+                    RecordData::A("192.0.2.2".parse().unwrap()),
+                    RecordData::Aaaa("2001:db8::1".parse().unwrap()),
+                ][..]
+            ),
+            "zone order"
+        );
+        assert_eq!(db.records(&"b.test".into()), None);
     }
 
     #[test]
@@ -151,7 +137,7 @@ mod tests {
         let ip = "192.0.2.1".parse().unwrap();
         db.add_a("a.test".into(), ip);
         db.add_a("a.test".into(), ip);
-        assert_eq!(db.lookup(&"a.test".into(), QueryType::A).len(), 1);
+        assert_eq!(db.records(&"a.test".into()).map(<[_]>::len), Some(1));
     }
 
     #[test]
@@ -159,10 +145,10 @@ mod tests {
         let mut db = ZoneDb::new();
         db.add_cname("www.a.test".into(), "cdn.b.test".into());
         assert_eq!(
-            db.cname_target(&"www.a.test".into()),
-            Some(Name::new("cdn.b.test"))
+            db.records(&"www.a.test".into()),
+            Some(&[RecordData::Cname("cdn.b.test".into())][..])
         );
-        assert_eq!(db.cname_target(&"a.test".into()), None);
+        assert_eq!(db.records(&"cdn.b.test".into()), None);
     }
 
     #[test]

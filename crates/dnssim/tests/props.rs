@@ -14,9 +14,9 @@ proptest! {
     fn resolver_total_and_family_correct((db, names) in arb_zone()) {
         let r = Resolver::new(&db);
         for n in &names {
-            for family in [Family::V4, Family::V6] {
-                let (outcome, chain) = r.resolve(n, family);
-                prop_assert_eq!(&chain[0], n);
+            let (lookup, chain) = r.resolve(n);
+            prop_assert_eq!(&chain[0], n);
+            for (family, outcome) in [(Family::V4, lookup.v4), (Family::V6, lookup.v6)] {
                 if let AddrsOutcome::Answers(addresses) = outcome {
                     prop_assert!(!addresses.is_empty());
                     for addr in &addresses {
@@ -27,23 +27,18 @@ proptest! {
         }
     }
 
-    /// The CNAME chains `resolve` reports for answers and NODATA start with
-    /// the query name and never exceed the depth limit plus the query name.
+    /// The CNAME chains `resolve` reports start with the query name and
+    /// never exceed the depth limit plus the query name.
     #[test]
     fn chains_are_bounded((db, names) in arb_zone()) {
         let r = Resolver::new(&db);
         for n in &names {
-            for family in [Family::V4, Family::V6] {
-                let (outcome, chain) = r.resolve(n, family);
-                if !matches!(outcome, AddrsOutcome::Answers(_) | AddrsOutcome::NoData) {
-                    continue;
-                }
-                prop_assert_eq!(&chain[0], n);
-                prop_assert!(chain.len() <= dnssim::resolver::MAX_CNAME_DEPTH + 1);
-                // The chain is loop-free.
-                let set: std::collections::HashSet<_> = chain.iter().collect();
-                prop_assert_eq!(set.len(), chain.len());
-            }
+            let (_, chain) = r.resolve(n);
+            prop_assert_eq!(&chain[0], n);
+            prop_assert!(chain.len() <= dnssim::resolver::MAX_CNAME_DEPTH + 1);
+            // The chain is loop-free.
+            let set: std::collections::HashSet<_> = chain.iter().collect();
+            prop_assert_eq!(set.len(), chain.len());
         }
     }
 
@@ -52,7 +47,8 @@ proptest! {
     fn absent_names_are_nxdomain((db, _) in arb_zone(), probe in 100u8..120) {
         let r = Resolver::new(&db);
         let n = Name::new(&format!("n{probe}.prop.test"));
-        prop_assert_eq!(r.resolve_addrs(&n, Family::V4), AddrsOutcome::NxDomain);
-        prop_assert_eq!(r.resolve_addrs(&n, Family::V6), AddrsOutcome::NxDomain);
+        let lookup = r.lookup(&n);
+        prop_assert_eq!(lookup.v4, AddrsOutcome::NxDomain);
+        prop_assert_eq!(lookup.v6, AddrsOutcome::NxDomain);
     }
 }

@@ -3,12 +3,13 @@
 use dnssim::{FailureMode, Name, ZoneDb};
 use proptest::prelude::*;
 
-/// A random zone: a set of names with random A/AAAA records, random
-/// CNAMEs (possibly forming chains or loops) and a few names that answer
+/// A random zone: a set of names with random A/AAAA records (up to two
+/// per family, so some names hold a round-robin set), random CNAMEs
+/// (possibly forming chains or loops) and a few names that answer
 /// SERVFAIL or time out.
 pub fn arb_zone() -> impl Strategy<Value = (ZoneDb, Vec<Name>)> {
     (
-        proptest::collection::vec((0u8..30, any::<bool>(), any::<bool>()), 1..25),
+        proptest::collection::vec((0u8..30, 0u8..3, 0u8..3), 1..25),
         proptest::collection::vec((0u8..30, 0u8..30), 0..12),
         proptest::collection::vec((0u8..30, any::<bool>()), 0..4),
     )
@@ -16,14 +17,14 @@ pub fn arb_zone() -> impl Strategy<Value = (ZoneDb, Vec<Name>)> {
             let mut db = ZoneDb::new();
             let name = |i: u8| Name::new(&format!("n{i}.prop.test"));
             let mut names = Vec::new();
-            for (i, has_a, has_aaaa) in hosts {
+            for (i, a_count, aaaa_count) in hosts {
                 let n = name(i);
                 names.push(n.clone());
-                if has_a {
-                    db.add_a(n.clone(), std::net::Ipv4Addr::new(192, 0, 2, i));
+                for k in 0..a_count {
+                    db.add_a(n.clone(), std::net::Ipv4Addr::new(192, 0, 2 + k, i));
                 }
-                if has_aaaa {
-                    db.add_aaaa(n.clone(), format!("2001:db8::{i:x}").parse().unwrap());
+                for k in 0..aaaa_count {
+                    db.add_aaaa(n.clone(), format!("2001:db8:{k}::{i:x}").parse().unwrap());
                 }
             }
             for (from, to) in cnames {

@@ -46,7 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dnssim::{AddrsOutcome, Name, ResolveAddrs};
+use dnssim::{AddrsOutcome, Lookup, Name, ResolveAddrs};
 use iputil::{Family, Prefix, Prefix4, Prefix6};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -508,10 +508,12 @@ fn churn_batch(plan: &FaultPlan, event_idx: usize, day: u32, count: u32) -> Vec<
 ///
 /// Wraps any [`ResolveAddrs`] and applies the day's DNS bursts to each
 /// query, drawing from a dedicated fault stream (interior-mutable:
-/// resolution is `&self` throughout the suite). Every query is one attempt
-/// with its own draws: an injected failure replaces the inner answer, and
-/// the caller decides how long it takes to arrive (Happy Eyeballs: the
-/// DNS timeout for [`DnsFailure::Timeout`], the family's DNS latency for
+/// resolution is `&self` throughout the suite): for a lookup's `AAAA`
+/// query, then its `A` query, the order a Happy Eyeballs race sends them.
+/// Every query is one attempt with its own draws: an injected failure
+/// replaces that family's inner answer, and the caller decides how long it
+/// takes to arrive (Happy Eyeballs: the DNS timeout for
+/// [`DnsFailure::Timeout`], the family's DNS latency for
 /// [`DnsFailure::ServFail`]).
 #[derive(Debug)]
 pub struct FaultyResolver<R> {
@@ -531,9 +533,9 @@ impl<R: ResolveAddrs> FaultyResolver<R> {
         }
     }
 
-    /// Decide whether this query is injected to fail. One draw per
-    /// scheduled burst, in plan order; the first hit wins.
-    fn inject(&self) -> Option<DnsFailure> {
+    /// The outcome this query is injected to fail with, if any. One draw
+    /// per scheduled burst, in plan order; the first hit wins.
+    fn inject(&self) -> Option<AddrsOutcome> {
         let mut rng = self.rng.borrow_mut();
         for burst in &self.bursts {
             if rng.gen::<f64>() < burst.rate {
@@ -541,7 +543,7 @@ impl<R: ResolveAddrs> FaultyResolver<R> {
                     DnsFailure::ServFail => obs::counter_add("dns.injected_servfail", 1),
                     DnsFailure::Timeout => obs::counter_add("dns.injected_timeout", 1),
                 }
-                return Some(burst.failure);
+                return Some(burst.failure.outcome());
             }
         }
         None
@@ -549,10 +551,17 @@ impl<R: ResolveAddrs> FaultyResolver<R> {
 }
 
 impl<R: ResolveAddrs> ResolveAddrs for FaultyResolver<R> {
-    fn resolve_addrs(&self, name: &Name, family: Family) -> AddrsOutcome {
-        match self.inject() {
-            Some(failure) => failure.outcome(),
-            None => self.inner.resolve_addrs(name, family),
+    fn lookup(&self, name: &Name) -> Lookup {
+        // Tuple operands evaluate left to right: AAAA draws first.
+        match (self.inject(), self.inject()) {
+            (Some(v6), Some(v4)) => Lookup { v4, v6 },
+            (v6, v4) => {
+                let inner = self.inner.lookup(name);
+                Lookup {
+                    v4: v4.unwrap_or(inner.v4),
+                    v6: v6.unwrap_or(inner.v6),
+                }
+            }
         }
     }
 }
@@ -679,31 +688,30 @@ mod tests {
         assert_eq!(plan.churn_for_day(2), plan.churn_for_day(2), "replayable");
     }
 
-    /// Race `site.test` (A and AAAA) under `config` through resolvers that
-    /// inject `failure` at rate 0.5, one fresh fault stream per try, and
-    /// return the first race whose AAAA query was injected and whose A
-    /// query passed.
+    /// Look `site.test` up through resolvers that inject `failure` at rate
+    /// 0.5, one fresh fault stream per try, take the first lookup whose
+    /// AAAA query was injected and whose A query passed, and race it under
+    /// `config`.
     fn race_with_aaaa_injected(failure: DnsFailure, config: HappyEyeballsConfig) -> RaceReport {
         let db = site_zone();
-        let net = Network::dual_stack_ms(10);
         let plan = FaultPlan::new(3);
-        (0..64)
+        let lookup = (0..64)
             .map(|day| {
-                let resolver = FaultyResolver::new(
+                FaultyResolver::new(
                     dnssim::Resolver::new(&db),
                     vec![DayDnsFault { failure, rate: 0.5 }],
                     plan.stream(0, 0, day),
-                );
-                HappyEyeballs::new(config).connect(
-                    &net,
-                    &resolver,
-                    &mut SmallRng::seed_from_u64(1),
-                    &"site.test".into(),
-                    0,
                 )
+                .lookup(&"site.test".into())
             })
-            .find(|r| r.v6_resolution == failure.outcome() && r.v4_resolution.is_success())
-            .expect("some stream injects the AAAA query only")
+            .find(|l| l.v6 == failure.outcome() && l.v4.is_success())
+            .expect("some stream injects the AAAA query only");
+        HappyEyeballs::new(config).connect(
+            &Network::dual_stack_ms(10),
+            &lookup,
+            &mut SmallRng::seed_from_u64(1),
+            0,
+        )
     }
 
     fn site_zone() -> ZoneDb {
@@ -721,21 +729,16 @@ mod tests {
         let plan = FaultPlan::new(1);
         let burst = |failure, rate| vec![DayDnsFault { failure, rate }];
 
-        // rate 1.0: both queries of the race are injected.
+        // rate 1.0: both queries of the lookup are injected.
         let always = FaultyResolver::new(
             dnssim::Resolver::new(&db),
             burst(DnsFailure::ServFail, 1.0),
             plan.stream(0, 0, 0),
         );
-        let report = he.connect(
-            &net,
-            &always,
-            &mut SmallRng::seed_from_u64(1),
-            &"site.test".into(),
-            0,
-        );
-        assert_eq!(report.v6_resolution, AddrsOutcome::ServFail);
-        assert_eq!(report.v4_resolution, AddrsOutcome::ServFail);
+        let lookup = always.lookup(&"site.test".into());
+        assert_eq!(lookup.v6, AddrsOutcome::ServFail);
+        assert_eq!(lookup.v4, AddrsOutcome::ServFail);
+        let report = he.connect(&net, &lookup, &mut SmallRng::seed_from_u64(1), 0);
         assert!(report.attempts.is_empty());
 
         // A ServFail arrives at the DNS latency: with A answered at the same
@@ -753,10 +756,7 @@ mod tests {
             plan.stream(0, 0, 2),
         );
         let outcomes: Vec<bool> = (0..32)
-            .map(|_| {
-                half.resolve_addrs(&"site.test".into(), Family::V4)
-                    .is_success()
-            })
+            .map(|_| half.lookup(&"site.test".into()).v4.is_success())
             .collect();
         assert!(outcomes.contains(&true) && outcomes.contains(&false));
 
@@ -766,16 +766,38 @@ mod tests {
             burst(DnsFailure::Timeout, 0.0),
             plan.stream(0, 0, 1),
         );
-        let report = he.connect(
-            &net,
-            &never,
-            &mut SmallRng::seed_from_u64(1),
-            &"site.test".into(),
-            0,
-        );
-        assert!(report.v6_resolution.is_success() && report.v4_resolution.is_success());
+        let lookup = never.lookup(&"site.test".into());
+        assert!(lookup.v6.is_success() && lookup.v4.is_success());
+        let report = he.connect(&net, &lookup, &mut SmallRng::seed_from_u64(1), 0);
         assert_eq!(report.winning_family(), Some(Family::V6));
         assert_eq!(report.attempts[0].started_at, he.config.dns_latency_v6);
+    }
+
+    /// Each lookup draws for its AAAA query, then for its A query: a clone
+    /// of the fault stream replays both draws in that order.
+    #[test]
+    fn faulty_resolver_draws_aaaa_then_a() {
+        let db = site_zone();
+        let stream = FaultPlan::new(4).stream(0, 0, 0);
+        let mut replay = stream.clone();
+        let resolver = FaultyResolver::new(
+            dnssim::Resolver::new(&db),
+            vec![DayDnsFault {
+                failure: DnsFailure::ServFail,
+                rate: 0.5,
+            }],
+            stream,
+        );
+        let mut one_family = 0;
+        for _ in 0..16 {
+            let lookup = resolver.lookup(&"site.test".into());
+            let v6 = replay.gen::<f64>() < 0.5;
+            let v4 = replay.gen::<f64>() < 0.5;
+            let injected = |o: &AddrsOutcome| *o == AddrsOutcome::ServFail;
+            assert_eq!((injected(&lookup.v6), injected(&lookup.v4)), (v6, v4));
+            one_family += usize::from(v6 != v4);
+        }
+        assert!(one_family > 0, "some lookup injects one family only");
     }
 
     #[test]
@@ -789,10 +811,7 @@ mod tests {
             }],
             FaultPlan::new(2).stream(0, 0, 0),
         );
-        assert_eq!(
-            always.resolve_addrs(&"site.test".into(), Family::V4),
-            AddrsOutcome::Timeout
-        );
+        assert_eq!(always.lookup(&"site.test".into()).v4, AddrsOutcome::Timeout);
         // An injected AAAA timeout arrives at `dns_timeout`: 40 ms, after
         // the A answer (20 ms) but before the resolution delay expires
         // (70 ms), so that is when the IPv4 attempt starts.

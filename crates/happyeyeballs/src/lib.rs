@@ -13,39 +13,40 @@
 //! * ~1 in 10 fully IPv6-capable page loads still uses IPv4 because IPv4
 //!   occasionally wins the race (§4.2's "Browser Used IPv4" row).
 //!
-//! This crate implements the algorithm over the [`netsim`] event queue and
-//! [`dnssim`] resolver: query both families (simulated per-family DNS
-//! latency), apply the **resolution delay** (default 50 ms) when `A` returns
-//! before `AAAA`, sort candidates by family interleaving with IPv6 first,
-//! start attempts separated by the **connection attempt delay** (default
-//! 250 ms, next attempt starts early if the previous one fails), and report
-//! every attempt that was started — the flow-level ground truth that
-//! `trafficgen` turns into flow records.
+//! This crate implements the algorithm over the [`netsim`] event queue,
+//! racing the answers of one [`dnssim::Lookup`], which resolves `AAAA` and
+//! `A` together: each family's answer arrives after its simulated DNS
+//! latency, the **resolution delay** (RFC 8305's 50 ms) applies when `A`
+//! returns before `AAAA`, candidates interleave the families with IPv6
+//! first, attempts start separated by the **connection attempt delay**
+//! (default 250 ms, next attempt starts early if the previous one fails),
+//! and every attempt that was started is reported — the flow-level ground
+//! truth that `trafficgen` turns into flow records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dnssim::{AddrsOutcome, Name, ResolveAddrs};
+use dnssim::{AddrsOutcome, Lookup};
 use iputil::Family;
 use netsim::{ConnectOutcome, EventQueue, Network, TcpConnector, Time, MILLIS};
 use rand::Rng;
 use std::net::IpAddr;
 
-/// Tunables of the Happy Eyeballs algorithm (RFC 8305 §8 names).
+/// Resolution Delay: how long to wait for `AAAA` after `A` arrives
+/// (RFC 8305 §3 recommends 50 ms).
+const RESOLUTION_DELAY: Time = 50 * MILLIS;
+
+/// Tunables of the Happy Eyeballs algorithm (RFC 8305 §8 names). IPv6 is
+/// always the preferred family, as the RFC says.
 #[derive(Debug, Clone, Copy)]
 pub struct HappyEyeballsConfig {
     /// Simulated latency of the `AAAA` query (stub resolver → answer).
     pub dns_latency_v6: Time,
     /// Simulated latency of the `A` query.
     pub dns_latency_v4: Time,
-    /// Resolution Delay: how long to wait for `AAAA` after `A` arrives
-    /// (RFC 8305 recommends 50 ms).
-    pub resolution_delay: Time,
     /// Connection Attempt Delay between staggered attempts
     /// (RFC 8305 recommends 250 ms).
     pub connection_attempt_delay: Time,
-    /// Preferred address family (IPv6 per the RFC).
-    pub preferred: Family,
     /// TCP model used for each attempt.
     pub connector: TcpConnector,
     /// How long a query that times out takes to come back: the stub
@@ -58,9 +59,7 @@ impl Default for HappyEyeballsConfig {
         HappyEyeballsConfig {
             dns_latency_v6: 20 * MILLIS,
             dns_latency_v4: 20 * MILLIS,
-            resolution_delay: 50 * MILLIS,
             connection_attempt_delay: 250 * MILLIS,
-            preferred: Family::V6,
             connector: TcpConnector::default(),
             dns_timeout: 5_000 * MILLIS,
         }
@@ -81,34 +80,14 @@ pub struct Attempt {
     pub outcome: ConnectOutcome,
 }
 
-/// Why a race produced no connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RaceError {
-    /// Neither family resolved to any address.
-    ResolutionFailed {
-        /// Outcome of the `AAAA` query.
-        v6: AddrsOutcome,
-        /// Outcome of the `A` query.
-        v4: AddrsOutcome,
-    },
-    /// Addresses resolved but every attempt failed.
-    AllAttemptsFailed,
-}
-
 /// Complete report of one Happy Eyeballs race.
 #[derive(Debug, Clone)]
 pub struct RaceReport {
     /// The winning attempt, if any.
     pub winner: Option<Attempt>,
-    /// Every attempt that was started, in start order.
+    /// Every attempt that was started, in start order (none when neither
+    /// family resolved to an address).
     pub attempts: Vec<Attempt>,
-    /// `AAAA` resolution outcome (the race never reads CNAME chains, so
-    /// its resolver records none).
-    pub v6_resolution: AddrsOutcome,
-    /// `A` resolution outcome.
-    pub v4_resolution: AddrsOutcome,
-    /// Error when no connection was established.
-    pub error: Option<RaceError>,
 }
 
 impl RaceReport {
@@ -150,46 +129,43 @@ impl HappyEyeballs {
         HappyEyeballs { config }
     }
 
-    /// Race a connection to `name` starting at absolute time `start`.
+    /// Race a connection over `lookup`'s answers starting at absolute time
+    /// `start`.
     ///
     /// Deterministic given the RNG state. The per-attempt TCP outcomes are
-    /// drawn through [`TcpConnector`]; DNS outcomes come from any
-    /// [`ResolveAddrs`] implementation — the plain stub resolver, a DNS64
-    /// layer whose synthesized `AAAA` answers make an IPv4-only service race
-    /// (and win) over IPv6 through a NAT64 gateway, or the fault plane's
-    /// failure-injecting wrapper. Answers arrive after the per-family
-    /// `dns_latency_*`, timeouts after `dns_timeout`.
-    pub fn connect<R: Rng + ?Sized, S: ResolveAddrs>(
+    /// drawn through [`TcpConnector`]. The lookup comes from any
+    /// [`dnssim::ResolveAddrs`] — the plain stub resolver, a DNS64 layer
+    /// whose synthesized `AAAA` answers make an IPv4-only service race (and
+    /// win) over IPv6 through a NAT64 gateway, or the fault plane's
+    /// failure-injecting wrapper — and the race decides when each answer
+    /// arrives: a timeout after `dns_timeout`, anything else after the
+    /// family's `dns_latency_*`.
+    pub fn connect<R: Rng + ?Sized>(
         &self,
         net: &Network,
-        resolver: &S,
+        lookup: &Lookup,
         rng: &mut R,
-        name: &Name,
         start: Time,
     ) -> RaceReport {
         let cfg = &self.config;
-        // Chainless resolution: one Vec<Name> allocation avoided per query,
-        // and the race runs once per (day, service) pair in trafficgen and
-        // once per page load in crawlsim. The resolver only answers; the
-        // race decides when each answer arrives: a timeout after
-        // `cfg.dns_timeout`, anything else after the family's DNS latency.
-        let v6_res = resolver.resolve_addrs(name, Family::V6);
-        let v4_res = resolver.resolve_addrs(name, Family::V4);
         let arrival = |res: &AddrsOutcome, latency: Time| match res {
             AddrsOutcome::Timeout => cfg.dns_timeout,
             _ => latency,
         };
-        let v6_latency = arrival(&v6_res, cfg.dns_latency_v6);
-        let v4_latency = arrival(&v4_res, cfg.dns_latency_v4);
-
         let mut queue: EventQueue<Event> = EventQueue::new();
-        queue.schedule_at(start + v6_latency, Event::DnsAnswer(Family::V6));
-        queue.schedule_at(start + v4_latency, Event::DnsAnswer(Family::V4));
+        queue.schedule_at(
+            start + arrival(&lookup.v6, cfg.dns_latency_v6),
+            Event::DnsAnswer(Family::V6),
+        );
+        queue.schedule_at(
+            start + arrival(&lookup.v4, cfg.dns_latency_v4),
+            Event::DnsAnswer(Family::V4),
+        );
 
-        let mut v6_addrs: Vec<IpAddr> = Vec::new();
-        let mut v4_addrs: Vec<IpAddr> = Vec::new();
+        // Each family's addresses, once its answer has arrived.
+        let mut v6_addrs: &[IpAddr] = &[];
+        let mut v4_addrs: &[IpAddr] = &[];
         let mut v6_answered = false;
-        let mut v4_answered = false;
         let mut candidates: Vec<IpAddr> = Vec::new();
         let mut next_candidate = 0usize;
         let mut attempts_started = false;
@@ -201,54 +177,47 @@ impl HappyEyeballs {
         while let Some((now, event)) = queue.pop() {
             match event {
                 Event::DnsAnswer(family) => {
-                    let (res, addrs, answered) = match family {
-                        Family::V6 => (&v6_res, &mut v6_addrs, &mut v6_answered),
-                        Family::V4 => (&v4_res, &mut v4_addrs, &mut v4_answered),
-                    };
-                    *answered = true;
-                    addrs.extend_from_slice(res.addresses());
-
-                    let preferred_answered = match cfg.preferred {
-                        Family::V6 => v6_answered,
-                        Family::V4 => v4_answered,
-                    };
+                    match family {
+                        Family::V6 => {
+                            v6_answered = true;
+                            v6_addrs = lookup.v6.addresses();
+                        }
+                        Family::V4 => v4_addrs = lookup.v4.addresses(),
+                    }
                     if winner.is_none() && !attempts_started {
-                        if preferred_answered || (v6_answered && v4_answered) {
-                            // Either the preferred family answered, or both
-                            // did: start (or re-sort) immediately.
-                            candidates = interleave(&v6_addrs, &v4_addrs, cfg.preferred);
+                        if v6_answered {
+                            // IPv6 answered, alone or after A: start (or
+                            // re-sort) immediately.
+                            candidates = interleave(v6_addrs, v4_addrs);
                             if !candidates.is_empty() {
                                 attempts_started = true;
                                 queue.schedule_at(now, Event::StartNextAttempt);
                             }
                         } else if !resolution_timer_set {
-                            // Non-preferred family answered first: give the
-                            // preferred family the resolution delay.
+                            // A answered first: give AAAA the resolution
+                            // delay.
                             resolution_timer_set = true;
-                            queue.schedule_in(cfg.resolution_delay, Event::ResolutionDelayExpired);
+                            queue.schedule_in(RESOLUTION_DELAY, Event::ResolutionDelayExpired);
                         }
                     } else if winner.is_none() && attempts_started {
                         // Late answer while attempts are running: splice the
                         // new addresses into the not-yet-tried tail.
-                        let tried: Vec<IpAddr> = candidates[..next_candidate].to_vec();
-                        let rem_v6: Vec<IpAddr> = v6_addrs
-                            .iter()
-                            .filter(|a| !tried.contains(a))
-                            .cloned()
-                            .collect();
-                        let rem_v4: Vec<IpAddr> = v4_addrs
-                            .iter()
-                            .filter(|a| !tried.contains(a))
-                            .cloned()
-                            .collect();
-                        let tail = interleave(&rem_v6, &rem_v4, cfg.preferred);
+                        let tried = &candidates[..next_candidate];
+                        let untried = |addrs: &[IpAddr]| -> Vec<IpAddr> {
+                            addrs
+                                .iter()
+                                .filter(|a| !tried.contains(a))
+                                .copied()
+                                .collect()
+                        };
+                        let tail = interleave(&untried(v6_addrs), &untried(v4_addrs));
                         candidates.truncate(next_candidate);
                         candidates.extend(tail);
                     }
                 }
                 Event::ResolutionDelayExpired => {
                     if winner.is_none() && !attempts_started {
-                        candidates = interleave(&v6_addrs, &v4_addrs, cfg.preferred);
+                        candidates = interleave(v6_addrs, v4_addrs);
                         if !candidates.is_empty() {
                             attempts_started = true;
                             queue.schedule_at(now, Event::StartNextAttempt);
@@ -311,42 +280,21 @@ impl HappyEyeballs {
             None => obs::counter_add("he.failures", 1),
         }
 
-        let error = if winner.is_some() {
-            None
-        } else if attempts.is_empty() {
-            Some(RaceError::ResolutionFailed {
-                v6: v6_res.clone(),
-                v4: v4_res.clone(),
-            })
-        } else {
-            Some(RaceError::AllAttemptsFailed)
-        };
-
-        RaceReport {
-            winner,
-            attempts,
-            v6_resolution: v6_res,
-            v4_resolution: v4_res,
-            error,
-        }
+        RaceReport { winner, attempts }
     }
 }
 
 /// RFC 8305 §4 address sorting, simplified: interleave families starting
-/// with the preferred one ("First Address Family Count" = 1).
-fn interleave(v6: &[IpAddr], v4: &[IpAddr], preferred: Family) -> Vec<IpAddr> {
-    let (first, second): (&[IpAddr], &[IpAddr]) = match preferred {
-        Family::V6 => (v6, v4),
-        Family::V4 => (v4, v6),
-    };
-    let mut out = Vec::with_capacity(first.len() + second.len());
+/// with IPv6 ("First Address Family Count" = 1).
+fn interleave(v6: &[IpAddr], v4: &[IpAddr]) -> Vec<IpAddr> {
+    let mut out = Vec::with_capacity(v6.len() + v4.len());
     let mut i = 0;
-    while i < first.len() || i < second.len() {
-        if i < first.len() {
-            out.push(first[i]);
+    while i < v6.len() || i < v4.len() {
+        if i < v6.len() {
+            out.push(v6[i]);
         }
-        if i < second.len() {
-            out.push(second[i]);
+        if i < v4.len() {
+            out.push(v4[i]);
         }
         i += 1;
     }
@@ -356,7 +304,7 @@ fn interleave(v6: &[IpAddr], v4: &[IpAddr], preferred: Family) -> Vec<IpAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnssim::{Resolver, ZoneDb};
+    use dnssim::{ResolveAddrs, Resolver, ZoneDb};
     use netsim::{PathProfile, SECONDS};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -374,13 +322,17 @@ mod tests {
         SmallRng::seed_from_u64(7)
     }
 
+    /// `name`'s lookup in `db`.
+    fn lookup(db: &ZoneDb, name: &str) -> Lookup {
+        Resolver::new(db).lookup(&name.into())
+    }
+
     #[test]
     fn prefers_ipv6_on_healthy_dual_stack() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let net = Network::dual_stack_ms(30);
         let he = HappyEyeballs::default();
-        let report = he.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        let report = he.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
         assert_eq!(report.winning_family(), Some(Family::V6));
         // IPv6 connects in 30 ms < 250 ms stagger: no IPv4 flow at all.
         assert_eq!(report.attempts.len(), 1);
@@ -389,11 +341,10 @@ mod tests {
     #[test]
     fn falls_back_to_v4_when_v6_unreachable() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let mut net = Network::dual_stack_ms(30);
         net.set_family_default(Family::V6, PathProfile::unreachable());
         let he = HappyEyeballs::default();
-        let report = he.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        let report = he.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
         assert_eq!(report.winning_family(), Some(Family::V4));
         // Both families were attempted: two flows recorded.
         assert_eq!(report.attempts_of(Family::V6), 1);
@@ -414,7 +365,6 @@ mod tests {
     #[test]
     fn slow_v6_loses_race_but_both_flows_recorded() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let mut net = Network::dual_stack_ms(20);
         // v6 path is up but very slow (600 ms RTT).
         net.set_family_default(
@@ -426,7 +376,7 @@ mod tests {
             },
         );
         let he = HappyEyeballs::default();
-        let report = he.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        let report = he.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
         // v6 starts at 20ms, completes 620ms. v4 starts at 270ms, completes 290ms.
         assert_eq!(report.winning_family(), Some(Family::V4));
         assert_eq!(report.attempts.len(), 2);
@@ -436,12 +386,12 @@ mod tests {
     #[test]
     fn v4_only_name_connects_after_resolution_delay() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let net = Network::dual_stack_ms(30);
         let he = HappyEyeballs::default();
-        let report = he.connect(&net, &resolver, &mut rng(), &"v4only.test".into(), 0);
+        let v4only = lookup(&db, "v4only.test");
+        assert_eq!(v4only.v6, AddrsOutcome::NoData);
+        let report = he.connect(&net, &v4only, &mut rng(), 0);
         assert_eq!(report.winning_family(), Some(Family::V4));
-        assert!(!report.v6_resolution.is_success());
         // A answered at 20 ms; AAAA NoData also at 20 ms, so attempts start
         // as soon as both answers are in (no full resolution delay burned).
         assert_eq!(report.attempts[0].started_at, 20 * MILLIS);
@@ -450,10 +400,9 @@ mod tests {
     #[test]
     fn v6_only_name_works() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let net = Network::dual_stack_ms(30);
         let he = HappyEyeballs::default();
-        let report = he.connect(&net, &resolver, &mut rng(), &"v6only.test".into(), 0);
+        let report = he.connect(&net, &lookup(&db, "v6only.test"), &mut rng(), 0);
         assert_eq!(report.winning_family(), Some(Family::V6));
         assert_eq!(report.attempts.len(), 1);
     }
@@ -461,7 +410,6 @@ mod tests {
     #[test]
     fn resolution_delay_applies_when_aaaa_is_slow() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let net = Network::dual_stack_ms(10);
         let cfg = HappyEyeballsConfig {
             dns_latency_v4: 10 * MILLIS,
@@ -469,7 +417,7 @@ mod tests {
             ..HappyEyeballsConfig::default()
         };
         let he = HappyEyeballs::new(cfg);
-        let report = he.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        let report = he.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
         // A at 10 ms; resolution delay 50 ms expires at 60 ms; v4 starts then
         // and wins at 70 ms, before AAAA even arrives.
         assert_eq!(report.winning_family(), Some(Family::V4));
@@ -480,36 +428,32 @@ mod tests {
     #[test]
     fn nxdomain_both_families_is_resolution_failure() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let net = Network::dual_stack_ms(30);
         let he = HappyEyeballs::default();
-        let report = he.connect(&net, &resolver, &mut rng(), &"missing.test".into(), 0);
+        let report = he.connect(&net, &lookup(&db, "missing.test"), &mut rng(), 0);
         assert!(!report.connected());
-        assert!(matches!(
-            report.error,
-            Some(RaceError::ResolutionFailed { .. })
-        ));
         assert!(report.attempts.is_empty());
     }
 
     #[test]
     fn all_attempts_failed() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let mut net = Network::dual_stack_ms(30);
         net.set_family_default(Family::V4, PathProfile::unreachable());
         net.set_family_default(Family::V6, PathProfile::unreachable());
         let he = HappyEyeballs::default();
-        let report = he.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        let report = he.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
         assert!(!report.connected());
-        assert_eq!(report.error, Some(RaceError::AllAttemptsFailed));
         assert_eq!(report.attempts.len(), 2);
+        assert!(report
+            .attempts
+            .iter()
+            .all(|a| matches!(a.outcome, ConnectOutcome::Failed { .. })));
     }
 
     #[test]
     fn failure_unlocks_next_attempt_early() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let mut net = Network::dual_stack_ms(30);
         // v6 fails fast-ish (single SYN, 1s timeout), v4 healthy.
         net.set_family_default(Family::V6, PathProfile::unreachable());
@@ -522,7 +466,7 @@ mod tests {
             ..HappyEyeballsConfig::default()
         };
         let he = HappyEyeballs::new(cfg);
-        let report = he.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        let report = he.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
         assert_eq!(report.winning_family(), Some(Family::V4));
         let v4 = report
             .attempts
@@ -537,22 +481,16 @@ mod tests {
     /// `dns_timeout`, a healthy answer after its family's DNS latency.
     #[test]
     fn dns_timeout_latency_comes_from_resolver_config() {
-        struct V6TimesOut;
-        impl ResolveAddrs for V6TimesOut {
-            fn resolve_addrs(&self, _name: &Name, family: Family) -> AddrsOutcome {
-                match family {
-                    Family::V6 => AddrsOutcome::Timeout,
-                    Family::V4 => AddrsOutcome::Answers(vec!["192.0.2.9".parse().unwrap()]),
-                }
-            }
-        }
+        let mixed = Lookup {
+            v4: AddrsOutcome::Answers(vec!["192.0.2.9".parse().unwrap()]),
+            v6: AddrsOutcome::Timeout,
+        };
         let net = Network::dual_stack_ms(10);
-        // Default 5 s timeout: A arrives at 20 ms, the preferred family is
-        // still pending, so attempts wait out the 50 ms resolution delay and
-        // start at 70 ms.
+        // Default 5 s timeout: A arrives at 20 ms, AAAA is still pending, so
+        // attempts wait out the 50 ms resolution delay and start at 70 ms.
         let he = HappyEyeballs::default();
         assert_eq!(he.config.dns_timeout, 5_000 * MILLIS);
-        let report = he.connect(&net, &V6TimesOut, &mut rng(), &"mixed.test".into(), 0);
+        let report = he.connect(&net, &mixed, &mut rng(), 0);
         assert_eq!(report.winning_family(), Some(Family::V4));
         assert_eq!(report.attempts[0].started_at, 70 * MILLIS);
         // A 10 ms timeout makes the AAAA failure arrive *before* the A
@@ -563,7 +501,7 @@ mod tests {
             ..HappyEyeballsConfig::default()
         };
         let he_short = HappyEyeballs::new(short);
-        let report = he_short.connect(&net, &V6TimesOut, &mut rng(), &"mixed.test".into(), 0);
+        let report = he_short.connect(&net, &mixed, &mut rng(), 0);
         assert_eq!(report.winning_family(), Some(Family::V4));
         assert_eq!(report.attempts[0].started_at, 20 * MILLIS);
         // Over the stub resolver: a healthy name answers at its family's DNS
@@ -571,19 +509,22 @@ mod tests {
         // the race as `Timeout` in both families.
         let mut db = zone();
         db.inject_failure("slow.test".into(), dnssim::FailureMode::Timeout);
-        let resolver = Resolver::new(&db);
-        let report = he_short.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        let report = he_short.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
         assert_eq!(report.attempts[0].started_at, 20 * MILLIS);
-        let report = he_short.connect(&net, &resolver, &mut rng(), &"slow.test".into(), 0);
-        assert_eq!(report.v6_resolution, AddrsOutcome::Timeout);
-        assert_eq!(report.v4_resolution, AddrsOutcome::Timeout);
-        assert!(report.attempts.is_empty());
+        let slow = lookup(&db, "slow.test");
+        assert_eq!(
+            (&slow.v4, &slow.v6),
+            (&AddrsOutcome::Timeout, &AddrsOutcome::Timeout)
+        );
+        assert!(he_short
+            .connect(&net, &slow, &mut rng(), 0)
+            .attempts
+            .is_empty());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let db = zone();
-        let resolver = Resolver::new(&db);
         let mut net = Network::dual_stack_ms(30);
         net.set_family_default(
             Family::V6,
@@ -594,8 +535,8 @@ mod tests {
             },
         );
         let he = HappyEyeballs::default();
-        let a = he.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
-        let b = he.connect(&net, &resolver, &mut rng(), &"dual.test".into(), 0);
+        let a = he.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
+        let b = he.connect(&net, &lookup(&db, "dual.test"), &mut rng(), 0);
         assert_eq!(a.winner, b.winner);
         assert_eq!(a.attempts, b.attempts);
     }
@@ -607,11 +548,7 @@ mod tests {
             "2001:db8::2".parse().unwrap(),
         ];
         let v4: Vec<IpAddr> = vec!["192.0.2.1".parse().unwrap()];
-        let order = interleave(&v6, &v4, Family::V6);
-        assert_eq!(Family::of(order[0]), Family::V6);
-        assert_eq!(Family::of(order[1]), Family::V4);
-        assert_eq!(Family::of(order[2]), Family::V6);
-        let order4 = interleave(&v6, &v4, Family::V4);
-        assert_eq!(Family::of(order4[0]), Family::V4);
+        let order = interleave(&v6, &v4);
+        assert_eq!(order, [v6[0], v4[0], v6[1]]);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for Happy Eyeballs: liveness (connects when anything is
 //! reachable), family soundness, and timing monotonicity.
 
-use dnssim::{Name, Resolver, ZoneDb};
+use dnssim::{Name, ResolveAddrs, Resolver, ZoneDb};
 use happyeyeballs::{HappyEyeballs, HappyEyeballsConfig};
 use iputil::Family;
 use netsim::{Network, PathProfile, MILLIS};
@@ -34,7 +34,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let db = zone(has_a, has_aaaa);
-        let resolver = Resolver::new(&db);
+        let lookup = Resolver::new(&db).lookup(&Name::new("svc.test"));
         let mut net = Network::new(
             if v4_up { PathProfile::healthy_ms(rtt4) } else { PathProfile::unreachable() },
             if v6_up { PathProfile::healthy_ms(rtt6) } else { PathProfile::unreachable() },
@@ -43,7 +43,7 @@ proptest! {
         net.set_family_default(Family::V6, if v6_up { PathProfile::healthy_ms(rtt6) } else { PathProfile::unreachable() });
         let he = HappyEyeballs::default();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let report = he.connect(&net, &resolver, &mut rng, &Name::new("svc.test"), 0);
+        let report = he.connect(&net, &lookup, &mut rng, 0);
 
         let can_v4 = has_a && v4_up;
         let can_v6 = has_aaaa && v6_up;
@@ -75,11 +75,11 @@ proptest! {
     #[test]
     fn v6_preference_is_deterministic(rtt in 5u64..100, seed in any::<u64>()) {
         let db = zone(true, true);
-        let resolver = Resolver::new(&db);
+        let lookup = Resolver::new(&db).lookup(&Name::new("svc.test"));
         let net = Network::dual_stack_ms(rtt);
         let he = HappyEyeballs::default();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let report = he.connect(&net, &resolver, &mut rng, &Name::new("svc.test"), 0);
+        let report = he.connect(&net, &lookup, &mut rng, 0);
         prop_assert_eq!(report.winning_family(), Some(Family::V6));
     }
 
@@ -89,7 +89,7 @@ proptest! {
     #[test]
     fn stagger_ordering(seed in any::<u64>(), delay_ms in 50u64..500) {
         let db = zone(true, true);
-        let resolver = Resolver::new(&db);
+        let lookup = Resolver::new(&db).lookup(&Name::new("svc.test"));
         let mut net = Network::dual_stack_ms(10);
         // Slow v6 so a second attempt actually launches.
         net.set_family_default(
@@ -102,7 +102,7 @@ proptest! {
         };
         let he = HappyEyeballs::new(cfg);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let report = he.connect(&net, &resolver, &mut rng, &Name::new("svc.test"), 0);
+        let report = he.connect(&net, &lookup, &mut rng, 0);
         prop_assert!(report.attempts.len() >= 2);
         let t0 = report.attempts[0].started_at;
         let t1 = report.attempts[1].started_at;

@@ -874,7 +874,7 @@ fn synthesize_day(ctx: &ResidenceCtx<'_>, day: u32, mode: GatewayMode) -> DayOut
     // behind DNS64, the translated path) is usable towards that service.
     let mut race = |s: &ClientServiceRuntime| {
         let fqdn = Name::new(&format!("edge0.{}", s.service.domain));
-        he.connect(&net, &resolve, &mut rng, &fqdn, 0)
+        he.connect(&net, &resolve.lookup(&fqdn), &mut rng, 0)
             .winning_family()
             == Some(Family::V6)
     };

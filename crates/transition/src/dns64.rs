@@ -14,8 +14,7 @@
 //!   empty-answer (NODATA) case; a name that does not exist stays NXDOMAIN.
 
 use crate::rfc6052::Nat64Prefix;
-use dnssim::{AddrsOutcome, Name, ResolveAddrs, Resolver};
-use iputil::Family;
+use dnssim::{AddrsOutcome, Lookup, Name, ResolveAddrs, Resolver};
 use std::net::IpAddr;
 
 /// A DNS64 view over a stub [`Resolver`].
@@ -35,42 +34,26 @@ impl<'a> Dns64<'a> {
     pub fn prefix(&self) -> Nat64Prefix {
         self.prefix
     }
-
-    /// Resolve like [`ResolveAddrs::resolve_addrs`], also reporting whether
-    /// the answer was synthesized (`true` only for `AAAA` answers built from
-    /// `A` records).
-    pub fn resolve_addrs_traced(&self, name: &Name, family: Family) -> (AddrsOutcome, bool) {
-        let native = self.resolver.resolve_addrs(name, family);
-        if family == Family::V4 {
-            return (native, false);
-        }
-        match native {
-            // Native AAAA answers are never shadowed.
-            AddrsOutcome::Answers(_) => (native, false),
-            // NODATA: the name exists but has no AAAA — the synthesis case.
-            AddrsOutcome::NoData => match self.resolver.resolve_addrs(name, Family::V4) {
-                AddrsOutcome::Answers(v4s) => {
-                    let synth: Vec<IpAddr> = v4s
-                        .iter()
-                        .map(|a| match a {
-                            IpAddr::V4(v4) => IpAddr::V6(self.prefix.embed(*v4)),
-                            IpAddr::V6(_) => unreachable!("A query returns IPv4 only"),
-                        })
-                        .collect();
-                    (AddrsOutcome::Answers(synth), true)
-                }
-                // No A either (or the A path failed): keep the AAAA outcome.
-                _ => (AddrsOutcome::NoData, false),
-            },
-            // NXDOMAIN / SERVFAIL / timeout pass through unchanged.
-            other => (other, false),
-        }
-    }
 }
 
+/// One inner lookup: `A` passes through, and an `AAAA` NODATA beside `A`
+/// answers becomes the synthesized `AAAA` answers, one per `A` record in
+/// zone order. Native `AAAA` answers, NXDOMAIN, SERVFAIL and timeouts pass
+/// through unchanged.
 impl ResolveAddrs for Dns64<'_> {
-    fn resolve_addrs(&self, name: &Name, family: Family) -> AddrsOutcome {
-        self.resolve_addrs_traced(name, family).0
+    fn lookup(&self, name: &Name) -> Lookup {
+        let mut lookup = self.resolver.lookup(name);
+        if let (AddrsOutcome::Answers(v4s), AddrsOutcome::NoData) = (&lookup.v4, &lookup.v6) {
+            let synth = v4s
+                .iter()
+                .map(|a| match a {
+                    IpAddr::V4(v4) => IpAddr::V6(self.prefix.embed(*v4)),
+                    IpAddr::V6(_) => unreachable!("A answers are IPv4 only"),
+                })
+                .collect();
+            lookup.v6 = AddrsOutcome::Answers(synth);
+        }
+        lookup
     }
 }
 
@@ -98,18 +81,16 @@ mod tests {
     fn synthesizes_aaaa_for_v4_only_names() {
         let db = db();
         let d = dns64(&db);
-        let (out, synth) = d.resolve_addrs_traced(&"v4only.test".into(), Family::V6);
-        assert!(synth);
-        let addrs = out.addresses();
+        let lookup = d.lookup(&"v4only.test".into());
+        let addrs = lookup.v6.addresses();
         assert_eq!(addrs.len(), 2, "one synthesized AAAA per A record");
-        for a in addrs {
-            match a {
-                IpAddr::V6(v6) => {
+        for (a, v4) in addrs.iter().zip(lookup.v4.addresses()) {
+            match (a, v4) {
+                (IpAddr::V6(v6), IpAddr::V4(v4)) => {
                     assert!(d.prefix().contains(*v6));
-                    let v4 = d.prefix().extract(*v6).unwrap();
-                    assert!(matches!(u32::from(v4), 0xc0000202 | 0xc0000203));
+                    assert_eq!(d.prefix().extract(*v6), Some(*v4), "zone order");
                 }
-                IpAddr::V4(_) => panic!("AAAA answer must be IPv6"),
+                _ => panic!("AAAA answer must be IPv6"),
             }
         }
     }
@@ -118,45 +99,44 @@ mod tests {
     fn native_aaaa_never_shadowed() {
         let db = db();
         let d = dns64(&db);
-        let (out, synth) = d.resolve_addrs_traced(&"dual.test".into(), Family::V6);
-        assert!(!synth);
         assert_eq!(
-            out.addresses(),
+            d.lookup(&"dual.test".into()).v6.addresses(),
             ["2001:db8::1".parse::<IpAddr>().unwrap()],
             "native AAAA passes through untouched"
         );
-        let (v6only, synth2) = d.resolve_addrs_traced(&"v6only.test".into(), Family::V6);
-        assert!(!synth2);
-        assert!(v6only.is_success());
+        assert_eq!(
+            d.lookup(&"v6only.test".into()).v6.addresses(),
+            ["2001:db8::2".parse::<IpAddr>().unwrap()]
+        );
     }
 
     #[test]
     fn nxdomain_is_not_synthesized() {
         let db = db();
         let d = dns64(&db);
-        let (out, synth) = d.resolve_addrs_traced(&"missing.test".into(), Family::V6);
-        assert!(!synth);
-        assert_eq!(out, AddrsOutcome::NxDomain);
+        let lookup = d.lookup(&"missing.test".into());
+        assert_eq!(lookup.v6, AddrsOutcome::NxDomain);
+        assert_eq!(lookup.v4, AddrsOutcome::NxDomain);
     }
 
     #[test]
     fn a_queries_pass_through() {
         let db = db();
         let d = dns64(&db);
-        let (out, synth) = d.resolve_addrs_traced(&"v4only.test".into(), Family::V4);
-        assert!(!synth);
-        assert_eq!(out.addresses().len(), 2);
+        let plain = Resolver::new(&db);
+        for name in ["v4only.test", "dual.test", "missing.test"] {
+            assert_eq!(d.lookup(&name.into()).v4, plain.lookup(&name.into()).v4);
+        }
         // v6-only name has no A and DNS64 does not invent one (no "DNS46").
-        let (none, _) = d.resolve_addrs_traced(&"v6only.test".into(), Family::V4);
-        assert_eq!(none, AddrsOutcome::NoData);
+        assert_eq!(d.lookup(&"v6only.test".into()).v4, AddrsOutcome::NoData);
     }
 
     #[test]
     fn synthesized_addresses_round_trip_through_prefix() {
         let db = db();
         let d = dns64(&db);
-        let out = ResolveAddrs::resolve_addrs(&d, &"v4only.test".into(), Family::V6);
-        for a in out.addresses() {
+        let lookup = d.lookup(&"v4only.test".into());
+        for a in lookup.v6.addresses() {
             let IpAddr::V6(v6) = a else { panic!("v6") };
             let v4 = d.prefix().extract(*v6).expect("under prefix");
             assert_eq!(d.prefix().embed(v4), *v6);

@@ -3,7 +3,7 @@
 //! a full Happy Eyeballs race over a synthesized `AAAA` through the NAT64
 //! gateway.
 
-use dnssim::{Name, Resolver, ZoneDb};
+use dnssim::{Name, ResolveAddrs, Resolver, ZoneDb};
 use iputil::prefix::Prefix6;
 use iputil::Family;
 use netsim::{Network, PathProfile, MILLIS};
@@ -71,10 +71,9 @@ proptest! {
             db.add_aaaa(name.clone(), Ipv6Addr::from(*bits));
         }
         let dns64 = Dns64::new(Resolver::new(&db), p);
-        let (out, synthesized) = dns64.resolve_addrs_traced(&name, Family::V6);
-        let answers = out.addresses();
+        let lookup = dns64.lookup(&name);
+        let answers = lookup.v6.addresses();
         if native6.is_empty() {
-            prop_assert!(synthesized);
             prop_assert_eq!(answers.len(), {
                 let mut uniq = v4s.clone();
                 uniq.sort_unstable();
@@ -88,7 +87,6 @@ proptest! {
             }
         } else {
             // Native AAAA present: passthrough, nothing synthesized.
-            prop_assert!(!synthesized);
             for a in answers {
                 let IpAddr::V6(v6) = a else { panic!("AAAA answer must be v6") };
                 prop_assert!(
@@ -130,7 +128,8 @@ fn happy_eyeballs_reaches_v4_only_service_through_nat64() {
 
     let he = happyeyeballs::HappyEyeballs::default();
     let mut rng = SmallRng::seed_from_u64(42);
-    let report = he.connect(&net, &dns64, &mut rng, &"legacy.test".into(), 0);
+    let lookup = dns64.lookup(&"legacy.test".into());
+    let report = he.connect(&net, &lookup, &mut rng, 0);
 
     assert!(report.connected(), "the race must succeed: {report:?}");
     assert_eq!(report.winning_family(), Some(Family::V6));
@@ -146,7 +145,7 @@ fn happy_eyeballs_reaches_v4_only_service_through_nat64() {
     );
     // The v4 resolution succeeded (A records exist) but no IPv4 attempt can
     // ever win on this network.
-    assert!(report.v4_resolution.is_success());
+    assert!(lookup.v4.is_success());
     assert!(report.attempts.iter().all(|a| a.family == Family::V6
         || !matches!(a.outcome, netsim::ConnectOutcome::Connected { .. })));
 }
@@ -181,7 +180,7 @@ fn dns64_makes_v4_only_service_win_over_v6() {
 
     let he = happyeyeballs::HappyEyeballs::default();
     let mut rng = SmallRng::seed_from_u64(7);
-    let report = he.connect(&net, &dns64, &mut rng, &"legacy.test".into(), 0);
+    let report = he.connect(&net, &dns64.lookup(&"legacy.test".into()), &mut rng, 0);
     assert_eq!(
         report.winning_family(),
         Some(Family::V6),
@@ -195,6 +194,6 @@ fn dns64_makes_v4_only_service_win_over_v6() {
 
     // Without DNS64 the same client uses plain IPv4.
     let plain = Resolver::new(&db);
-    let report2 = he.connect(&net, &plain, &mut rng, &"legacy.test".into(), 0);
+    let report2 = he.connect(&net, &plain.lookup(&"legacy.test".into()), &mut rng, 0);
     assert_eq!(report2.winning_family(), Some(Family::V4));
 }

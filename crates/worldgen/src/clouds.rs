@@ -471,7 +471,6 @@ impl CloudRuntime {
 mod tests {
     use super::*;
     use dnssim::{ResolveAddrs, Resolver};
-    use iputil::Family;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -555,8 +554,7 @@ mod tests {
         for (i, _, h) in hosted.iter().take(500) {
             let fqdn = Name::new(&format!("host{i}.sites.test"));
             if let Some(v4i) = h.v4_org {
-                let res = resolver.resolve_addrs(&fqdn, Family::V4);
-                for addr in res.addresses() {
+                for addr in resolver.lookup(&fqdn).v4.addresses() {
                     assert_eq!(rib.origin_of(*addr), Some(rt.orgs[v4i].as_id));
                     checked += 1;
                 }
@@ -604,8 +602,8 @@ mod tests {
             if h.service_key.is_some() {
                 with_service += 1;
                 let resolver = Resolver::new(&zone);
-                let (res, chain) = resolver.resolve(&fqdn, Family::V4);
-                assert!(res.is_success(), "service CNAME must resolve: {fqdn}");
+                let (lookup, chain) = resolver.resolve(&fqdn);
+                assert!(lookup.v4.is_success(), "service CNAME must resolve: {fqdn}");
                 assert!(chain.len() >= 2, "expected a CNAME chain");
             }
         }
@@ -625,12 +623,14 @@ mod tests {
         assert_eq!(h.v6_org, Some(bunny));
         assert_eq!(h.v4_org, Some(datacamp));
         let resolver = Resolver::new(&zone);
-        let v6 = resolver.resolve_addrs(&fqdn, Family::V6);
-        let v4 = resolver.resolve_addrs(&fqdn, Family::V4);
-        assert!(v6.is_success() && v4.is_success());
-        assert_eq!(rib.origin_of(v6.addresses()[0]), Some(rt.orgs[bunny].as_id));
+        let lookup = resolver.lookup(&fqdn);
+        assert!(lookup.v6.is_success() && lookup.v4.is_success());
         assert_eq!(
-            rib.origin_of(v4.addresses()[0]),
+            rib.origin_of(lookup.v6.addresses()[0]),
+            Some(rt.orgs[bunny].as_id)
+        );
+        assert_eq!(
+            rib.origin_of(lookup.v4.addresses()[0]),
             Some(rt.orgs[datacamp].as_id)
         );
     }

@@ -77,9 +77,7 @@ fn crawler_and_dns_agree_on_aaaa() {
     let resolver = ipv6view::dnssim::Resolver::new(w.zone(e));
     let mut checked = 0;
     for s in report.sites.iter().filter_map(|s| s.outcome.as_ref().ok()) {
-        let direct = resolver
-            .resolve_addrs(&s.final_fqdn, ipv6view::iputil::Family::V6)
-            .is_success();
+        let direct = resolver.lookup(&s.final_fqdn).v6.is_success();
         assert_eq!(direct, s.main_has_aaaa, "{}", s.final_fqdn);
         checked += 1;
     }
