@@ -442,12 +442,13 @@ fn crawl_site(
             .is_some_and(|d| world.psl.has_registrable_domain(fqdn, d))
     };
 
-    // --- Resource fetches (deduplicated by FQDN, in visit order). ---
+    // --- Resource fetches (deduplicated by FQDN id, in visit order). ---
     let fetches = site.resource_fqdns(&visited);
     let mut resources = Vec::with_capacity(fetches.len());
     let mut any_v4_used = main_used == Family::V4;
     for r in fetches {
-        let (lookup, chain) = resolver.resolve(&r.fqdn);
+        let fqdn = world.web.names.resolve(r.fqdn);
+        let (lookup, chain) = resolver.resolve(fqdn);
         let (has_a, v4_addr) = probe(&lookup.v4);
         let (has_aaaa, v6_addr) = probe(&lookup.v6);
         // Fetch family: resources ride the same network conditions as
@@ -465,9 +466,9 @@ fn crawl_site(
             any_v4_used = true;
         }
         resources.push(ResourceFetch {
-            fqdn: r.fqdn.clone(),
+            fqdn: fqdn.clone(),
             rtype: r.rtype,
-            first_party: first_party(&r.fqdn),
+            first_party: first_party(fqdn),
             has_a,
             has_aaaa,
             used,

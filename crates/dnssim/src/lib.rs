@@ -35,6 +35,6 @@ pub mod resolver;
 pub mod zone;
 
 pub use name::{Name, NameId, NameTable};
-pub use record::{Record, RecordData};
+pub use record::RecordData;
 pub use resolver::{AddrsOutcome, Lookup, ResolveAddrs, Resolver};
 pub use zone::{FailureMode, ZoneDb};

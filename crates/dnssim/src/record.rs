@@ -19,13 +19,3 @@ pub enum RecordData {
     /// Free-form text (used by tests and examples).
     Txt(String),
 }
-
-/// A complete record: owner name plus data (TTLs are irrelevant to the
-/// analyses and omitted).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Owner name.
-    pub name: Name,
-    /// Record payload.
-    pub data: RecordData,
-}

@@ -34,7 +34,7 @@
 
 use crate::profile::ResidenceProfile;
 use crate::{DAY_US, HOUR_US};
-use dnssim::{Name, ResolveAddrs, Resolver};
+use dnssim::{ResolveAddrs, Resolver};
 use faults::{DayPathFault, FaultPlan, FaultyResolver, PoolTarget, DNS_STREAM, FLOW_DROP_STREAM};
 use flowmon::sink::FlowSink;
 use flowmon::{DropCause, DropCounters, FlowKey, FlowRecord, RouterMonitor};
@@ -873,8 +873,7 @@ fn synthesize_day(ctx: &ResidenceCtx<'_>, day: u32, mode: GatewayMode) -> DayOut
     // One Happy Eyeballs race per service per day decides whether IPv6 (or,
     // behind DNS64, the translated path) is usable towards that service.
     let mut race = |s: &ClientServiceRuntime| {
-        let fqdn = Name::new(&format!("edge0.{}", s.service.domain));
-        he.connect(&net, &resolve.lookup(&fqdn), &mut rng, 0)
+        he.connect(&net, &resolve.lookup(&s.edge), &mut rng, 0)
             .winning_family()
             == Some(Family::V6)
     };

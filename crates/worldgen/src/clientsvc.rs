@@ -527,6 +527,8 @@ pub struct ClientServiceRuntime {
     pub v4: Vec<IpAddr>,
     /// IPv6 endpoints (empty when the service has no IPv6 deployment).
     pub v6: Vec<IpAddr>,
+    /// `edge0.<domain>`, the name a client's Happy Eyeballs race resolves.
+    pub edge: Name,
 }
 
 /// Register the catalog into the routing/DNS substrate: one AS per distinct
@@ -570,10 +572,11 @@ pub fn register_client_services(
             .subnet(48, svc_index as u128)
             .expect("few services per AS");
 
+        let endpoint = |i: u64| Name::new(&format!("edge{i}.{}", svc.domain));
         let mut v4 = Vec::new();
         let mut v6 = Vec::new();
         for i in 0..ENDPOINTS_PER_SERVICE {
-            let name = Name::new(&format!("edge{i}.{}", svc.domain));
+            let name = endpoint(i);
             let a4 = s4.host(i + 1).expect("endpoint fits");
             zone.add_a(name.clone(), a4);
             zone.map_reverse(IpAddr::V4(a4), name.clone());
@@ -589,6 +592,7 @@ pub fn register_client_services(
             service: svc,
             v4,
             v6,
+            edge: endpoint(0),
         });
     }
     out

@@ -16,7 +16,7 @@
 
 use crate::calibration::Calibration;
 use crate::clouds::{CloudRuntime, Readiness};
-use dnssim::{FailureMode, Name, ZoneDb};
+use dnssim::{FailureMode, Name, NameId, NameTable, ZoneDb};
 use rand::Rng;
 use std::collections::HashMap;
 use webmodel::namegen::NameGenerator;
@@ -77,6 +77,9 @@ pub struct ThirdParty {
     pub domain: Name,
     /// Concrete served FQDNs (1–2 per domain).
     pub fqdns: Vec<Name>,
+    /// Id of `fqdns[0]` in [`WebWorld::names`]. The pool interns each
+    /// domain's FQDNs contiguously, so `fqdns[k]` has id `first_fqdn + k`.
+    pub first_fqdn: NameId,
     /// VirusTotal-style category (Fig 9).
     pub category: DomainCategory,
     /// Selection tier.
@@ -92,6 +95,11 @@ impl ThirdParty {
     /// Is the domain IPv6-ready at epoch `e`?
     pub fn ready_at(&self, e: usize) -> bool {
         self.ready_epoch.map(|r| r <= e).unwrap_or(false)
+    }
+
+    /// The id of `fqdns[k]` in [`WebWorld::names`].
+    pub fn fqdn_id(&self, k: usize) -> NameId {
+        NameId::from_index(self.first_fqdn.index() + k)
     }
 }
 
@@ -151,6 +159,10 @@ pub struct EpochState {
 pub struct WebWorld {
     /// Websites in rank order.
     pub sites: Vec<Website>,
+    /// Every resource FQDN, interned once: third-party FQDNs first, in pool
+    /// order, then each site's first-party FQDNs. [`ResourceRef::fqdn`]
+    /// ids index this table.
+    pub names: NameTable,
     /// Parallel generation info.
     pub info: Vec<SiteInfo>,
     /// Ground-truth classes per epoch.
@@ -246,6 +258,22 @@ impl CumTable {
     }
 }
 
+/// Weighted draw from a static `(item, weight)` profile: the roll and the
+/// running sums of a [`CumTable`] over its weights, without building one.
+fn sample_profile<T: Copy, R: Rng + ?Sized>(rng: &mut R, profile: &[(T, f64)]) -> T {
+    let total = profile.iter().fold(0.0, |acc, (_, w)| acc + w);
+    let roll = rng.gen::<f64>() * total;
+    let last = profile.len() - 1;
+    let mut acc = 0.0;
+    for &(item, w) in &profile[..last] {
+        acc += w;
+        if acc >= roll {
+            return item;
+        }
+    }
+    profile[last].0
+}
+
 /// Generate the complete web (sites, third parties, epochs).
 pub fn generate_web<R: Rng + ?Sized>(
     rng: &mut R,
@@ -256,7 +284,8 @@ pub fn generate_web<R: Rng + ?Sized>(
 ) -> WebWorld {
     assert!(num_sites >= 100, "world too small to be meaningful");
 
-    let third_parties = build_third_party_pool(rng, cal, num_sites, namegen);
+    let mut names = NameTable::new();
+    let third_parties = build_third_party_pool(rng, cal, num_sites, namegen, &mut names);
     let heavy_v4: Vec<usize> = tier_indices(&third_parties, Tier::HeavyV4);
     let heavy_ready: Vec<usize> = tier_indices(&third_parties, Tier::HeavyReady);
     let mid: Vec<usize> = tier_indices(&third_parties, Tier::Mid);
@@ -277,6 +306,7 @@ pub fn generate_web<R: Rng + ?Sized>(
             cal,
             rank,
             namegen,
+            &mut names,
             &third_parties,
             (&heavy_v4, &heavy_v4_tab),
             (&heavy_ready, &heavy_ready_tab),
@@ -304,6 +334,7 @@ pub fn generate_web<R: Rng + ?Sized>(
 
     WebWorld {
         sites,
+        names,
         info,
         truth,
         third_parties,
@@ -324,6 +355,7 @@ fn build_third_party_pool<R: Rng + ?Sized>(
     cal: &Calibration,
     num_sites: usize,
     namegen: &mut NameGenerator,
+    names: &mut NameTable,
 ) -> Vec<ThirdParty> {
     let mut pool = Vec::new();
     let mut push = |domain: Name,
@@ -341,17 +373,27 @@ fn build_third_party_pool<R: Rng + ?Sized>(
             _ => 1 + (rng.gen::<f64>() < 0.35) as usize,
         };
         let mut fqdns = Vec::with_capacity(n_fqdns);
+        let first_fqdn = NameId::from_index(names.len());
         for i in 0..n_fqdns {
             let label = if i == 0 {
                 NameGenerator::subdomain_label(rng).to_string()
             } else {
                 format!("{}{i}", NameGenerator::subdomain_label(rng))
             };
-            fqdns.push(Name::new(&format!("{label}.{domain}")));
+            let fqdn = Name::new(&format!("{label}.{domain}"));
+            // Registrable domains are unique and no label ends in a digit,
+            // so every third-party FQDN is new to the table.
+            let (id, new) = names.intern_full(&fqdn);
+            assert!(
+                new && id.index() == first_fqdn.index() + i,
+                "{fqdn} interned out of order"
+            );
+            fqdns.push(fqdn);
         }
         pool.push(ThirdParty {
             domain,
             fqdns,
+            first_fqdn,
             category,
             tier,
             ready_epoch,
@@ -483,6 +525,7 @@ fn generate_site<R: Rng + ?Sized>(
     cal: &Calibration,
     rank: usize,
     namegen: &mut NameGenerator,
+    names: &mut NameTable,
     pool: &[ThirdParty],
     (heavy_v4, heavy_v4_tab): (&[usize], &CumTable),
     (heavy_ready, heavy_ready_tab): (&[usize], &CumTable),
@@ -569,6 +612,10 @@ fn generate_site<R: Rng + ?Sized>(
     } else {
         None
     };
+    // Fetch ids come from the table, not a counter: `assets.<domain>` may
+    // equal a drawn first-party subdomain.
+    let first_party_ids: Vec<NameId> = first_party_fqdns.iter().map(|n| names.intern(n)).collect();
+    let v4only_id = v4only_first_party.as_ref().map(|n| names.intern(n));
 
     // Third-party domain draws. Late bloomers — IPv4-only sites that gain
     // an apex AAAA in a later epoch — are often dependency-clean and come up
@@ -579,30 +626,25 @@ fn generate_site<R: Rng + ?Sized>(
     let want_ready_only =
         base_class == GenClass::Full || fp_partial || (late_bloomer && rng.gen::<f64>() < 0.25);
     let mut dep_set: Vec<u32> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let add_dep =
-        |idx: usize, dep_set: &mut Vec<u32>, seen: &mut std::collections::HashSet<usize>| {
-            if seen.insert(idx) {
-                dep_set.push(idx as u32);
-            }
-        };
+    let add_dep = |idx: usize, dep_set: &mut Vec<u32>| {
+        let idx = idx as u32;
+        if !dep_set.contains(&idx) {
+            dep_set.push(idx);
+        }
+    };
 
     // Ads/tracker cluster (heavy IPv4-only): suppressed for ready-only sites.
     if !want_ready_only && rng.gen::<f64>() < 0.80 && !heavy_v4.is_empty() {
         let k = 1 + poisson(rng, 1.2 * intensity);
         for _ in 0..k {
-            add_dep(heavy_v4[heavy_v4_tab.sample(rng)], &mut dep_set, &mut seen);
+            add_dep(heavy_v4[heavy_v4_tab.sample(rng)], &mut dep_set);
         }
     }
     // Ready infrastructure cluster: everyone has some.
     if !heavy_ready.is_empty() {
         let k = 2 + poisson(rng, 6.5 * intensity);
         for _ in 0..k {
-            add_dep(
-                heavy_ready[heavy_ready_tab.sample(rng)],
-                &mut dep_set,
-                &mut seen,
-            );
+            add_dep(heavy_ready[heavy_ready_tab.sample(rng)], &mut dep_set);
         }
     }
     // Mid + tail draws (filtered to ready for ready-only sites).
@@ -612,7 +654,7 @@ fn generate_site<R: Rng + ?Sized>(
         if want_ready_only && !pool[idx].ready_at(0) {
             continue;
         }
-        add_dep(idx, &mut dep_set, &mut seen);
+        add_dep(idx, &mut dep_set);
     }
     let tail_draws = poisson(rng, 4.0 * intensity);
     for _ in 0..tail_draws {
@@ -620,7 +662,7 @@ fn generate_site<R: Rng + ?Sized>(
         if want_ready_only && !pool[idx].ready_at(0) {
             continue;
         }
-        add_dep(idx, &mut dep_set, &mut seen);
+        add_dep(idx, &mut dep_set);
     }
     // A partial site (other than the first-party-partial flavour) must have
     // at least one IPv4-only third-party dependency at epoch 0.
@@ -632,26 +674,18 @@ fn generate_site<R: Rng + ?Sized>(
     {
         // Uniform (not popularity-weighted) so the forced dependency does
         // not artificially inflate the head of the span distribution.
-        add_dep(
-            heavy_v4[rng.gen_range(0..heavy_v4.len())],
-            &mut dep_set,
-            &mut seen,
-        );
+        add_dep(heavy_v4[rng.gen_range(0..heavy_v4.len())], &mut dep_set);
     }
 
     // Build pages and distribute fetches.
     let n_pages = 1 + rng.gen_range(3..=7).min(7);
-    let mut pages: Vec<Page> = (0..n_pages)
-        .map(|i| Page {
-            path: if i == 0 {
-                "/".to_string()
-            } else {
-                format!("/page{i}")
-            },
+    let mut pages = vec![
+        Page {
             resources: Vec::new(),
             links: Vec::new(),
-        })
-        .collect();
+        };
+        n_pages
+    ];
     // Main page links to every other page.
     pages[0].links = (1..n_pages).collect();
     #[allow(clippy::needless_range_loop)] // i is the page id, not just an index
@@ -659,26 +693,21 @@ fn generate_site<R: Rng + ?Sized>(
         pages[i].links = vec![0, 1.max(i) % n_pages];
     }
 
-    let place_fetch =
-        |fqdn: Name, rtype: ResourceType, first_party: bool, pages: &mut Vec<Page>, rng: &mut R| {
-            let page_idx = if rng.gen::<f64>() < cal.main_page_fetch_share || n_pages == 1 {
-                0
-            } else {
-                rng.gen_range(1..n_pages)
-            };
-            pages[page_idx].resources.push(ResourceRef {
-                fqdn,
-                rtype,
-                first_party,
-            });
+    let place_fetch = |fqdn: NameId, rtype: ResourceType, pages: &mut Vec<Page>, rng: &mut R| {
+        let page_idx = if rng.gen::<f64>() < cal.main_page_fetch_share || n_pages == 1 {
+            0
+        } else {
+            rng.gen_range(1..n_pages)
         };
+        pages[page_idx].resources.push(ResourceRef { fqdn, rtype });
+    };
 
     // First-party fetches: a handful per page.
     #[allow(clippy::needless_range_loop)] // pi is the page id
     for pi in 0..n_pages {
         let fetches = 2 + poisson(rng, 1.5);
         for _ in 0..fetches {
-            let fqdn = first_party_fqdns[rng.gen_range(0..first_party_fqdns.len())].clone();
+            let fqdn = first_party_ids[rng.gen_range(0..first_party_ids.len())];
             let rtype = match rng.gen_range(0..10) {
                 0..=4 => ResourceType::Image,
                 5..=6 => ResourceType::Script,
@@ -686,18 +715,14 @@ fn generate_site<R: Rng + ?Sized>(
                 8 => ResourceType::XmlHttpRequest,
                 _ => ResourceType::Other,
             };
-            pages[pi].resources.push(ResourceRef {
-                fqdn,
-                rtype,
-                first_party: true,
-            });
+            pages[pi].resources.push(ResourceRef { fqdn, rtype });
         }
     }
     // The v4-only first-party subdomain contributes fetches too.
-    if let Some(fp) = &v4only_first_party {
+    if let Some(fp) = v4only_id {
         let fetches = 1 + poisson(rng, 2.0);
         for _ in 0..fetches {
-            place_fetch(fp.clone(), ResourceType::Image, true, &mut pages, rng);
+            place_fetch(fp, ResourceType::Image, &mut pages, rng);
         }
     }
     // Third-party fetches: multiplicity per drawn domain follows the
@@ -709,11 +734,10 @@ fn generate_site<R: Rng + ?Sized>(
             _ => 1 + poisson(rng, 0.7),
         };
         let profile = tp.category.resource_profile();
-        let prof_tab = CumTable::new(profile.iter().map(|(_, w)| *w));
         for _ in 0..fetches {
-            let fqdn = tp.fqdns[rng.gen_range(0..tp.fqdns.len())].clone();
-            let rtype = profile[prof_tab.sample(rng)].0;
-            place_fetch(fqdn, rtype, false, &mut pages, rng);
+            let fqdn = tp.fqdn_id(rng.gen_range(0..tp.fqdns.len()));
+            let rtype = sample_profile(rng, profile);
+            place_fetch(fqdn, rtype, &mut pages, rng);
         }
     }
 
