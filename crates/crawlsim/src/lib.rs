@@ -425,7 +425,8 @@ fn crawl_site(
     // --- Page selection: main page plus up to five random link clicks. ---
     let mut visited = vec![0usize];
     if config.click_links {
-        let mut links = site.pages[0].links.clone();
+        // The main page links to every other page.
+        let mut links: Vec<usize> = (1..site.pages.len()).collect();
         // Fisher-Yates shuffle, then take the first `LINK_CLICKS`.
         for i in (1..links.len()).rev() {
             let j = rng.gen_range(0..=i);

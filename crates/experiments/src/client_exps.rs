@@ -1,6 +1,6 @@
 //! Client-side scenarios: Table 1, Fig 1–4 and appendix Figs 13–17.
 //!
-//! Everything here reads the streaming caches of [`Session`] — one
+//! Everything here reads the streaming views of [`Session`] — one
 //! synthesis pass with composite aggregator sinks feeds every figure, and
 //! no flow record is ever materialized on this path.
 
@@ -16,7 +16,7 @@ pub fn table1(s: &mut Session) -> Report {
     let mut r = Report::new("table1");
     r.heading("Table 1 — per-residence IPv6 traffic (external & internal)");
     let profiles = trafficgen::paper_residences();
-    let stats = s.client_analyses().to_vec();
+    let stats = s.client_analyses();
     // Paper volumes cover ~273 days; scale them to the simulated duration.
     let day_scale = s.config.days as f64 / 273.0;
     let mut t = TextTable::new(vec![
@@ -145,7 +145,7 @@ pub fn fig13(s: &mut Session) -> Report {
     r
 }
 
-fn mstl_hourly(r: &mut Report, s: &mut Session, key: char, metric: Metric) {
+fn mstl_hourly(r: &mut Report, s: &Session, key: char, metric: Metric) {
     let agg = s
         .hourly_aggs()
         .iter()
@@ -208,7 +208,7 @@ pub fn fig15(s: &mut Session) -> Report {
     r
 }
 
-fn mstl_daily(r: &mut Report, s: &mut Session, key: char) {
+fn mstl_daily(r: &mut Report, s: &Session, key: char) {
     let stats = s.client_analyses();
     let a = stats.iter().find(|a| a.key == key).expect("residence");
     let series = daily_fraction_series(a);

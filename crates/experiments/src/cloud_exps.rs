@@ -5,29 +5,21 @@ use crate::report::Report;
 use crate::session::Session;
 use cloudmodel::catalog::{paper_orgs, ServiceCatalog};
 use ipv6view_core::cloud::{
-    default_groups, ease_adoption_correlation, hosted_fqdns, multicloud_tenant_count,
-    org_readiness, pairwise_comparison, service_adoption, HostedFqdn,
+    default_groups, ease_adoption_correlation, multicloud_tenant_count, org_readiness,
+    pairwise_comparison, service_adoption,
 };
 use ipv6view_core::report::TextTable;
-
-fn fqdns(s: &mut Session) -> Vec<HostedFqdn> {
-    // Borrow discipline: populate the crawl cache first (needs &mut), then
-    // borrow the report and the routing tables together.
-    let e = s.world.latest_epoch();
-    s.crawl(e);
-    hosted_fqdns(s.crawl_ref(e), &s.world.rib, &s.world.registry)
-}
 
 /// Fig 11: readiness breakdown of the top 15 clouds.
 pub fn fig11(s: &mut Session) -> Report {
     let mut r = Report::new("fig11");
     r.heading("Fig 11 — IPv6 readiness of the top 15 clouds");
-    let hosted = fqdns(s);
+    let hosted = s.hosted();
     r.line(format!(
         "{} unique FQDNs attributed (paper: 265,248 at 100k scale)",
         hosted.len()
     ));
-    let orgs = org_readiness(&hosted);
+    let orgs = org_readiness(hosted);
     let catalog = paper_orgs();
     let mut t = TextTable::new(vec![
         "Cloud",
@@ -72,8 +64,8 @@ pub fn table3(s: &mut Session) -> Report {
     let mut r = Report::new("table3");
     r.heading("Table 3 — per-cloud domain counts (appendix F)");
     let scale = s.site_scale();
-    let hosted = fqdns(s);
-    let orgs = org_readiness(&hosted);
+    let hosted = s.hosted();
+    let orgs = org_readiness(hosted);
     let catalog = paper_orgs();
     let (mut tot, mut v4, mut full, mut v6o) = (0usize, 0usize, 0usize, 0usize);
     for o in &orgs {
@@ -122,15 +114,15 @@ pub fn fig12(s: &mut Session) -> Report {
     let mut r = Report::new("fig12");
     r.heading("Fig 12 — pairwise cloud comparison (Wilcoxon, Holm-Bonferroni)");
     let scale = s.site_scale();
-    let hosted = fqdns(s);
+    let hosted = s.hosted();
     let groups = default_groups();
-    let tenants = multicloud_tenant_count(&hosted, &s.world.psl, &groups);
+    let tenants = multicloud_tenant_count(hosted, &s.world.psl, &groups);
     r.compare(
         "multi-cloud tenants (scaled)",
         21_314.0 * scale,
         tenants as f64,
     );
-    let m = pairwise_comparison(&hosted, &s.world.psl, &groups, 2);
+    let m = pairwise_comparison(hosted, &s.world.psl, &groups, 2);
     r.line(format!(
         "{} comparable pairs, {} with too few shared tenants (paper: 67 of 78)",
         m.cells.len(),
@@ -167,9 +159,9 @@ pub fn fig12(s: &mut Session) -> Report {
 pub fn table2(s: &mut Session) -> Report {
     let mut r = Report::new("table2");
     r.heading("Table 2 — IPv6 adoption by cloud service");
-    let hosted = fqdns(s);
+    let hosted = s.hosted();
     let catalog = ServiceCatalog::paper();
-    let services = service_adoption(&hosted, &catalog);
+    let services = service_adoption(hosted, &catalog);
     let mut t = TextTable::new(vec![
         "Provider", "Service", "Policy", "ready", "total", "meas %", "paper %",
     ]);
@@ -207,9 +199,9 @@ pub fn ablation_policy(s: &mut Session) -> Report {
     // Re-measure Table 2 from the real crawl, then model the counterfactual:
     // every service's tenants adopt at the default-on empirical rate (the
     // rate measured for services that are default-on today).
-    let hosted = fqdns(s);
+    let hosted = s.hosted();
     let catalog = ServiceCatalog::paper();
-    let services = service_adoption(&hosted, &catalog);
+    let services = service_adoption(hosted, &catalog);
     let default_on_rates: Vec<f64> = services
         .iter()
         .filter(|svc| {

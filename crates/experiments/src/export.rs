@@ -15,8 +15,7 @@ use flowmon::{AnonymizingExporter, CollectSink, ScopeFamilyAgg};
 use iputil::anon::{Anonymizer, AnonymizerConfig};
 use ipv6view_core::classify::{classify_site, ClassCounts};
 use ipv6view_core::client::analyze_agg;
-use ipv6view_core::cloud::{hosted_fqdns, org_readiness, service_adoption};
-use ipv6view_core::influence::InfluenceReport;
+use ipv6view_core::cloud::{org_readiness, service_adoption};
 use serde::Serialize;
 use std::path::Path;
 
@@ -46,9 +45,7 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
     };
 
     // 1. Per-site graded classification (the paper's server-side dataset).
-    let e = session.world.latest_epoch();
-    session.crawl(e);
-    let report = session.crawl_ref(e);
+    let report = session.latest_crawl();
     let sites: Vec<SiteRow> = report
         .sites
         .iter()
@@ -74,15 +71,14 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
     write("class_counts.json", &ClassCounts::from_report(report))?;
 
     // 2. Influence metrics (span / median contribution).
-    let influence = InfluenceReport::compute(report, &session.world.psl);
-    write("influence_domains.json", &influence.domains)?;
+    write("influence_domains.json", &session.influence().domains)?;
 
     // 3. Cloud datasets.
-    let fqdns = hosted_fqdns(report, &session.world.rib, &session.world.registry);
-    write("cloud_org_readiness.json", &org_readiness(&fqdns))?;
+    let fqdns = session.hosted();
+    write("cloud_org_readiness.json", &org_readiness(fqdns))?;
     write(
         "cloud_service_adoption.json",
-        &service_adoption(&fqdns, &cloudmodel::catalog::ServiceCatalog::paper()),
+        &service_adoption(fqdns, &cloudmodel::catalog::ServiceCatalog::paper()),
     )?;
 
     // 4. Scenario-owned datasets, registry-driven: each scenario's

@@ -7,9 +7,9 @@
 //!
 //! * [`Session`] — the shared state scenarios run in: a world generated
 //!   from a typed [`RunConfig`] (sites / seed / days / thread fan-out),
-//!   plus lazily-built caches of the expensive derived artifacts (crawls,
-//!   streaming aggregate passes). A sequence of scenarios pays for each
-//!   artifact once.
+//!   plus memoized views of the expensive derived artifacts (crawls and
+//!   their analyses, streaming aggregate passes). A sequence of scenarios
+//!   pays for each view once.
 //! * [`Scenario`] — a named, describable experiment:
 //!   `run(&mut Session) -> Report`. The static [`registry`] holds every
 //!   built-in scenario in paper order and is the single source of truth
@@ -37,8 +37,8 @@
 //! ```
 //!
 //! Custom experiments implement [`Scenario`] and drive the same `Session`;
-//! everything the built-ins use ([`Session::crawl`],
-//! [`Session::client_analyses`], [`Session::traffic_config`], …) is public.
+//! every view the built-ins read ([`Session::crawl`], [`Session::hosted`],
+//! [`Session::influence`], …) is public and takes `&self`.
 
 #![forbid(unsafe_code)]
 

@@ -119,8 +119,8 @@ fn main() {
             let mut reports: Vec<Report> = Vec::new();
             // One panicking scenario must not cost the rest of the run:
             // catch it, keep going, and report every failure at the end
-            // (the session is only reused on success — a scenario that
-            // panicked mid-cache-fill could leave it torn).
+            // (a session view whose build panicked stays empty, and the
+            // next scenario that reads it builds it again).
             let mut failed: Vec<&str> = Vec::new();
             for scenario in registry().iter().filter(|s| s.in_all()) {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

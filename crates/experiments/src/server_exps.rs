@@ -5,7 +5,7 @@ use crate::report::Report;
 use crate::session::Session;
 use dnssim::Name;
 use ipv6view_core::classify::{classify_site, ClassCounts, SiteClass};
-use ipv6view_core::influence::{InfluenceReport, TypeHeatmap};
+use ipv6view_core::influence::TypeHeatmap;
 use ipv6view_core::readiness::ReadinessBuckets;
 use ipv6view_core::report::{render_cdf, TextTable};
 use ipv6view_core::whatif::WhatIfCurve;
@@ -162,8 +162,7 @@ pub fn fig6(s: &mut Session) -> Report {
 pub fn fig7(s: &mut Session) -> Report {
     let mut r = Report::new("fig7");
     r.heading("Fig 7 — IPv4-only resources per IPv6-partial site");
-    let psl = s.world.psl.clone();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
+    let inf = s.influence();
     let (c25, c50, c75) = inf.count_quantiles().expect("partial sites exist");
     let (f25, f50, f75) = inf.fraction_quantiles().expect("partial sites exist");
     r.compare("count p25", 3.0, c25);
@@ -191,8 +190,7 @@ pub fn fig7(s: &mut Session) -> Report {
 pub fn fig8(s: &mut Session) -> Report {
     let mut r = Report::new("fig8");
     r.heading("Fig 8 — span & median contribution of IPv4-only domains");
-    let psl = s.world.psl.clone();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
+    let inf = s.influence();
     let spans: Vec<f64> = inf.domains.iter().map(|d| d.span as f64).collect();
     let contribs: Vec<f64> = inf.domains.iter().map(|d| d.median_contribution).collect();
     r.line(format!(
@@ -243,7 +241,6 @@ pub fn fig9(s: &mut Session) -> Report {
     let mut r = Report::new("fig9");
     r.heading("Fig 9 — categories of high-span IPv4-only domains");
     let scale = s.site_scale();
-    let psl = s.world.psl.clone();
     let category_of: HashMap<Name, DomainCategory> = s
         .world
         .web
@@ -251,7 +248,7 @@ pub fn fig9(s: &mut Session) -> Report {
         .iter()
         .map(|t| (t.domain.clone(), t.category))
         .collect();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
+    let inf = s.influence();
     let min_span = ((100.0 * scale).ceil() as usize).max(2);
     let hh_count = inf.heavy_hitters(min_span).count();
     let cats = inf.heavy_hitter_categories(min_span, &category_of);
@@ -284,9 +281,8 @@ pub fn fig9(s: &mut Session) -> Report {
 pub fn fig10(s: &mut Session) -> Report {
     let mut r = Report::new("fig10");
     r.heading("Fig 10 — what-if: enabling IPv6 on IPv4-only domains by span");
-    let psl = s.world.psl.clone();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
-    let curve = WhatIfCurve::compute(&inf);
+    let inf = s.influence();
+    let curve = WhatIfCurve::compute(inf);
     let scale = s.site_scale();
     let top500 = ((500.0 * scale).ceil() as usize).max(1);
     r.compare(
@@ -320,8 +316,7 @@ pub fn fig10(s: &mut Session) -> Report {
 pub fn fig18(s: &mut Session) -> Report {
     let mut r = Report::new("fig18");
     r.heading("Fig 18 — top-20 IPv4-only domains × resource type");
-    let psl = s.world.psl.clone();
-    let hm = TypeHeatmap::compute(s.latest_crawl(), &psl, 20);
+    let hm = TypeHeatmap::compute(s.latest_crawl(), &s.world.psl, 20);
     let mut header = vec!["domain".to_string(), "(any)".to_string()];
     header.extend(hm.types.iter().map(|t| t.label().to_string()));
     let mut t = TextTable::new(header);
@@ -398,8 +393,7 @@ pub fn ablation_firstparty(s: &mut Session) -> Report {
         "→ ignoring third-party resources overstates full readiness {:.1}×",
         fp_only / graded
     ));
-    let psl = s.world.psl.clone();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
+    let inf = s.influence();
     r.compare(
         "% of partial sites partial due to first-party only",
         2.3,
@@ -409,22 +403,20 @@ pub fn ablation_firstparty(s: &mut Session) -> Report {
 }
 
 /// Ablation: Happy Eyeballs parameters vs the "Browser Used IPv4" rate.
-/// The default rate's row reads the session's cached latest-epoch crawl;
-/// every other row is [`crawlsim::recrawl_at_rate`] of that crawl.
+/// The default rate's row reads the session's latest-epoch crawl; every
+/// other row is [`crawlsim::recrawl_at_rate`] of that crawl.
 pub fn ablation_he(s: &mut Session) -> Report {
     use crawlsim::{recrawl_at_rate, CrawlConfig};
     let mut r = Report::new("ablation-he");
     r.heading("Ablation — Happy Eyeballs degradation vs IPv4 race wins");
-    let epoch = s.world.latest_epoch();
-    let base_rate = s.crawl(epoch).v6_degraded_rate;
+    let base = s.latest_crawl();
     let mut t = TextTable::new(vec![
         "v6 degraded rate",
         "browser used IPv4 %",
         "IPv6-full %",
     ]);
     for rate in [0.0, 0.05, 0.116, 0.25] {
-        let base = s.crawl_ref(epoch);
-        let c = if rate == base_rate {
+        let c = if rate == base.v6_degraded_rate {
             ClassCounts::from_report(base)
         } else {
             // Only the sites whose IPv6 path the rate change degrades or

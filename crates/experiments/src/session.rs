@@ -1,16 +1,22 @@
 //! [`RunConfig`] and [`Session`]: the shared state every scenario runs in.
 //!
-//! A `Session` owns the synthetic world plus lazily-built caches of the
-//! expensive derived artifacts (crawls and streaming aggregate passes), so
-//! a sequence of scenarios — `repro all`, a registry sweep in a test, or an
-//! embedding application — pays for each artifact once.
+//! A `Session` owns the synthetic world plus memoized views of the
+//! expensive artifacts derived from it, so a sequence of scenarios — `repro
+//! all`, a registry sweep in a test, or an embedding application — pays for
+//! each view once. Every view is a [`OnceLock`] filled through one helper
+//! that opens the view's span on the first build only, and every accessor
+//! takes `&self`. The views and their spans: [`Session::crawl`] (`crawl`,
+//! once per epoch), [`Session::mainpage_crawl`] (`crawl-mainpage`),
+//! [`Session::hosted`] (`hosted`), [`Session::influence`] (`influence`),
+//! [`Session::streamed`] (`streaming`) and [`Session::hourly_aggs`]
+//! (`hourly`).
 //!
-//! Flow-derived caches ([`Session::client_analyses`], [`Session::as_rows`],
+//! Flow-derived views ([`Session::client_analyses`], [`Session::as_rows`],
 //! [`Session::domain_rows`], [`Session::hourly_aggs`],
 //! [`Session::flow_sketches`]) run one synthesis pass with composite
 //! [`FlowSink`](flowmon::FlowSink) aggregators — peak memory is
 //! O(residences × aggregator), independent of `days`, which is what lets
-//! `--full` runs scale. No cache holds flow records: the anonymized-log
+//! `--full` runs scale. No view holds flow records: the anonymized-log
 //! export, the one artifact that *is* the records, synthesizes one
 //! residence at a time (see [`crate::export_all`]).
 
@@ -22,6 +28,9 @@ use flowmon::{Scope, ScopeFamilyAgg};
 use ipv6view_core::client::{
     analyze_agg, domain_fractions_from, AsAgg, AsFraction, DomainAgg, HourlyAgg, ResidenceAnalysis,
 };
+use ipv6view_core::cloud::{hosted_fqdns, HostedFqdn};
+use ipv6view_core::influence::InfluenceReport;
+use std::sync::OnceLock;
 use trafficgen::{paper_residences, synthesize_profiles_with, TrafficConfig};
 use worldgen::{World, WorldConfig};
 
@@ -152,10 +161,22 @@ pub struct Session {
     pub world: World,
     /// The run parameters this session was built with.
     pub config: RunConfig,
-    crawls: Vec<Option<CrawlReport>>,
-    crawl_mainpage_only: Option<CrawlReport>,
-    streamed: Option<StreamedClient>,
-    hourly: Option<Vec<(char, HourlyAgg)>>,
+    crawls: Vec<OnceLock<CrawlReport>>,
+    mainpage: OnceLock<CrawlReport>,
+    hosted: OnceLock<Vec<HostedFqdn>>,
+    influence: OnceLock<InfluenceReport>,
+    streamed: OnceLock<StreamedClient>,
+    hourly: OnceLock<Vec<(char, HourlyAgg)>>,
+}
+
+/// The one memo idiom: `cell`'s value, built under the span `span` on the
+/// first call only, so each view's span closes once per session. Callers
+/// fetch a view's inputs first, so the span times that view's build alone.
+fn memo<'a, T>(cell: &'a OnceLock<T>, span: &str, build: impl FnOnce() -> T) -> &'a T {
+    cell.get_or_init(|| {
+        let _span = obs::span!(span);
+        build()
+    })
 }
 
 impl Session {
@@ -191,10 +212,12 @@ impl Session {
         Session {
             world,
             config,
-            crawls: (0..epochs).map(|_| None).collect(),
-            crawl_mainpage_only: None,
-            streamed: None,
-            hourly: None,
+            crawls: (0..epochs).map(|_| OnceLock::new()).collect(),
+            mainpage: OnceLock::new(),
+            hosted: OnceLock::new(),
+            influence: OnceLock::new(),
+            streamed: OnceLock::new(),
+            hourly: OnceLock::new(),
         }
     }
 
@@ -228,48 +251,48 @@ impl Session {
         }
     }
 
-    /// Crawl (cached) of one epoch.
-    pub fn crawl(&mut self, epoch: usize) -> &CrawlReport {
-        if self.crawls[epoch].is_none() {
+    /// Crawl of one epoch.
+    pub fn crawl(&self, epoch: usize) -> &CrawlReport {
+        memo(&self.crawls[epoch], "crawl", || {
             obs::info!("[repro] crawling epoch {epoch} ...");
             let t0 = std::time::Instant::now();
-            let _span = obs::span!("crawl", epoch = epoch);
             let report = crawl_epoch(&self.world, epoch, &self.crawl_config());
-            drop(_span);
             obs::info!("[repro] crawl done in {:.1}s", t0.elapsed().as_secs_f64());
-            self.crawls[epoch] = Some(report);
-        }
-        self.crawls[epoch].as_ref().expect("just filled")
+            report
+        })
     }
 
     /// Crawl of the latest epoch (Jul 2025).
-    pub fn latest_crawl(&mut self) -> &CrawlReport {
-        let e = self.world.latest_epoch();
-        self.crawl(e)
-    }
-
-    /// Shared-reference accessor for an already-run crawl (panics if the
-    /// epoch has not been crawled yet — call [`Session::crawl`] first).
-    /// Exists so call sites can borrow the crawl and `world` fields
-    /// together.
-    pub fn crawl_ref(&self, epoch: usize) -> &CrawlReport {
-        self.crawls[epoch]
-            .as_ref()
-            .expect("crawl(epoch) must run before crawl_ref(epoch)")
+    pub fn latest_crawl(&self) -> &CrawlReport {
+        self.crawl(self.world.latest_epoch())
     }
 
     /// Main-page-only ablation crawl of the latest epoch: the
-    /// [`main_page_view`] of the cached full crawl, equal to a crawl with
+    /// [`main_page_view`] of the latest crawl, equal to a crawl with
     /// `click_links: false` but crawling nothing itself.
-    pub fn mainpage_crawl(&mut self) -> &CrawlReport {
-        if self.crawl_mainpage_only.is_none() {
-            let e = self.world.latest_epoch();
-            self.crawl(e);
-            let _span = obs::span!("crawl-mainpage");
-            let report = main_page_view(&self.world, self.crawl_ref(e));
-            self.crawl_mainpage_only = Some(report);
-        }
-        self.crawl_mainpage_only.as_ref().expect("just filled")
+    pub fn mainpage_crawl(&self) -> &CrawlReport {
+        let full = self.latest_crawl();
+        memo(&self.mainpage, "crawl-mainpage", || {
+            main_page_view(&self.world, full)
+        })
+    }
+
+    /// BGP + AS2Org attribution of every FQDN of the latest crawl (§5). The
+    /// latest epoch is the only one any caller attributes.
+    pub fn hosted(&self) -> &[HostedFqdn] {
+        let crawl = self.latest_crawl();
+        memo(&self.hosted, "hosted", || {
+            hosted_fqdns(crawl, &self.world.rib, &self.world.registry)
+        })
+        .as_slice()
+    }
+
+    /// Influence analysis of the latest crawl (§4).
+    pub fn influence(&self) -> &InfluenceReport {
+        let crawl = self.latest_crawl();
+        memo(&self.influence, "influence", || {
+            InfluenceReport::compute(crawl, &self.world.psl)
+        })
     }
 
     /// The streaming client pass: the nine-month traffic run at 1/1000
@@ -279,14 +302,13 @@ impl Session {
     /// The composite per-residence sink is a plain 4-tuple of aggregators —
     /// the [`FlowSink`](flowmon::FlowSink) tuple combinators replace the
     /// bespoke struct this pass once needed.
-    pub fn streamed(&mut self) -> &StreamedClient {
-        if self.streamed.is_none() {
+    pub fn streamed(&self) -> &StreamedClient {
+        memo(&self.streamed, "streaming", || {
             obs::info!(
                 "[repro] synthesizing {}-day traffic for 5 residences (streaming aggregators) ...",
                 self.config.days
             );
             let t0 = std::time::Instant::now();
-            let _span = obs::span!("streaming");
             let cfg = self.traffic_config();
             let world = &self.world;
             let results = synthesize_profiles_with(world, paper_residences(), &cfg, |_, _| {
@@ -309,38 +331,36 @@ impl Session {
                 domain_aggs.push(domains);
             }
             let domains = domain_fractions_from(&domain_aggs, 10_000, 3);
-            drop(_span);
             obs::info!(
                 "[repro] streaming pass done in {:.1}s",
                 t0.elapsed().as_secs_f64()
             );
-            self.streamed = Some(StreamedClient {
+            StreamedClient {
                 analyses,
                 as_rows,
                 domains,
                 sketches,
-            });
-        }
-        self.streamed.as_ref().expect("just filled")
+            }
+        })
     }
 
     /// Per-residence Table 1 analyses (streaming).
-    pub fn client_analyses(&mut self) -> &[ResidenceAnalysis] {
+    pub fn client_analyses(&self) -> &[ResidenceAnalysis] {
         &self.streamed().analyses
     }
 
     /// Per-(AS, residence) fraction rows (streaming).
-    pub fn as_rows(&mut self) -> &[AsFraction] {
+    pub fn as_rows(&self) -> &[AsFraction] {
         &self.streamed().as_rows
     }
 
     /// Per-domain fraction rows (streaming).
-    pub fn domain_rows(&mut self) -> &[(Name, Vec<f64>)] {
+    pub fn domain_rows(&self) -> &[(Name, Vec<f64>)] {
         &self.streamed().domains
     }
 
     /// Per-residence flow duration/size sketches (streaming).
-    pub fn flow_sketches(&mut self) -> &[(char, FlowStatsAgg)] {
+    pub fn flow_sketches(&self) -> &[(char, FlowStatsAgg)] {
         &self.streamed().sketches
     }
 
@@ -348,36 +368,31 @@ impl Session {
     /// external-scope [`HourlyAgg`] per residence over the first
     /// `min(days, 35)` days, streamed — the dense run's records are never
     /// held either.
-    pub fn hourly_aggs(&mut self) -> &[(char, HourlyAgg)] {
-        if self.hourly.is_none() {
+    pub fn hourly_aggs(&self) -> &[(char, HourlyAgg)] {
+        memo(&self.hourly, "hourly", || {
             obs::info!("[repro] synthesizing dense traffic (hourly analyses, streaming) ...");
-            let _span = obs::span!("hourly");
             let cfg = TrafficConfig {
                 num_days: self.config.days.min(63),
                 scale: 1.0 / 20.0,
                 ..self.traffic_config()
             };
             let range = 0..cfg.num_days.min(35);
-            let results =
-                synthesize_profiles_with(&self.world, paper_residences(), &cfg, |_, _| {
-                    HourlyAgg::new(Scope::External, range.clone())
-                });
-            self.hourly = Some(
-                results
-                    .into_iter()
-                    .map(|(summary, agg)| (summary.profile.key, agg))
-                    .collect(),
-            );
-        }
-        self.hourly.as_ref().expect("just filled")
+            synthesize_profiles_with(&self.world, paper_residences(), &cfg, |_, _| {
+                HourlyAgg::new(Scope::External, range.clone())
+            })
+            .into_iter()
+            .map(|(summary, agg)| (summary.profile.key, agg))
+            .collect()
+        })
+        .as_slice()
     }
 
     /// Snapshot of the telemetry plane: stage spans, pipeline counters, and
     /// flow-shape histograms accumulated since this session started. Empty
     /// unless the session was built with [`RunConfig::metrics`] (or the
     /// caller enabled `obs` directly). Counts are cumulative across every
-    /// scenario the session has run — the caches mean an artifact is built
-    /// (and therefore counted) once.
+    /// scenario the session has run — the memoized views mean an artifact
+    /// is built (and therefore counted) once.
     pub fn metrics(&self) -> obs::MetricsReport {
         obs::snapshot()
     }
@@ -389,7 +404,7 @@ mod tests {
 
     #[test]
     fn mainpage_crawl_equals_a_main_page_only_crawl() {
-        let mut session = Session::new(RunConfig::default().sites(300).seed(7).days(2));
+        let session = Session::new(RunConfig::default().sites(300).seed(7).days(2));
         let cfg = CrawlConfig {
             click_links: false,
             ..session.crawl_config()
@@ -406,5 +421,24 @@ mod tests {
                 a.domain
             );
         }
+    }
+
+    #[test]
+    fn crawl_views_equal_fresh_computations() {
+        let session = Session::new(RunConfig::default().sites(300).seed(7).days(2));
+        let (world, crawl) = (&session.world, session.latest_crawl());
+        let fresh_hosted = hosted_fqdns(crawl, &world.rib, &world.registry);
+        let fresh_influence = InfluenceReport::compute(crawl, &world.psl);
+        assert!(!fresh_hosted.is_empty() && !fresh_influence.sites.is_empty());
+        assert_eq!(
+            serde_json::to_string(session.hosted()).expect("serializable"),
+            serde_json::to_string(&fresh_hosted).expect("serializable"),
+            "hosted() differs from a fresh attribution"
+        );
+        assert_eq!(
+            serde_json::to_string(session.influence()).expect("serializable"),
+            serde_json::to_string(&fresh_influence).expect("serializable"),
+            "influence() differs from a fresh influence analysis"
+        );
     }
 }

@@ -2,8 +2,18 @@
 //! and produce a `Report` whose JSON is byte-identical at any `threads`
 //! setting — crawls and synthesis alike — the determinism contract the
 //! whole streaming pipeline is built on, asserted scenario-by-scenario.
+//!
+//! One sweep runs metered, and the obs plane is process-global: every test
+//! here serializes on one lock so no other session's spans reach it.
 
 use experiments::{find, registry, RunConfig, Session};
+use std::sync::{Mutex, MutexGuard};
+
+static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+fn locked() -> MutexGuard<'static, ()> {
+    TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Run every registered scenario against one session (the `repro all`
 /// shape: caches shared), returning `(name, report JSON)` pairs.
@@ -40,6 +50,7 @@ fn tiny() -> RunConfig {
 
 #[test]
 fn every_scenario_runs_and_is_thread_invariant() {
+    let _guard = locked();
     let base = run_registry(tiny());
     assert!(base.len() >= 30, "registry shrank to {}", base.len());
     let fanned = run_registry(tiny().threads(3));
@@ -59,6 +70,7 @@ fn every_scenario_runs_and_is_thread_invariant() {
 /// only thing written under the spill directory.
 #[test]
 fn every_scenario_is_spill_invariant() {
+    let _guard = locked();
     let dir = std::env::temp_dir().join(format!("registry-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let in_memory = run_registry(tiny());
@@ -80,6 +92,7 @@ fn every_scenario_is_spill_invariant() {
 
 #[test]
 fn reports_serialize_to_valid_structured_json() {
+    let _guard = locked();
     let mut session = Session::new(tiny());
     // A table-heavy, a CDF-heavy and a dataset-bearing scenario cover every
     // element kind.
@@ -109,6 +122,7 @@ fn reports_serialize_to_valid_structured_json() {
 
 #[test]
 fn export_reports_cover_the_published_datasets() {
+    let _guard = locked();
     let mut session = Session::new(tiny());
     let mut names = Vec::new();
     for scenario in registry() {
@@ -127,4 +141,38 @@ fn export_reports_cover_the_published_datasets() {
         ],
         "scenario-owned export datasets changed"
     );
+}
+
+/// Each session view is built once per session: over the whole registry on
+/// one metered session, the span of each view closes exactly once in total,
+/// under whichever scenario first read it, and the crawl's once per epoch.
+#[test]
+fn every_session_view_is_built_once() {
+    let _guard = locked();
+    let mut session = Session::new(tiny().metrics(true));
+    for scenario in registry() {
+        scenario.run(&mut session);
+    }
+    let metrics = session.metrics();
+    obs::set_enabled(false);
+    let closes = |view: &str| -> u64 {
+        let suffix = format!("/{view}");
+        metrics
+            .spans
+            .iter()
+            .filter(|s| s.path == view || s.path.ends_with(&suffix))
+            .map(|s| s.count)
+            .sum()
+    };
+    for view in [
+        "hosted",
+        "influence",
+        "crawl-mainpage",
+        "streaming",
+        "hourly",
+    ] {
+        assert_eq!(closes(view), 1, "span {view} must close once per session");
+    }
+    let epochs = session.world.web.epochs.len() as u64;
+    assert_eq!(closes("crawl"), epochs, "one crawl span per epoch");
 }

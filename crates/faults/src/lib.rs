@@ -94,7 +94,7 @@ impl Window {
     }
 
     /// Is any hour of `day` covered?
-    pub fn covers_day(&self, day: u32) -> bool {
+    fn covers_day(&self, day: u32) -> bool {
         (self.first_day..=self.last_day).contains(&day)
     }
 
@@ -104,7 +104,7 @@ impl Window {
     }
 
     /// Covered hours per active day (1–24).
-    pub fn hours_per_day(&self) -> u32 {
+    fn hours_per_day(&self) -> u32 {
         self.end_hour - self.start_hour
     }
 }

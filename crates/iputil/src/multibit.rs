@@ -280,7 +280,7 @@ impl<K: Bits, V> FrozenLpm<K, V> {
 
     /// Flattened multibit nodes (0 in small/linear-scan representation) —
     /// the footprint metric next to [`FrozenLpm::heap_bytes`].
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         match &self.repr {
             Repr::Small(_) => 0,
             Repr::Table { nodes, .. } => nodes.len(),
@@ -288,7 +288,7 @@ impl<K: Bits, V> FrozenLpm<K, V> {
     }
 
     /// Heap footprint of the lookup arrays and results, in bytes.
-    pub fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         let repr = match &self.repr {
             Repr::Small(entries) => std::mem::size_of_val(entries.as_slice()),
             Repr::Table {

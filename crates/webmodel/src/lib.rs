@@ -10,7 +10,7 @@
 //! * [`resource`] — resource types (image, script, sub_frame, ... — the axes
 //!   of Fig 18) and third-party domain categories (ads, trackers, CDN,
 //!   analytics, ... — the categories of Fig 9, VirusTotal-style).
-//! * [`site`] — websites, pages, embedded resources, internal links and
+//! * [`site`] — websites, pages, embedded resources and
 //!   redirects: what the OpenWPM-style crawler walks.
 //! * [`namegen`] — deterministic pronounceable domain-name generation with a
 //!   weighted TLD mix, used by the world generator.

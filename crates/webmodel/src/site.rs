@@ -1,4 +1,4 @@
-//! Websites, pages, embedded resources and internal links.
+//! Websites, pages and embedded resources.
 //!
 //! A page's fetches name their FQDN by [`NameId`]: an id in the
 //! [`dnssim::NameTable`] of the world that generated the site, which
@@ -26,9 +26,6 @@ pub struct Page {
     /// Resources embedded in the rendered page (after all dependency
     /// resolution — the synthetic equivalent of a full browser load).
     pub resources: Vec<ResourceRef>,
-    /// Indices (into [`Website::pages`]) of same-site pages this page links
-    /// to; the crawler clicks up to five of them.
-    pub links: Vec<usize>,
 }
 
 /// A website on the top list.
@@ -41,7 +38,8 @@ pub struct Website {
     /// The FQDN the main page actually lives at after HTTP redirects
     /// (commonly `www.<domain>`; sometimes another site entirely).
     pub serving_fqdn: Name,
-    /// Pages; index 0 is the main page.
+    /// Pages; index 0 is the main page, which links to every other page
+    /// (the crawler clicks up to five of them).
     pub pages: Vec<Page>,
 }
 
@@ -82,14 +80,12 @@ mod tests {
                     fetch("static.example.test", ResourceType::Image),
                     fetch("ads.tracker.test", ResourceType::Script),
                 ],
-                links: vec![1],
             },
             Page {
                 resources: vec![
                     fetch("static.example.test", ResourceType::Image),
                     fetch("fonts.assets.test", ResourceType::Font),
                 ],
-                links: vec![],
             },
         ];
         let site = Website {

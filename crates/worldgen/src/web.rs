@@ -682,16 +682,9 @@ fn generate_site<R: Rng + ?Sized>(
     let mut pages = vec![
         Page {
             resources: Vec::new(),
-            links: Vec::new(),
         };
         n_pages
     ];
-    // Main page links to every other page.
-    pages[0].links = (1..n_pages).collect();
-    #[allow(clippy::needless_range_loop)] // i is the page id, not just an index
-    for i in 1..n_pages {
-        pages[i].links = vec![0, 1.max(i) % n_pages];
-    }
 
     let place_fetch = |fqdn: NameId, rtype: ResourceType, pages: &mut Vec<Page>, rng: &mut R| {
         let page_idx = if rng.gen::<f64>() < cal.main_page_fetch_share || n_pages == 1 {

@@ -12,8 +12,9 @@ use ipv6view::prelude::{find, registry, RunConfig, Session};
 
 fn main() {
     // 1. A session: 2,000 ranked websites, third-party ecosystem, cloud
-    //    hosting, DNS — everything derived from one seed, with crawls and
-    //    traffic runs cached so every scenario pays for them once.
+    //    hosting, DNS — everything derived from one seed. Crawls, their
+    //    analyses and traffic runs are memoized views behind `&self`
+    //    accessors, so every scenario pays for each once.
     //    (`RunConfig::default().full()` is the paper's 100k-site scale.)
     let mut session = Session::new(RunConfig::default().sites(2_000).days(30));
     println!(
@@ -60,10 +61,18 @@ fn main() {
         "The graded view shows only {:.1}% actually work end-to-end on IPv6.",
         counts.pct_of_connected(counts.full)
     );
+    // The influence analysis (Fig 7–10) is another memoized view of the
+    // same crawl.
+    let influence = session.influence();
+    println!(
+        "{} IPv6-partial sites are held back by {} IPv4-only domains.",
+        influence.sites.len(),
+        influence.domains.len()
+    );
 
     // 4. Scenarios are first-class values: every paper table and figure is
     //    one. Run Fig 6 (the popularity gradient) from the registry — the
-    //    crawl above is reused from the session cache, and the result is a
+    //    crawl above is reused from the session, and the result is a
     //    structured, serializable report.
     println!(
         "\n{} scenarios registered; running `fig6`:",

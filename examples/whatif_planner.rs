@@ -2,23 +2,21 @@
 //! convince IPv4-only third-party domains to enable IPv6, which ones first,
 //! and how far does each step move the web?
 //!
-//! Uses the library-first API: a [`Session`] owns the world and caches the
-//! crawl, so the influence analysis here and any registered scenario run
-//! afterwards share one crawl pass.
+//! Uses the library-first API: a [`Session`] owns the world and memoizes
+//! the crawl and its influence analysis, so any registered scenario run
+//! afterwards reuses both.
 //!
 //! ```sh
 //! cargo run --release --example whatif_planner
 //! ```
 
-use ipv6view::core::influence::InfluenceReport;
 use ipv6view::core::whatif::WhatIfCurve;
 use ipv6view::prelude::{RunConfig, Session};
 
 fn main() {
-    let mut session = Session::new(RunConfig::default().sites(2_000).days(30));
-    let psl = session.world.psl.clone();
-    let influence = InfluenceReport::compute(session.latest_crawl(), &psl);
-    let curve = WhatIfCurve::compute(&influence);
+    let session = Session::new(RunConfig::default().sites(2_000).days(30));
+    let influence = session.influence();
+    let curve = WhatIfCurve::compute(influence);
 
     println!(
         "{} IPv6-partial sites depend on {} IPv4-only domains\n",
