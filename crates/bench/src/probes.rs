@@ -20,10 +20,7 @@ use cloudmodel::catalog::ServiceCatalog;
 use crawlsim::{crawl_epoch, CrawlConfig, CrawlReport};
 use dnssim::{Name, ResolveAddrs, Resolver, ZoneDb};
 use flowmon::sink::{CollectSink, FlowStatsAgg, NullSink, ScopeCell, TranslationAgg};
-use flowmon::{
-    Direction, FlowKey, FlowRecord, FlowSink, FlowTable, Scope, ScopeFamilyAgg, Translation,
-    TranslationMap,
-};
+use flowmon::{FlowKey, FlowRecord, FlowSink, Scope, ScopeFamilyAgg, Translation, TranslationMap};
 use flowstore::{part_file_name, write_part, DigestSink, PartSet};
 use happyeyeballs::HappyEyeballs;
 use iputil::prefix::{Prefix4, Prefix6};
@@ -53,7 +50,7 @@ use trafficgen::{
     ResidenceSummary, TrafficConfig,
 };
 use transition::provider::ProviderGateway;
-use transition::{Dns64, GatewayConfig, Nat64Gateway, Nat64Prefix};
+use transition::{BindingTable, Dns64, GatewayConfig, Nat64Prefix};
 use webmodel::psl::Psl;
 use worldgen::{World, WorldConfig};
 
@@ -568,15 +565,11 @@ fn spill(t: &LongTail) -> Result<u64, Error> {
 }
 
 /// Raw sink throughput on a pre-built 100k-record stream (no synthesis
-/// cost), and flow-table churn.
+/// cost).
 fn sink_probes() -> Vec<Probe> {
     const LAYER: &str = "flowmon sinks";
     let nat64 = Nat64Prefix::well_known();
     let stream = Rc::new((prebuilt_records(100_000, nat64), nat64.prefix()));
-    let hosts = Rc::new((
-        IpAddr::V4(Ipv4Addr::new(192, 168, 1, 10)),
-        IpAddr::V4(Ipv4Addr::new(203, 0, 113, 1)),
-    ));
     vec![
         probe(&stream, "sink_push_100k_collect", LAYER, |(records, _)| {
             let mut sink = CollectSink::new();
@@ -602,29 +595,11 @@ fn sink_probes() -> Vec<Probe> {
             "sink_push_100k_translation_agg",
             LAYER,
             |(records, nat64)| {
-                let mut map = TranslationMap::new();
-                map.add_nat64_prefix(*nat64);
-                let mut sink = TranslationAgg::new(map);
+                let mut sink = TranslationAgg::new(TranslationMap::new(*nat64, false));
                 for r in records {
                     sink.accept(black_box(r));
                 }
                 Ok(sink.total_flows())
-            },
-        ),
-        probe(
-            &hosts,
-            "flow_table_new_packet_destroy",
-            LAYER,
-            |&(lan, server)| {
-                let mut t = FlowTable::new();
-                for i in 0..1_000u16 {
-                    let key = FlowKey::tcp(lan, i, server, 443);
-                    t.on_new(key, 0, Scope::External);
-                    t.on_packet(&key, 1, Direction::Original, 1500);
-                    t.on_packet(&key, 2, Direction::Reply, 1500);
-                    t.on_destroy(&key, 3);
-                }
-                Ok(t.drain().len())
             },
         ),
     ]
@@ -696,8 +671,7 @@ fn transition_probes() -> Result<Vec<Probe>, Error> {
     }
     let zone = Rc::new((db, names, well_known));
 
-    let mut map = TranslationMap::new();
-    map.add_nat64_prefix(well_known.prefix());
+    let map = TranslationMap::new(well_known.prefix(), false);
     let keys: Vec<FlowKey> = (0..1_000u16)
         .map(|i| {
             let dst = if i % 3 == 0 {
@@ -747,23 +721,34 @@ fn transition_probes() -> Result<Vec<Probe>, Error> {
         ),
         // 1k translations against a pool that never exhausts: the grant
         // fast path (heap push + lazy expiry).
-        probe(&prefixes, "nat64_translate_1k_flows", LAYER, |_| {
-            Ok(translate_1k(GatewayConfig {
-                capacity: 4096,
-                binding_timeout: 120_000_000,
-            }))
-        }),
+        probe(
+            &prefixes,
+            "nat64_translate_1k_flows",
+            LAYER,
+            |&(p, _, _)| {
+                Ok(translate_1k(
+                    p,
+                    GatewayConfig {
+                        capacity: 4096,
+                        binding_timeout: 120_000_000,
+                    },
+                ))
+            },
+        ),
         // The same load on a 64-binding pool: the exhaustion path (reject +
         // expiry scanning) that the exhaustion experiment leans on.
         probe(
             &prefixes,
             "nat64_translate_1k_flows_exhausted_pool",
             LAYER,
-            |_| {
-                Ok(translate_1k(GatewayConfig {
-                    capacity: 64,
-                    binding_timeout: 3_600_000_000,
-                }))
+            |&(p, _, _)| {
+                Ok(translate_1k(
+                    p,
+                    GatewayConfig {
+                        capacity: 64,
+                        binding_timeout: 3_600_000_000,
+                    },
+                ))
             },
         ),
         probe(
@@ -801,16 +786,16 @@ fn transition_probes() -> Result<Vec<Probe>, Error> {
     ])
 }
 
-/// 1k translations through a fresh NAT64 gateway; the count granted.
-fn translate_1k(config: GatewayConfig) -> u32 {
-    let mut gw = Nat64Gateway::new(Nat64Prefix::well_known(), config);
+/// 1k NAT64 translations through a fresh binding table, as a gateway
+/// admission runs them: bind the flow, then dial the RFC 6052 mapping of
+/// its IPv4 destination under `prefix`. The count granted.
+fn translate_1k(prefix: Nat64Prefix, config: GatewayConfig) -> u32 {
+    let mut table = BindingTable::new(config);
     let mut granted = 0u32;
     for i in 0..1_000u64 {
         let dst = Ipv4Addr::from(0xc633_6400 + (i as u32 & 0xff));
-        if gw
-            .translate(black_box(dst), i * 1_000, i * 1_000 + 500)
-            .is_ok()
-        {
+        if table.bind(i * 1_000, i * 1_000 + 500).is_ok() {
+            black_box(prefix.embed(black_box(dst)));
             granted += 1;
         }
     }

@@ -10,7 +10,8 @@ use std::sync::OnceLock;
 
 /// Rows `layers.json` still lists although no probe times them any more.
 /// The benchmark re-cut removes them from `layers.json`, and then this set.
-const STALE: [&str; 6] = [
+const STALE: [&str; 7] = [
+    "flow_table_new_packet_destroy",
     "lpm4_longest_match_50k_prefixes",
     "lpm6_longest_match_50k_prefixes",
     "lpm6_longest_match_many_4k_dup_addrs",

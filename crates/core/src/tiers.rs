@@ -16,8 +16,6 @@
 //! consulted.
 
 use flowmon::sink::TranslationAgg;
-use flowmon::TranslationMap;
-use iputil::prefix::Prefix6;
 use serde::Serialize;
 use transition::{AccessTech, GatewayStats};
 
@@ -75,19 +73,6 @@ pub struct TransitionAnalysis {
     pub gateway: Option<GatewayStats>,
 }
 
-/// The [`TranslationMap`] a residence's own provisioning implies:
-/// `nat64_prefix` is the translation prefix the provider advertises (the
-/// RFC 6052 well-known prefix in this world); the DS-Lite B4 flag comes
-/// from the CPE provisioning. Build the map, hang a
-/// [`TranslationAgg`] off it as a sink, and [`analyze_transition_agg`]
-/// grades the streamed tallies.
-pub fn residence_translation_map(tech: AccessTech, nat64_prefix: Prefix6) -> TranslationMap {
-    let mut map = TranslationMap::new();
-    map.add_nat64_prefix(nat64_prefix);
-    map.set_dslite_b4(tech == AccessTech::DsLite);
-    map
-}
-
 /// Grade residence `key` from the [`TranslationAgg`] its stream filled:
 /// tallies were accumulated while synthesis ran, no record was ever held.
 /// `scale` is the stream's sampling factor and `gateway` the line's
@@ -141,7 +126,7 @@ pub fn analyze_transition_agg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowmon::CollectSink;
+    use flowmon::{CollectSink, TranslationMap};
     use trafficgen::{synthesize_profiles_with, transition_residences, TrafficConfig};
     use worldgen::{World, WorldConfig};
 
@@ -154,7 +139,7 @@ mod tests {
         };
         let nat64 = world.transition.nat64_prefix.prefix();
         let runs = synthesize_profiles_with(&world, transition_residences(), &cfg, |_, p| {
-            let map = residence_translation_map(p.access_tech, nat64);
+            let map = TranslationMap::new(nat64, p.access_tech == AccessTech::DsLite);
             (TranslationAgg::new(map), CollectSink::new())
         });
         let analyses: Vec<TransitionAnalysis> = runs

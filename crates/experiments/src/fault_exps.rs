@@ -20,16 +20,14 @@
 
 use crate::report::Report;
 use crate::session::Session;
+use crate::transition_exps::cohort_under;
 use bgpsim::AsId;
 use faults::{ChurnOp, DnsFailure, FaultPlan, PoolTarget, Window};
 use flowmon::{DropCause, DropCounters, NullSink};
 use iputil::Family;
 use ipv6view_core::report::TextTable;
-use ipv6view_core::tiers::{analyze_transition_agg, residence_translation_map, TransitionAnalysis};
 use serde::Serialize;
-use trafficgen::{
-    synthesize_profiles_with, synthesize_residence_into, transition_residences, TrafficConfig,
-};
+use trafficgen::{synthesize_residence_into, transition_residences, TrafficConfig};
 use transition::{AccessTech, GatewayConfig};
 
 /// The combined stress timeline both scenarios derive theirs from: DNS
@@ -218,43 +216,6 @@ pub struct StressReport {
     pub rib: RibChurnSummary,
 }
 
-/// Run the transition cohort under `plan` (empty = clean), streaming every
-/// line through a translation aggregator; returns the graded analysis and
-/// the fault plane's casualty counters per line.
-fn stressed_cohort(
-    s: &Session,
-    days: u32,
-    plan: FaultPlan,
-) -> Vec<(TransitionAnalysis, DropCounters)> {
-    let cfg = TrafficConfig {
-        // Same synthesis seed as the clean `transition` cohort: identical
-        // demand, so clean-vs-stress deltas are pure fault effects.
-        seed: s.world.config.seed ^ 0x786c_6174, // "xlat"
-        num_days: days,
-        faults: plan,
-        ..s.traffic_config()
-    };
-    let nat64 = s.world.transition.nat64_prefix.prefix();
-    let results = synthesize_profiles_with(&s.world, transition_residences(), &cfg, |_, p| {
-        flowmon::sink::TranslationAgg::new(residence_translation_map(p.access_tech, nat64))
-    });
-    results
-        .iter()
-        .map(|(summary, agg)| {
-            (
-                analyze_transition_agg(
-                    summary.profile.key,
-                    summary.profile.access_tech,
-                    summary.scale,
-                    agg,
-                    summary.gateway,
-                ),
-                summary.drops,
-            )
-        })
-        .collect()
-}
-
 /// Replay the plan's RIB churn timeline against a clone of the session's
 /// routing table. Day `days` is included so the final covered day's
 /// withdrawals (which land one day later) are applied too.
@@ -287,8 +248,8 @@ fn replay_rib_churn(s: &Session, plan: &FaultPlan, days: u32) -> RibChurnSummary
 /// Build the adoption-under-stress dataset for a session at `days`.
 pub fn adoption_under_stress_data(s: &Session, days: u32) -> StressReport {
     let plan = stress_plan(s.world.config.seed, days);
-    let clean = stressed_cohort(s, days, FaultPlan::default());
-    let stressed = stressed_cohort(s, days, plan.clone());
+    let clean = cohort_under(s, days, FaultPlan::default());
+    let stressed = cohort_under(s, days, plan.clone());
     let rows = clean
         .iter()
         .zip(&stressed)

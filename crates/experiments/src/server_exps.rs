@@ -363,10 +363,10 @@ pub fn ablation_firstparty(s: &mut Session) -> Report {
     for site in &report.sites {
         match classify_site(site) {
             SiteClass::V4Only | SiteClass::UnknownPrimary => connected += 1,
-            SiteClass::Partial | SiteClass::Full => {
+            class @ (SiteClass::Partial | SiteClass::Full) => {
                 connected += 1;
                 let ok = site.outcome.as_ref().expect("classified success");
-                if classify_site(site) == SiteClass::Full {
+                if class == SiteClass::Full {
                     full_grade += 1;
                 }
                 let fp_v4only = ok

@@ -10,16 +10,18 @@
 
 use crate::report::Report;
 use crate::session::Session;
-use flowmon::NullSink;
+use faults::FaultPlan;
+use flowmon::sink::TranslationAgg;
+use flowmon::{DropCounters, NullSink, TranslationMap};
 use ipv6view_core::report::{render_cdf, TextTable};
-use ipv6view_core::tiers::{analyze_transition_agg, residence_translation_map, TransitionAnalysis};
+use ipv6view_core::tiers::{analyze_transition_agg, TransitionAnalysis};
 use netstats::Ecdf;
 use serde::Serialize;
 use trafficgen::{
     isp_cohort, synthesize_isps, synthesize_profiles_with, synthesize_residence_into,
     transition_residences, IspSpec, TrafficConfig,
 };
-use transition::GatewayConfig;
+use transition::{AccessTech, GatewayConfig};
 
 /// Synthesize the five-technology cohort and grade each line, streaming
 /// every residence through a translation aggregator (no record is
@@ -27,25 +29,38 @@ use transition::GatewayConfig;
 /// derives from the world seed so `--seed` reruns are independent end to
 /// end.
 pub fn cohort_analyses(s: &Session, days: u32) -> Vec<TransitionAnalysis> {
+    let runs = cohort_under(s, days, s.config.faults.clone());
+    runs.into_iter().map(|(analysis, _)| analysis).collect()
+}
+
+/// [`cohort_analyses`] under the fault plan `faults` (empty = clean), with
+/// each line's casualty counters. Every plan sees the same demand, so
+/// clean-vs-stress deltas are pure fault effects.
+pub(crate) fn cohort_under(
+    s: &Session,
+    days: u32,
+    faults: FaultPlan,
+) -> Vec<(TransitionAnalysis, DropCounters)> {
     let cfg = TrafficConfig {
         seed: s.world.config.seed ^ 0x786c_6174, // "xlat"
         num_days: days,
+        faults,
         ..s.traffic_config()
     };
     let nat64 = s.world.transition.nat64_prefix.prefix();
     let results = synthesize_profiles_with(&s.world, transition_residences(), &cfg, |_, p| {
-        flowmon::sink::TranslationAgg::new(residence_translation_map(p.access_tech, nat64))
+        TranslationAgg::new(TranslationMap::new(
+            nat64,
+            p.access_tech == AccessTech::DsLite,
+        ))
     });
     results
         .iter()
         .map(|(summary, agg)| {
-            analyze_transition_agg(
-                summary.profile.key,
-                summary.profile.access_tech,
-                summary.scale,
-                agg,
-                summary.gateway,
-            )
+            let p = &summary.profile;
+            let analysis =
+                analyze_transition_agg(p.key, p.access_tech, summary.scale, agg, summary.gateway);
+            (analysis, summary.drops)
         })
         .collect()
 }
@@ -122,7 +137,7 @@ pub fn nat64_exhaustion(s: &mut Session) -> Report {
     r.heading("NAT64 — binding-pool exhaustion under residential load");
     let profile = transition_residences()
         .into_iter()
-        .find(|p| p.access_tech == transition::AccessTech::Ipv6OnlyNat64)
+        .find(|p| p.access_tech == AccessTech::Ipv6OnlyNat64)
         .expect("cohort has a NAT64 line");
     let days = s.config.days.min(15);
     let mut t = TextTable::new(vec![

@@ -110,15 +110,6 @@ impl FlowKey {
     }
 }
 
-/// Traffic direction relative to the flow originator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Direction {
-    /// Packets from originator to responder.
-    Original,
-    /// Packets from responder to originator.
-    Reply,
-}
-
 /// LAN scoping of a flow, the external/internal split of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scope {

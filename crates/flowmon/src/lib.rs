@@ -11,19 +11,17 @@
 //! This crate is that monitor:
 //!
 //! * [`flow`] — flow keys (5-tuple + ICMP metadata), records and scopes.
-//! * [`table`] — the connection-tracking event model: `NEW`/packet/`DESTROY`
-//!   events with idle timeout eviction, draining completed records in a
-//!   deterministic order. It has no injection path: whole flows never pass
-//!   through it.
 //! * [`router`] — the router's scoping: classifies flows as internal
-//!   (LAN↔LAN) or external (LAN↔WAN) from configured LAN prefixes, exactly
-//!   the split of Table 1, and builds the record of each observed whole
-//!   flow, which the synthesizer hands straight to a [`FlowSink`].
+//!   (LAN↔LAN) or external (LAN↔WAN) from the residence's LAN prefix in
+//!   each family, exactly the split of Table 1, and builds the record of
+//!   each observed whole flow, which the synthesizer hands straight to a
+//!   [`FlowSink`]. The simulator observes whole flows, so there is no
+//!   conntrack event table: a record is what `DESTROY` would have logged.
 //! * [`export`] — daily log rotation and the anonymizing exporter
 //!   (prefix-preserving scrambling of the low bits, per the paper's IRB
 //!   protocol).
-//! * [`xlat`] — translated-vs-native grading: flows towards RFC 6052
-//!   prefixes are NAT64/464XLAT legacy traffic, external IPv4 on a DS-Lite
+//! * [`xlat`] — translated-vs-native grading: flows towards the RFC 6052
+//!   prefix are NAT64/464XLAT legacy traffic, external IPv4 on a DS-Lite
 //!   line rides the softwire; both are recognized from addresses alone.
 //! * [`drops`] — why flows *didn't* reach the log: per-cause casualty
 //!   counters for the fault-injection plane (resolver bursts, gateway
@@ -42,15 +40,13 @@ pub mod export;
 pub mod flow;
 pub mod router;
 pub mod sink;
-pub mod table;
 pub mod xlat;
 
 pub use drops::{DropCause, DropCounters};
 pub use export::{AnonymizingExporter, DailyLog};
-pub use flow::{Direction, FlowKey, FlowRecord, IcmpMeta, Proto, Scope};
+pub use flow::{FlowKey, FlowRecord, IcmpMeta, Proto, Scope};
 pub use router::RouterMonitor;
 pub use sink::{CollectSink, FlowSink, FlowStatsAgg, NullSink, ScopeFamilyAgg, TranslationAgg};
-pub use table::FlowTable;
 pub use xlat::{Translation, TranslationMap};
 
 /// Timestamps are microseconds since the simulation epoch (matching

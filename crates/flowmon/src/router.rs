@@ -3,48 +3,32 @@
 use crate::flow::{FlowKey, FlowRecord, Scope};
 use crate::Timestamp;
 use iputil::prefix::{Prefix4, Prefix6};
-use iputil::{Lpm4, Lpm6};
 use std::net::IpAddr;
 
 /// A residence router running the flow monitor.
 ///
-/// Configured with the LAN prefixes of the residence (the RFC1918 v4 LAN and
-/// the delegated IPv6 prefix); every flow is classified as
-/// [`Scope::Internal`] when *both* endpoints are inside the LAN, otherwise
-/// [`Scope::External`] — the exact split reported per-residence in Table 1.
-///
-/// Scoping runs once per observed flow against the LAN sets, which never
-/// change over a monitor's lifetime: they compile once, on the first
-/// lookup, and a handful of LAN prefixes compiles to the engine's
-/// linear-scan representation — no `2^16` root table per residence.
-#[derive(Debug, Clone)]
+/// Configured with the LAN prefix of the residence in each family (the
+/// RFC1918 v4 LAN and the delegated IPv6 prefix); every flow is classified
+/// as [`Scope::Internal`] when *both* endpoints are inside the LAN,
+/// otherwise [`Scope::External`] — the exact split reported per-residence
+/// in Table 1.
+#[derive(Debug, Clone, Copy)]
 pub struct RouterMonitor {
-    lan4: Lpm4<()>,
-    lan6: Lpm6<()>,
+    lan4: Prefix4,
+    lan6: Prefix6,
 }
 
 impl RouterMonitor {
     /// Create a monitor for a residence with the given LAN prefixes.
-    pub fn new(lan4: Vec<Prefix4>, lan6: Vec<Prefix6>) -> RouterMonitor {
-        let mut lan4_lpm = Lpm4::new();
-        for p in lan4 {
-            lan4_lpm.insert(p, ());
-        }
-        let mut lan6_lpm = Lpm6::new();
-        for p in lan6 {
-            lan6_lpm.insert(p, ());
-        }
-        RouterMonitor {
-            lan4: lan4_lpm,
-            lan6: lan6_lpm,
-        }
+    pub fn new(lan4: Prefix4, lan6: Prefix6) -> RouterMonitor {
+        RouterMonitor { lan4, lan6 }
     }
 
     /// Is an address inside this residence's LAN?
     pub fn is_lan(&self, addr: IpAddr) -> bool {
         match addr {
-            IpAddr::V4(a) => self.lan4.longest_match(a).is_some(),
-            IpAddr::V6(a) => self.lan6.longest_match(a).is_some(),
+            IpAddr::V4(a) => self.lan4.contains(a),
+            IpAddr::V6(a) => self.lan6.contains(a),
         }
     }
 
@@ -93,8 +77,8 @@ mod tests {
 
     fn router() -> RouterMonitor {
         RouterMonitor::new(
-            vec!["192.168.1.0/24".parse().unwrap()],
-            vec!["2001:db8:1000::/56".parse().unwrap()],
+            "192.168.1.0/24".parse().unwrap(),
+            "2001:db8:1000::/56".parse().unwrap(),
         )
     }
 

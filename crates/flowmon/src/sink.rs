@@ -279,7 +279,7 @@ impl FlowSink for FlowStatsAgg {
 /// through a [`TranslationMap`] — the streaming input of the transition
 /// adoption-tier grading. Internal flows are ignored (translation is a WAN
 /// phenomenon; the map classifies them as native anyway).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TranslationAgg {
     map: TranslationMap,
     /// Bytes per class, indexed by [`TranslationAgg::idx`]:
@@ -433,8 +433,7 @@ mod tests {
 
     #[test]
     fn translation_agg_classifies_external_only() {
-        let mut map = TranslationMap::new();
-        map.add_nat64_prefix("64:ff9b::/96".parse().unwrap());
+        let map = TranslationMap::new("64:ff9b::/96".parse().unwrap(), false);
         let mut agg = TranslationAgg::new(map);
         let translated = FlowRecord {
             key: FlowKey::tcp(

@@ -11,7 +11,6 @@
 
 use crate::flow::{FlowKey, Scope};
 use iputil::prefix::Prefix6;
-use iputil::Lpm6;
 use serde::Serialize;
 use std::net::IpAddr;
 
@@ -40,26 +39,18 @@ impl Translation {
 }
 
 /// Router-side knowledge needed to classify translation provenance.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct TranslationMap {
-    nat64: Lpm6<()>,
+    nat64: Prefix6,
     dslite_b4: bool,
 }
 
 impl TranslationMap {
-    /// A map that classifies everything as native.
-    pub fn new() -> TranslationMap {
-        TranslationMap::default()
-    }
-
-    /// Register an RFC 6052 translation prefix (e.g. `64:ff9b::/96`).
-    pub fn add_nat64_prefix(&mut self, prefix: Prefix6) {
-        self.nat64.insert(prefix, ());
-    }
-
-    /// Mark this router as a DS-Lite B4: all external IPv4 is tunneled.
-    pub fn set_dslite_b4(&mut self, enabled: bool) {
-        self.dslite_b4 = enabled;
+    /// A map for a router whose provider translates under the RFC 6052
+    /// prefix `nat64` (e.g. `64:ff9b::/96`); `dslite_b4` marks a DS-Lite
+    /// B4, whose external IPv4 is all tunneled.
+    pub fn new(nat64: Prefix6, dslite_b4: bool) -> TranslationMap {
+        TranslationMap { nat64, dslite_b4 }
     }
 
     /// Classify one flow (scope from the router's LAN view).
@@ -68,7 +59,7 @@ impl TranslationMap {
             return Translation::Native;
         }
         match key.dst {
-            IpAddr::V6(dst) if self.nat64.longest_match(dst).is_some() => Translation::Nat64,
+            IpAddr::V6(dst) if self.nat64.contains(dst) => Translation::Nat64,
             IpAddr::V4(_) if self.dslite_b4 => Translation::DsLite,
             _ => Translation::Native,
         }
@@ -79,15 +70,13 @@ impl TranslationMap {
 mod tests {
     use super::*;
 
-    fn map() -> TranslationMap {
-        let mut m = TranslationMap::new();
-        m.add_nat64_prefix("64:ff9b::/96".parse().unwrap());
-        m
+    fn map(dslite_b4: bool) -> TranslationMap {
+        TranslationMap::new("64:ff9b::/96".parse().unwrap(), dslite_b4)
     }
 
     #[test]
     fn nat64_destinations_are_translated() {
-        let m = map();
+        let m = map(false);
         let key = FlowKey::tcp(
             "2001:db8:1::5".parse().unwrap(),
             40000,
@@ -106,8 +95,7 @@ mod tests {
 
     #[test]
     fn dslite_marks_external_v4_only() {
-        let mut m = map();
-        m.set_dslite_b4(true);
+        let m = map(true);
         let v4 = FlowKey::tcp(
             "192.168.1.5".parse().unwrap(),
             40000,
@@ -131,8 +119,9 @@ mod tests {
 
     #[test]
     fn default_map_is_all_native() {
-        let m = TranslationMap::new();
-        // Even a would-be NAT64 destination is native without configuration.
+        // Only the configured prefix translates: under a network-specific
+        // one, a would-be well-known NAT64 destination is native.
+        let m = TranslationMap::new("2001:db8:122::/48".parse().unwrap(), false);
         let key6 = FlowKey::tcp(
             "2001:db8::1".parse().unwrap(),
             1,

@@ -6,7 +6,7 @@
 //! * [`prefix`] — CIDR prefixes for IPv4 and IPv6 with canonicalization,
 //!   parsing, containment tests and supernet/subnet arithmetic.
 //! * [`lpm`] — longest-prefix-match tables ([`Lpm4`]/[`Lpm6`]) behind the
-//!   BGP RIB (`bgpsim`), path profiles and translation maps.
+//!   BGP RIB (`bgpsim`).
 //! * [`multibit`] — the flattened Poptrie/DXR-style multibit engine every
 //!   lookup runs on.
 //! * [`hash`] — a self-contained SipHash-2-4 implementation (keyed PRF) used

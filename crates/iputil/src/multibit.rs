@@ -38,8 +38,8 @@
 //! allocations) resolve in stride-6 hops over arrays small enough to stay
 //! cache-hot; a 100k-prefix RIB flattens to a few MB of contiguous memory.
 //!
-//! Tables of at most a dozen entries (a residence router's LAN set) compile
-//! to a sorted linear scan and never allocate the root table.
+//! Tables of at most a dozen entries (a small test RIB) compile to a
+//! sorted linear scan and never allocate the root table.
 //!
 //! # Batched lookups and prefetch
 //!

@@ -13,9 +13,10 @@
 //!   ([`happyeyeballs`](https://docs.rs)) schedules resolution timers and
 //!   staggered connection attempts through it.
 //! * [`path::Network`] — maps destination addresses to [`path::PathProfile`]s
-//!   (RTT, loss, reachability) with per-family defaults; this is where a
-//!   residence with broken IPv6 (the paper's Residence C conjecture) is
-//!   expressed as `v6_default.reachable = false`.
+//!   (RTT, loss, reachability): a default per family plus one optional
+//!   IPv6 route (the NAT64 detour); this is where a residence with broken
+//!   IPv6 (the paper's Residence C conjecture) is expressed as
+//!   `v6_default.reachable = false`.
 //! * [`tcp::TcpConnector`] — models connection establishment: a SYN is lost
 //!   with the path's loss probability, retransmitted with exponential
 //!   backoff, and the connection completes one RTT after the first SYN that

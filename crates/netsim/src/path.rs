@@ -1,15 +1,12 @@
 //! Per-destination path properties.
 //!
 //! A [`Network`] answers one question: what does the path from this vantage
-//! point to a given destination address look like? Destinations can be
-//! configured individually (exact address), by covering prefix, or fall back
-//! to per-family defaults. Prefix entries let the world generator give a
-//! whole AS a latency/loss profile in one call.
+//! point to a given destination address look like? Each family has a
+//! default profile, and one IPv6 prefix may take its own route: on an
+//! IPv6-only line, the detour through the NAT64 gateway's RFC 6052 prefix.
 
 use crate::Time;
-use iputil::prefix::{Prefix4, Prefix6};
-use iputil::{Lpm4, Lpm6};
-use std::collections::HashMap;
+use iputil::prefix::Prefix6;
 use std::net::IpAddr;
 
 /// The properties of one network path.
@@ -63,11 +60,9 @@ impl Default for PathProfile {
 /// or a crawler machine).
 #[derive(Debug, Clone)]
 pub struct Network {
-    exact: HashMap<IpAddr, PathProfile>,
-    by_prefix4: Lpm4<PathProfile>,
-    by_prefix6: Lpm6<PathProfile>,
     v4_default: PathProfile,
     v6_default: PathProfile,
+    route6: Option<(Prefix6, PathProfile)>,
 }
 
 impl Network {
@@ -76,11 +71,9 @@ impl Network {
         v4_default.validate().expect("valid v4 default");
         v6_default.validate().expect("valid v6 default");
         Network {
-            exact: HashMap::new(),
-            by_prefix4: Lpm4::new(),
-            by_prefix6: Lpm6::new(),
             v4_default,
             v6_default,
+            route6: None,
         }
     }
 
@@ -92,22 +85,12 @@ impl Network {
         )
     }
 
-    /// Override the path to one exact destination address.
-    pub fn set_path(&mut self, dst: IpAddr, profile: PathProfile) {
-        profile.validate().expect("valid profile");
-        self.exact.insert(dst, profile);
-    }
-
-    /// Override the path for every address in an IPv4 prefix.
-    pub fn set_prefix4(&mut self, prefix: Prefix4, profile: PathProfile) {
-        profile.validate().expect("valid profile");
-        self.by_prefix4.insert(prefix, profile);
-    }
-
-    /// Override the path for every address in an IPv6 prefix.
+    /// Route every address in an IPv6 prefix over `profile`, whatever the
+    /// IPv6 default. A network has at most one such route: a second call
+    /// replaces the first.
     pub fn set_prefix6(&mut self, prefix: Prefix6, profile: PathProfile) {
         profile.validate().expect("valid profile");
-        self.by_prefix6.insert(prefix, profile);
+        self.route6 = Some((prefix, profile));
     }
 
     /// Replace the per-family default profile.
@@ -119,23 +102,15 @@ impl Network {
         }
     }
 
-    /// Resolve the path profile for a destination: exact match, then longest
-    /// covering prefix, then the family default.
+    /// Resolve the path profile for a destination: the IPv6 route when it
+    /// covers `dst`, otherwise the family default.
     pub fn path_to(&self, dst: IpAddr) -> PathProfile {
-        if let Some(p) = self.exact.get(&dst) {
-            return *p;
-        }
         match dst {
-            IpAddr::V4(a) => self
-                .by_prefix4
-                .longest_match(a)
-                .map(|(_, p)| *p)
-                .unwrap_or(self.v4_default),
-            IpAddr::V6(a) => self
-                .by_prefix6
-                .longest_match(a)
-                .map(|(_, p)| *p)
-                .unwrap_or(self.v6_default),
+            IpAddr::V4(_) => self.v4_default,
+            IpAddr::V6(a) => match self.route6 {
+                Some((prefix, profile)) if prefix.contains(a) => profile,
+                _ => self.v6_default,
+            },
         }
     }
 }
@@ -164,49 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_beats_prefix_beats_default() {
-        let mut net = Network::dual_stack_ms(30);
-        net.set_prefix4(
-            "198.51.100.0/24".parse().unwrap(),
-            PathProfile::healthy_ms(80),
-        );
-        net.set_path("198.51.100.7".parse().unwrap(), PathProfile::healthy_ms(5));
-        assert_eq!(
-            net.path_to("198.51.100.7".parse().unwrap()).rtt,
-            5 * crate::MILLIS
-        );
-        assert_eq!(
-            net.path_to("198.51.100.8".parse().unwrap()).rtt,
-            80 * crate::MILLIS
-        );
-        assert_eq!(
-            net.path_to("198.51.101.8".parse().unwrap()).rtt,
-            30 * crate::MILLIS
-        );
-    }
-
-    #[test]
-    fn longest_prefix_wins() {
-        let mut net = Network::dual_stack_ms(30);
-        net.set_prefix6(
-            "2001:db8::/32".parse().unwrap(),
-            PathProfile::healthy_ms(50),
-        );
-        net.set_prefix6(
-            "2001:db8:1::/48".parse().unwrap(),
-            PathProfile::healthy_ms(9),
-        );
-        assert_eq!(
-            net.path_to("2001:db8:1::5".parse().unwrap()).rtt,
-            9 * crate::MILLIS
-        );
-        assert_eq!(
-            net.path_to("2001:db8:2::5".parse().unwrap()).rtt,
-            50 * crate::MILLIS
-        );
-    }
-
-    #[test]
     fn broken_v6_family() {
         let mut net = Network::dual_stack_ms(30);
         net.set_family_default(iputil::Family::V6, PathProfile::unreachable());
@@ -218,8 +150,8 @@ mod tests {
     #[should_panic(expected = "loss")]
     fn rejects_invalid_loss() {
         let mut net = Network::dual_stack_ms(10);
-        net.set_path(
-            "192.0.2.1".parse().unwrap(),
+        net.set_family_default(
+            iputil::Family::V4,
             PathProfile {
                 rtt: 0,
                 loss: 1.5,

@@ -157,8 +157,8 @@ mod tests {
     #[test]
     fn lossy_path_eventually_connects() {
         let mut net = Network::dual_stack_ms(10);
-        net.set_path(
-            "198.51.100.1".parse().unwrap(),
+        net.set_family_default(
+            iputil::Family::V4,
             PathProfile {
                 rtt: 10 * crate::MILLIS,
                 loss: 0.5,
@@ -188,8 +188,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let mut net = Network::dual_stack_ms(10);
-        net.set_path(
-            "198.51.100.1".parse().unwrap(),
+        net.set_family_default(
+            iputil::Family::V4,
             PathProfile {
                 rtt: 10 * crate::MILLIS,
                 loss: 0.3,

@@ -1,9 +1,11 @@
 //! Property tests for the discrete-event substrate.
 
+use iputil::prefix::Prefix6;
 use netsim::{ConnectOutcome, EventQueue, Network, PathProfile, TcpConnector, MILLIS, SECONDS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 proptest! {
     /// Events always pop in non-decreasing time order, whatever the
@@ -73,21 +75,25 @@ proptest! {
         }
     }
 
-    /// Path resolution: exact > prefix > family default, for arbitrary hosts
-    /// inside/outside the configured prefix.
+    /// Path resolution: an address gets the IPv6 route's profile iff the
+    /// route's prefix contains it, and its family default otherwise.
     #[test]
-    fn path_precedence(host in 0u8..255, in_prefix in any::<bool>()) {
-        let mut net = Network::dual_stack_ms(30);
-        net.set_prefix4("198.51.100.0/24".parse().unwrap(), PathProfile::healthy_ms(80));
-        let addr: std::net::IpAddr = if in_prefix {
-            format!("198.51.100.{host}").parse().unwrap()
-        } else {
-            format!("203.0.113.{host}").parse().unwrap()
-        };
-        let got = net.path_to(addr).rtt / MILLIS;
-        prop_assert_eq!(got, if in_prefix { 80 } else { 30 });
-        // Exact override beats the prefix.
-        net.set_path(addr, PathProfile::healthy_ms(5));
-        prop_assert_eq!(net.path_to(addr).rtt / MILLIS, 5);
+    fn path_precedence(
+        v4 in any::<u32>(),
+        v6 in any::<u128>(),
+        net6 in any::<u128>(),
+        len in 0u8..=128,
+        near in any::<bool>(),
+    ) {
+        let (v4_ms, v6_ms, route_ms) = (20, 30, 80);
+        let mut net = Network::new(PathProfile::healthy_ms(v4_ms), PathProfile::healthy_ms(v6_ms));
+        let prefix = Prefix6::new(Ipv6Addr::from(net6), len);
+        net.set_prefix6(prefix, PathProfile::healthy_ms(route_ms));
+        // Half the v6 draws share the route's network bits above the last
+        // 8, so both sides of long prefixes are exercised.
+        let v6 = Ipv6Addr::from(if near { net6 ^ (v6 & 0xff) } else { v6 });
+        let expect6 = if prefix.contains(v6) { route_ms } else { v6_ms };
+        prop_assert_eq!(net.path_to(IpAddr::V6(v6)).rtt / MILLIS, expect6);
+        prop_assert_eq!(net.path_to(IpAddr::V4(Ipv4Addr::from(v4))).rtt / MILLIS, v4_ms);
     }
 }

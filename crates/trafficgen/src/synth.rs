@@ -447,8 +447,8 @@ pub fn synthesize_residence_into<S: FlowSink>(
 /// issues distinct ports, but past 64 512 flows the cursor laps and blindly
 /// reissues a port that an earlier long-lived flow (streaming sessions run
 /// up to 1.5 h) may still hold — two distinct flows to the same service
-/// then share a 5-tuple and silently merge in any conntrack-style
-/// [`flowmon::FlowTable`]. This allocator keeps the identical cursor
+/// then share a 5-tuple and silently merge in a conntrack table keyed by
+/// it, as on the paper's routers. This allocator keeps the identical cursor
 /// sequence (so every run that never laps stays byte-identical to the
 /// historical output) but records each issued port's busy horizon and
 /// skips ports whose previous flow is still alive at allocation time.
@@ -761,7 +761,7 @@ fn synthesize_day(ctx: &ResidenceCtx<'_>, day: u32, mode: GatewayMode) -> DayOut
     obs::counter_add("synth.day_streams", 1);
     let mut rng = SmallRng::seed_from_u64(day_seed(config.seed, setup.residence_index, day));
 
-    let router = RouterMonitor::new(vec![setup.lan4], vec![setup.lan6]);
+    let router = RouterMonitor::new(setup.lan4, setup.lan6);
 
     let weekday = day % 7;
     let absent = profile.absences.iter().any(|&(a, b)| day >= a && day <= b);

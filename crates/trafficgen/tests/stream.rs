@@ -6,7 +6,7 @@
 //! residence's days are the whole task list there.
 
 use flowmon::sink::{CollectSink, FlowStatsAgg, TranslationAgg};
-use flowmon::{Direction, FlowSink, FlowTable, ScopeFamilyAgg, TranslationMap};
+use flowmon::{FlowSink, ScopeFamilyAgg, TranslationMap};
 use ipv6view_core::client::AsAgg;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -129,63 +129,6 @@ proptest! {
         );
     }
 
-    /// At long-tail scale: two identically-fed conntrack tables evict in
-    /// the same deterministic order, and the per-AS aggregates built from
-    /// the evicted records equal the aggregates over the original stream —
-    /// eviction must never lose or reorder per-AS mass, whatever worker
-    /// layout produced the stream.
-    #[test]
-    fn longtail_eviction_order_and_per_as_aggregates_deterministic(
-        seed in 0u64..1_000_000,
-        threads in 1usize..5,
-    ) {
-        let world = tailed_world();
-        let cfg = LongTailTrafficConfig {
-            seed,
-            num_days: 2,
-            flows_per_day: 2_000,
-            threads,
-        };
-        let mut sink = CollectSink::new();
-        synthesize_long_tail_into(world, &cfg, &mut sink);
-        let records = sink.records;
-        // Feed each record's lifecycle into a conntrack table; never
-        // destroy, so every record leaves via idle eviction.
-        let feed = |table: &mut FlowTable| {
-            for r in &records {
-                table.on_new(r.key, r.start, r.scope);
-                table.on_packet(&r.key, r.end, Direction::Original, r.bytes_orig);
-                table.on_packet(&r.key, r.end, Direction::Reply, r.bytes_reply);
-            }
-            table.evict_idle(u64::MAX)
-        };
-        let mut t1 = FlowTable::new();
-        let mut t2 = FlowTable::new();
-        let e1 = feed(&mut t1);
-        let e2 = feed(&mut t2);
-        prop_assert_eq!(e1, t1.completed_count());
-        prop_assert_eq!(e1, e2);
-        let (d1, d2) = (t1.drain(), t2.drain());
-        prop_assert_eq!(&d1, &d2, "eviction order must be deterministic");
-        // Within one day the port allocator never reissues a live port, so
-        // the only possible key collisions are cross-day (the cycle
-        // restarts at midnight); a collision merges two records in the
-        // table but conserves their bytes, so the per-AS *byte* mass over
-        // the evicted stream must always equal the original stream's.
-        prop_assert!(d1.len() <= records.len());
-        let mut from_evicted = AsAgg::new(&world.rib, &world.registry);
-        from_evicted.accept_batch(&d1);
-        let mut from_stream = AsAgg::new(&world.rib, &world.registry);
-        from_stream.accept_batch(&records);
-        prop_assert_eq!(from_evicted.total_bytes(), from_stream.total_bytes());
-        let (a, b) = (from_evicted.fractions('T', 0.0), from_stream.fractions('T', 0.0));
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.asn, y.asn);
-            prop_assert_eq!(x.bytes, y.bytes);
-        }
-    }
-
     /// Streamed aggregates equal aggregates recomputed from the collected
     /// records — counters, distribution sketches and translation tallies
     /// alike — at any worker layout.
@@ -197,11 +140,7 @@ proptest! {
         let world = world();
         let par_cfg = cfg(seed, threads);
         let nat64 = world.transition.nat64_prefix.prefix();
-        let make_map = || {
-            let mut map = TranslationMap::new();
-            map.add_nat64_prefix(nat64);
-            map
-        };
+        let map = TranslationMap::new(nat64, false);
         // Stream the transition cohort through composite aggregators...
         let streamed = synthesize_profiles_with(
             world,
@@ -209,7 +148,7 @@ proptest! {
             &par_cfg,
             |_, _| (
                 ScopeFamilyAgg::new(par_cfg.num_days),
-                (FlowStatsAgg::new(), TranslationAgg::new(make_map())),
+                (FlowStatsAgg::new(), TranslationAgg::new(map)),
             ),
         );
         // ...and recompute the same aggregates from collected records.
@@ -224,7 +163,7 @@ proptest! {
             prop_assert_eq!(summary.profile.key, base.profile.key);
             let mut scope2 = ScopeFamilyAgg::new(par_cfg.num_days);
             let mut stats2 = FlowStatsAgg::new();
-            let mut xlat2 = TranslationAgg::new(make_map());
+            let mut xlat2 = TranslationAgg::new(map);
             (&mut scope2, &mut stats2, &mut xlat2).accept_batch(&records.records);
             prop_assert_eq!(scope, &scope2);
             prop_assert_eq!(stats, &stats2);

@@ -24,11 +24,11 @@
 //!   synthesized answers with zero changes — including the pathological
 //!   case where DNS64 makes an IPv4-only service look IPv6 and wins the
 //!   race through the gateway.
-//! * [`nat64`] — the stateful elements: the capacity- and timeout-bounded
-//!   [`nat64::BindingTable`] whose exhaustion is an experiment scenario, and
-//!   [`nat64::Nat64Gateway`] (RFC 6146), which adds the RFC 6052 mapping on
-//!   top. A DS-Lite AFTR's NAT44 on tunneled flows is a bare binding
-//!   table.
+//! * [`nat64`] — the stateful element: the capacity- and timeout-bounded
+//!   [`nat64::BindingTable`] whose exhaustion is an experiment scenario. A
+//!   NAT64 gateway (RFC 6146) binds each flow in one and dials the RFC 6052
+//!   mapping of its IPv4 destination; a DS-Lite AFTR's NAT44 on tunneled
+//!   flows is a bare binding table.
 //! * [`provider`] — the provider-shared deployment of those elements:
 //!   [`provider::ProviderGateway`] holds one NAT64 + AFTR pool pair per
 //!   ISP, persistent across days and shared by all subscribers, replayed
@@ -62,7 +62,7 @@ pub mod rfc6052;
 pub mod tech;
 
 pub use dns64::Dns64;
-pub use nat64::{BindError, BindingTable, GatewayConfig, GatewayStats, Nat64Gateway};
+pub use nat64::{BindError, BindingTable, GatewayConfig, GatewayStats};
 pub use provider::{Admission, OutageStats, ProviderDayStats, ProviderGateway, ProviderPool};
 pub use rfc6052::{Nat64Prefix, PrefixError, WELL_KNOWN_PREFIX};
 pub use tech::AccessTech;

@@ -6,15 +6,14 @@
 //! When the binding table is full, new flows are rejected until old bindings
 //! time out — the exhaustion scenario studied in the transition-technology
 //! comparison literature (CGN port exhaustion under heavy residential load).
-//! [`BindingTable`] models that resource, and [`Nat64Gateway`] adds the
-//! RFC 6052 address mapping on top. A DS-Lite AFTR's NAT44 is a bare
-//! [`BindingTable`]: its inner IPv4 flows need a binding but no mapping.
+//! [`BindingTable`] models that resource. A NAT64 gateway (RFC 6146) is a
+//! binding table plus the RFC 6052 mapping of [`crate::rfc6052`]; a DS-Lite
+//! AFTR's NAT44 is a bare [`BindingTable`]: its inner IPv4 flows need a
+//! binding but no mapping.
 
-use crate::rfc6052::Nat64Prefix;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Microseconds (matches the `netsim`/`flowmon` clock).
 pub type Time = u64;
@@ -159,48 +158,6 @@ impl BindingTable {
     }
 }
 
-/// A stateful NAT64 gateway (RFC 6146): IPv6-only clients reach the IPv4
-/// Internet through it. Destinations are RFC 6052 addresses under the
-/// gateway's prefix; each flow consumes one pool binding.
-#[derive(Debug, Clone)]
-pub struct Nat64Gateway {
-    prefix: Nat64Prefix,
-    table: BindingTable,
-}
-
-impl Nat64Gateway {
-    /// A gateway translating under `prefix`.
-    pub fn new(prefix: Nat64Prefix, config: GatewayConfig) -> Nat64Gateway {
-        Nat64Gateway {
-            prefix,
-            table: BindingTable::new(config),
-        }
-    }
-
-    /// The gateway's translation prefix.
-    pub fn prefix(&self) -> Nat64Prefix {
-        self.prefix
-    }
-
-    /// Admit a flow towards IPv4 destination `dst4` lasting `[start, end]`:
-    /// returns the IPv6 address the client actually dials (the RFC 6052
-    /// mapping of `dst4`), or [`BindError::PoolExhausted`].
-    pub fn translate(
-        &mut self,
-        dst4: Ipv4Addr,
-        start: Time,
-        end: Time,
-    ) -> Result<Ipv6Addr, BindError> {
-        self.table.bind(start, end)?;
-        Ok(self.prefix.embed(dst4))
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> GatewayStats {
-        self.table.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,27 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn nat64_translates_and_untranslates() {
-        let mut g = Nat64Gateway::new(Nat64Prefix::well_known(), GatewayConfig::default());
-        let dst4: Ipv4Addr = "198.51.100.7".parse().unwrap();
-        let dst6 = g.translate(dst4, 0, 1_000_000).unwrap();
-        assert!(g.prefix().contains(dst6));
-        assert_eq!(g.prefix().extract(dst6), Some(dst4));
-        assert_eq!(g.stats().granted, 1);
-    }
-
-    #[test]
     fn nat64_exhaustion_counts_rejections() {
-        let mut g = Nat64Gateway::new(Nat64Prefix::well_known(), tiny(3, 1_000_000_000));
-        let dst4: Ipv4Addr = "198.51.100.7".parse().unwrap();
-        let mut rejected = 0;
-        for i in 0..10u64 {
-            if g.translate(dst4, i, i + 1).is_err() {
-                rejected += 1;
-            }
-        }
+        let mut t = BindingTable::new(tiny(3, 1_000_000_000));
+        let rejected = (0..10u64).filter(|&i| t.bind(i, i + 1).is_err()).count();
         assert_eq!(rejected, 7);
-        assert!((g.stats().rejection_rate() - 0.7).abs() < 1e-12);
-        assert_eq!(g.stats().peak_active, 3);
+        assert!((t.stats().rejection_rate() - 0.7).abs() < 1e-12);
+        assert_eq!(t.stats().peak_active, 3);
     }
 }

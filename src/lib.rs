@@ -83,15 +83,14 @@
 //!
 //! ## The compiled LPM engine
 //!
-//! Every longest-prefix match in the suite — per-AS attribution at
-//! routing-table scale, cloud-hosted FQDNs, path profiles, NAT64 maps —
-//! runs on one engine: each [`iputil::Lpm4`]/[`iputil::Lpm6`] table keeps
-//! its prefixes in an ordered map and compiles it, on the first lookup
-//! after a change, into a flattened multibit table ([`iputil::multibit`],
-//! Poptrie-style popcount-bitmap strides). Batched lookups walk it with
-//! interleaved software-prefetch lanes. World generation compiles the RIB
-//! before it returns; RIB churn recompiles on the next lookup. See the
-//! `iputil` crate docs for the architecture.
+//! The suite's one longest-prefix-match table is the BGP RIB, behind per-AS
+//! attribution and cloud-hosted FQDNs. Each family is an [`iputil::Lpm4`]/
+//! [`iputil::Lpm6`] that keeps its prefixes in an ordered map and compiles
+//! it, on the first lookup after a change, into a flattened multibit table
+//! ([`iputil::multibit`], Poptrie-style popcount-bitmap strides). Batched
+//! lookups walk it with interleaved software-prefetch lanes. World
+//! generation compiles the RIB before it returns; RIB churn recompiles on
+//! the next lookup. See the `iputil` crate docs for the architecture.
 //!
 //! ## Spilling flow streams to disk
 //!
@@ -184,8 +183,8 @@
 //! assert!(!world.web.sites.is_empty());
 //! ```
 //!
-//! See the workspace `README.md` for an architecture overview, `DESIGN.md`
-//! for the system inventory and `EXPERIMENTS.md` for the experiment index.
+//! See `ROADMAP.md` at the workspace root for the project's aims and open
+//! items, and each member crate's docs for its layer.
 
 #![forbid(unsafe_code)]
 
